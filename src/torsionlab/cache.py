@@ -4,9 +4,11 @@ Every expensive computation in the engine funnels through Buchberger
 completion, so caching reduced bases is enough to make warm runs cheap.
 Entries are JSON files named by the SHA-256 of a canonical request payload
 (field, ambient module, order, generators, engine version).  Writes go
-through a temp file plus atomic rename under an advisory lock, so
-concurrent processes sharing a cache directory stay consistent and an
-interrupted run never leaves a partial entry.
+through a temp file plus atomic rename under an advisory lock on the
+directory's one ``.lock`` file, so concurrent processes sharing a cache
+directory stay consistent and an interrupted run never leaves a partial
+entry.  The active cache is scoped to the current context: ``activate``
+returns a token that ``restore`` uses to put the previous cache back.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextvars import ContextVar, Token
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -25,6 +28,7 @@ from .poly import FreeElement
 CACHE_FORMAT = 1
 ENGINE_VERSION = "0.1.0"
 ENV_VAR = "TORSIONLAB_CACHE"
+LOCK_NAME = ".lock"
 
 try:
     import fcntl
@@ -105,14 +109,13 @@ class ComputationCache:
         return stored["result"]
 
     def put(self, payload: dict, result: dict) -> None:
-        digest = self.digest_for(payload)
-        path = self._path(digest)
-        lock_path = path + ".lock"
+        path = self._path(self.digest_for(payload))
         body = json.dumps(
             {"format": CACHE_FORMAT, "request": payload, "result": result},
             sort_keys=True,
             separators=(",", ":"),
         )
+        lock_path = os.path.join(self.directory, LOCK_NAME)
         with open(lock_path, "w", encoding="utf-8") as lock_handle:
             _lock(lock_handle)
             try:
@@ -128,25 +131,29 @@ class ComputationCache:
                 _unlock(lock_handle)
 
 
-_active: Optional[ComputationCache] = None
+_active: ContextVar[Optional[ComputationCache]] = ContextVar(
+    "active_cache", default=None
+)
 
 
-def activate(directory: Optional[str]) -> Optional[ComputationCache]:
+def activate(directory: Optional[str]) -> Token:
     """Enable the cache in ``directory`` (or $TORSIONLAB_CACHE); None disables."""
-    global _active
     if directory is None:
         directory = os.environ.get(ENV_VAR)
-    _active = ComputationCache(directory) if directory else None
-    return _active
+    return _active.set(ComputationCache(directory) if directory else None)
+
+
+def restore(token: Token) -> None:
+    """Put back the cache that was active before ``activate`` returned ``token``."""
+    _active.reset(token)
 
 
 def deactivate() -> None:
-    global _active
-    _active = None
+    _active.set(None)
 
 
 def active_cache() -> Optional[ComputationCache]:
-    return _active
+    return _active.get()
 
 
 def groebner_payload(
@@ -176,9 +183,10 @@ def lookup_groebner(
     order: MonomialOrder,
     gens: Sequence[FreeElement],
 ) -> Optional[List[FreeElement]]:
-    if _active is None:
+    active = _active.get()
+    if active is None:
         return None
-    result = _active.get(groebner_payload(field, nvars, rank, order, gens))
+    result = active.get(groebner_payload(field, nvars, rank, order, gens))
     if result is None:
         return None
     return [decode_element(e, field, nvars, rank) for e in result["elements"]]
@@ -192,9 +200,10 @@ def store_groebner(
     gens: Sequence[FreeElement],
     elements: Sequence[FreeElement],
 ) -> None:
-    if _active is None:
+    active = _active.get()
+    if active is None:
         return
-    _active.put(
+    active.put(
         groebner_payload(field, nvars, rank, order, gens),
         {"elements": [encode_element(g) for g in elements]},
     )

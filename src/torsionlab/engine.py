@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -35,7 +36,7 @@ from .homology import (
     pd,
     tor,
 )
-from .limits import set_degree_cap
+from .limits import reset_degree_cap, set_degree_cap
 from .modules import (
     FPModule,
     ModuleElement,
@@ -501,11 +502,18 @@ class _Engine:
 
 def execute(script: Script, config: Optional[ExecConfig] = None) -> RunReport:
     """Run every statement; resource and input errors are recorded per
-    statement and later independent statements still execute."""
+    statement and later independent statements still execute.  The degree
+    cap and the cache of ``config`` hold for this run only."""
     config = config or ExecConfig()
-    if config.degree_cap is not None:
-        set_degree_cap(config.degree_cap)
-    cache_module.activate(config.cache_dir)
+    with ExitStack() as run_scope:
+        if config.degree_cap is not None:
+            run_scope.callback(reset_degree_cap, set_degree_cap(config.degree_cap))
+        cache_token = cache_module.activate(config.cache_dir)
+        run_scope.callback(cache_module.restore, cache_token)
+        return _execute(script, config)
+
+
+def _execute(script: Script, config: ExecConfig) -> RunReport:
     active = cache_module.active_cache()
     start = time.monotonic()
     engine = _Engine(config)

@@ -93,9 +93,6 @@ class FieldSpec:
             return pow(a, -1, self.characteristic)
         return Fraction(1) / a
 
-    def div(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        return self.mul(a, self.inv(b))
-
     def __str__(self) -> str:
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 

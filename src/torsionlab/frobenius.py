@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .certificates import Certificate
 from .errors import InputError, ResourceLimitError, UnsupportedError
 from .groebner import groebner_basis
-from .homology import PD_INFINITE, free_resolution, pd
+from .homology import PD_INFINITE, _homology_between, free_resolution, pd
 from .modules import (
     FPModule,
     annihilator,
@@ -85,7 +85,6 @@ def tor_frobenius(module: FPModule, e: int, i: int) -> FPModule:
     betti = res.betti
     if i >= len(betti) or betti[i] == 0:
         return FPModule.zero_module(ring)
-    from .homology import _homology_between
 
     outgoing = [_powered_column(c, q) for c in res.differentials[i - 1]]
     incoming = (

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import cache
 from .errors import DimensionError
 from .fields import FieldSpec
-from .limits import abort_point, check_term_degree
+from .limits import abort_point, check_term_degree, degree_cap
 from .orders import DEFAULT_ORDER, MonomialOrder
 from .poly import (
     FreeElement,
@@ -57,6 +57,7 @@ def _reduce_full(
 ) -> TermDict:
     """Fully reduce ``terms``: no term of the result is divisible by a lead."""
     p = field.characteristic
+    cap = degree_cap()
     work = dict(terms)
     remainder: TermDict = {}
     while work:
@@ -76,7 +77,7 @@ def _reduce_full(
         # basis elements are monic, so the cofactor is just c
         for (gp, gm), gc in tails[reducer].items():
             tm = mono_mul(gm, shift)
-            check_term_degree(sum(tm))
+            check_term_degree(sum(tm), cap)
             tt = (gp, tm)
             old = work.get(tt)
             if p:
@@ -159,6 +160,7 @@ def _buchberger(
 ) -> Tuple[List[TermDict], List[Term]]:
     """Completion loop.  Returns monic basis dicts and their lead terms."""
     p = field.characteristic
+    cap = degree_cap()
     basis: List[TermDict] = []
     leads: List[Term] = []
     tails: List[TermDict] = []
@@ -238,7 +240,7 @@ def _buchberger(
             elif old is not None:
                 del spoly[t]
         for t in spoly:
-            check_term_degree(sum(t[1]))
+            check_term_degree(sum(t[1]), cap)
         remainder = _reduce_full(field, spoly, by_position, leads, tails, key)
         if remainder:
             add_pairs(push(remainder))
@@ -360,7 +362,7 @@ def syzygy_generators(
             raise DimensionError("lift vectors live in a different module")
         aug.append(extra.embedded(total))
     block_order = MonomialOrder(
-        kind=order.kind, module="position-over-term", elim_split=order.elim_split
+        module="position-over-term", elim_split=order.elim_split
     )
     gb = groebner_basis(aug, block_order)
     out: List[FreeElement] = []

@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError
-from .modules import FPModule, present_subquotient, tensor
+from .modules import (
+    FPModule,
+    _minimal_homogeneous_subset,
+    present_subquotient,
+    tensor,
+)
 from .poly import FreeElement, Polynomial
 from .rings import RingContext
 
@@ -83,8 +89,6 @@ def _resolution_state(module: FPModule) -> _ResolutionState:
 
 
 def _extend_resolution(module: FPModule, steps: int) -> _ResolutionState:
-    from .modules import _minimal_homogeneous_subset
-
     ring = module.ring
     state = _resolution_state(module)
     while not state.complete and len(state.diffs) < steps:
@@ -264,8 +268,6 @@ class KoszulComplex:
     def rank(self, i: int) -> int:
         d = self.length
         if 0 <= i <= d:
-            from math import comb
-
             return comb(d, i)
         return 0
 

@@ -14,6 +14,8 @@ values) instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -26,6 +28,10 @@ from .errors import (
 from .groebner import GroebnerBasis
 from .poly import FreeElement, Polynomial
 from .rings import Ideal, RingContext
+from .syntax import format_vector
+
+# Largest minor size the minor-based rank and spanning tests will search.
+MINOR_SIZE_CAP = 6
 
 
 def infer_generator_degrees(
@@ -325,8 +331,6 @@ class ModuleElement:
         )
 
     def __repr__(self) -> str:
-        from .syntax import format_vector
-
         return f"ModuleElement({format_vector(self.coords, self.module.ring.variables)})"
 
 
@@ -369,15 +373,6 @@ class ModuleMap:
                 out = out + self.columns[i].scaled(comp)
         return out
 
-    def apply(self, element: ModuleElement) -> ModuleElement:
-        if element.module is not self.source:
-            raise DimensionError("element does not belong to the source module")
-        return ModuleElement(self.target, self.push_coords(element.coords))
-
-    def is_zero_map(self) -> bool:
-        basis = self.target.cover_basis()
-        return all(basis.normal_form(col).is_zero() for col in self.columns)
-
 
 # ---------------------------------------------------------------------------
 # minimal presentations
@@ -392,9 +387,6 @@ def _minimalize(module: FPModule) -> MinimalPresentation:
     transform: List[FreeElement] = [
         FreeElement.unit(field, nvars, m, i) for i in range(m)
     ]
-
-    def column_vec(entries: List[Polynomial], rank: int) -> FreeElement:
-        return FreeElement.from_components(entries, rank=rank)
 
     # eliminate unit entries (degree-zero constants) by Gaussian moves
     while True:
@@ -447,26 +439,12 @@ def _minimalize(module: FPModule) -> MinimalPresentation:
         degrees = [degrees[r] for r in keep]
 
     rank_now = len(degrees)
-    live_cols = []
-    for col in cols:
-        if any(not e.is_zero() for e in col):
-            live_cols.append(column_vec(col, rank_now))
-
-    # greedy minimal generating set of the relation module (graded Nakayama)
-    def col_sort_key(vec: FreeElement):
-        deg = vec.homogeneous_degree(ring.grading, degrees)
-        from .syntax import format_vector
-
-        return (deg, format_vector(vec, ring.variables))
-
-    live_cols.sort(key=col_sort_key)
-    picked: List[FreeElement] = []
-    basis = ring.submodule_basis([], rank_now)
-    for vec in live_cols:
-        if not basis.normal_form(vec).is_zero():
-            picked.append(vec)
-            basis = ring.submodule_basis(picked, rank_now)
-
+    live_cols = [
+        FreeElement.from_components(col, rank=rank_now)
+        for col in cols
+        if any(not e.is_zero() for e in col)
+    ]
+    picked = _minimal_homogeneous_subset(ring, live_cols, rank_now, degrees)
     minimal_module = FPModule(ring, picked, rank_now, degrees)
     return MinimalPresentation(
         module=minimal_module,
@@ -576,8 +554,8 @@ def _minimal_homogeneous_subset(
     position_degrees: Sequence[int],
     modulo: Sequence[FreeElement] = (),
 ) -> List[FreeElement]:
-    """Greedy minimal generating subset of <vectors> + <modulo>, over <modulo>."""
-    from .syntax import format_vector
+    """Greedy minimal generating subset of <vectors> + <modulo>, over <modulo>,
+    trying vectors by degree, then by their text."""
 
     def sort_key(vec: FreeElement):
         deg = vec.homogeneous_degree(ring.grading, position_degrees)
@@ -585,14 +563,20 @@ def _minimal_homogeneous_subset(
             deg = vec.degree(ring.grading, position_degrees)
         return (deg, format_vector(vec, ring.variables))
 
-    ordered = sorted((v for v in vectors if not v.is_zero()), key=sort_key)
-    picked: List[FreeElement] = []
-    basis = ring.submodule_basis(list(modulo), rank)
-    for vec in ordered:
-        if not basis.normal_form(vec).is_zero():
-            picked.append(vec)
-            basis = ring.submodule_basis(list(modulo) + picked, rank)
-    return picked
+    return ring.minimal_subset(vectors, rank, sort_key, modulo)
+
+
+def relations_among(
+    ring: RingContext,
+    gens: Sequence[FreeElement],
+    modulo: Sequence[FreeElement],
+    rank: int,
+) -> List[FreeElement]:
+    """Nonzero relations among ``gens`` modulo <modulo>: the ``gens`` part
+    of each syzygy of gens + modulo in R^rank."""
+    syz = ring.syzygies(list(gens) + list(modulo), rank)
+    heads = (vec.restricted(range(len(gens))) for vec in syz)
+    return [head for head in heads if not head.is_zero()]
 
 
 def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
@@ -631,12 +615,7 @@ def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
         kernel = FPModule.zero_module(ring)
         inclusion = ModuleMap(kernel, source, (), check=False)
         return kernel, inclusion
-    rel_syz = ring.syzygies(list(gens) + list(source.relations), m)
-    rel_cols = []
-    for vec in rel_syz:
-        head = vec.restricted(range(len(gens)))
-        if not head.is_zero():
-            rel_cols.append(head)
+    rel_cols = relations_among(ring, gens, source.relations, m)
     kernel = FPModule(ring, rel_cols, len(gens), gen_degrees)
     inclusion = ModuleMap(kernel, source, gens, check=True)
     return kernel, inclusion
@@ -663,12 +642,7 @@ def present_subquotient(
     )
     if not gens:
         return FPModule.zero_module(ring), []
-    syz = ring.syzygies(list(gens) + modulo, rank)
-    rel_cols = []
-    for vec in syz:
-        head = vec.restricted(range(len(gens)))
-        if not head.is_zero():
-            rel_cols.append(head)
+    rel_cols = relations_among(ring, gens, modulo, rank)
     gen_degrees = tuple(
         g.homogeneous_degree(ring.grading, position_degrees) for g in gens
     )
@@ -720,31 +694,24 @@ def annihilator(module: FPModule, element: Optional[ModuleElement] = None) -> Id
     if element is not None:
         if element.module is not module:
             raise InputError("element does not belong to the module")
-        coords = element.normal_form()
-        if coords.is_zero():
+        vec = element.normal_form()
+        if vec.is_zero():
             return Ideal(ring, [ring.one()])
-        combined = [coords] + list(module.relations)
-        syz = ring.syzygies(combined, module.ngens)
-        gens = [vec.component(0) for vec in syz]
-        gens = [g for g in gens if not g.is_zero()]
-        return Ideal(ring, Ideal(ring, gens).minimal_generators())
-    data = module.minimal()
-    mm = data.module
-    k = mm.ngens
-    if k == 0:
-        return Ideal(ring, [ring.one()])
-    rank = k * k
-    stacked_terms = {}
-    for i in range(k):
-        stacked_terms[(i * k + i, (0,) * ring.nvars)] = ring.field.one
-    stacked = FreeElement(ring.field, ring.nvars, rank, stacked_terms, _normalized=True)
-    combined = [stacked]
-    for i in range(k):
-        for col in mm.relations:
-            combined.append(col.embedded(rank, offset=i * k))
-    syz = ring.syzygies(combined, rank)
-    gens = [vec.component(0) for vec in syz]
-    gens = [g for g in gens if not g.is_zero()]
+        modulo, rank = module.relations, module.ngens
+    else:
+        mm = module.minimal().module
+        k = mm.ngens
+        if k == 0:
+            return Ideal(ring, [ring.one()])
+        rank = k * k
+        stacked_terms = {}
+        for i in range(k):
+            stacked_terms[(i * k + i, (0,) * ring.nvars)] = ring.field.one
+        vec = FreeElement(ring.field, ring.nvars, rank, stacked_terms, _normalized=True)
+        modulo = [
+            col.embedded(rank, offset=i * k) for i in range(k) for col in mm.relations
+        ]
+    gens = [h.component(0) for h in relations_among(ring, [vec], modulo, rank)]
     return Ideal(ring, Ideal(ring, gens).minimal_generators())
 
 
@@ -772,7 +739,7 @@ class RankInfo:
     value: Optional[int]
 
 
-def rank_info(module: FPModule, max_size: int = 6) -> RankInfo:
+def rank_info(module: FPModule) -> RankInfo:
     """Generic ranks over each declared minimal prime via nonvanishing minors.
 
     rank at p = ngens - (largest k with a k x k minor of the minimal
@@ -787,44 +754,36 @@ def rank_info(module: FPModule, max_size: int = 6) -> RankInfo:
     mm = data.module
     k = mm.ngens
     a = len(mm.relations)
-    if min(k, a) > max_size:
+    if min(k, a) > MINOR_SIZE_CAP:
         raise ResourceLimitError(
-            f"minor-based rank limited to matrices of size {max_size}"
+            f"minor-based rank limited to matrices of size {MINOR_SIZE_CAP}"
         )
     entries = [[mm.relation_entry(i, j) for j in range(a)] for i in range(k)]
     ranks = []
     for pi in range(len(primes)):
-        basis = ring.prime_basis(pi)
-
-        def reduce_mod_p(f: Polynomial) -> Polynomial:
-            from .poly import polynomial_to_element, element_to_polynomial
-
-            return element_to_polynomial(
-                basis.normal_form(polynomial_to_element(ring.normal_form_poly(f)))
-            )
-
         found = 0
-        from itertools import combinations
-
         for size in range(min(k, a), 0, -1):
-            nonzero = False
-            for rows in combinations(range(k), size):
-                for cols_idx in combinations(range(a), size):
-                    det = _determinant_mod(
-                        [[entries[r][c] for c in cols_idx] for r in rows],
-                        reduce_mod_p,
-                    )
-                    if not det.is_zero():
-                        nonzero = True
-                        break
-                if nonzero:
-                    break
-            if nonzero:
+            if has_nonzero_minor(ring, entries, size, pi):
                 found = size
                 break
         ranks.append(k - found)
     has_rank = len(set(ranks)) == 1
     return RankInfo(tuple(ranks), has_rank, ranks[0] if has_rank else None)
+
+
+def has_nonzero_minor(
+    ring: RingContext, entries: List[List[Polynomial]], size: int, prime: int
+) -> bool:
+    """Has the matrix a size x size minor that is nonzero modulo the
+    declared minimal prime with index ``prime``?"""
+    reduce_fn = partial(ring.prime_normal_form, index=prime)
+    ncols = len(entries[0])
+    for rows in combinations(range(len(entries)), size):
+        for cols in combinations(range(ncols), size):
+            minor = [[entries[r][c] for c in cols] for r in rows]
+            if not _determinant_mod(minor, reduce_fn).is_zero():
+                return True
+    return False
 
 
 def _determinant_mod(matrix: List[List[Polynomial]], reduce_fn) -> Polynomial:

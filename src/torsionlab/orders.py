@@ -11,11 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 DEGREVLEX = "degrevlex"
-LEX = "lex"
 
 POSITION_OVER_TERM = "position-over-term"
-TERM_OVER_POSITION = "term-over-position"
-SCHREYER = "schreyer"
 POSITION_BLOCKS = "position-blocks"
 
 Mono = Tuple[int, ...]
@@ -31,44 +28,31 @@ def _degrevlex_key(e: Mono):
     return (total, tuple(-x for x in reversed(e)))
 
 
-def _lex_key(e: Mono):
-    return e
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order plus a rule for comparing free-module positions.
+    """Degree reverse lexicographic order plus a rule for comparing
+    free-module positions.
 
     ``elim_split = s`` makes the first ``s`` variables dominate the rest
-    (block order), which is how variable elimination is expressed.  The
-    Schreyer extension compares terms through the lead terms of a parent
-    basis; it needs ``schreyer_leads`` and ``schreyer_parent``.  The
-    position-blocks extension splits positions at ``block_split``: the
-    first block dominates the second, and inside each block the monomial
-    decides before the position, so variable elimination stays effective
-    across positions of one block.
+    (block order), which is how variable elimination is expressed.
+    Position over term compares positions first.  The position-blocks
+    extension splits positions at ``block_split``: the first block
+    dominates the second, and inside each block the monomial decides
+    before the position, so variable elimination stays effective across
+    positions of one block.
     """
 
-    kind: str = DEGREVLEX
     module: str = POSITION_OVER_TERM
     elim_split: Optional[int] = None
-    schreyer_leads: Tuple[Term, ...] = ()
-    schreyer_parent: Optional["MonomialOrder"] = None
     block_split: Optional[int] = None
 
     def mono_key(self) -> Callable[[Mono], object]:
-        if self.kind == DEGREVLEX:
-            base = _degrevlex_key
-        elif self.kind == LEX:
-            base = _lex_key
-        else:
-            raise ValueError(f"unknown monomial order kind {self.kind!r}")
         split = self.elim_split
         if split is None:
-            return base
+            return _degrevlex_key
 
         def key(e: Mono):
-            return (base(e[:split]), base(e[split:]))
+            return (_degrevlex_key(e[:split]), _degrevlex_key(e[split:]))
 
         return key
 
@@ -78,22 +62,6 @@ class MonomialOrder:
 
             def key(t: Term):
                 return (-t[0], mkey(t[1]))
-
-        elif self.module == TERM_OVER_POSITION:
-
-            def key(t: Term):
-                return (mkey(t[1]), -t[0])
-
-        elif self.module == SCHREYER:
-            leads = self.schreyer_leads
-            parent = self.schreyer_parent or MonomialOrder(kind=self.kind)
-            pkey = parent.term_key()
-
-            def key(t: Term):
-                pos, e = t
-                ppos, pe = leads[pos]
-                lifted = tuple(a + b for a, b in zip(e, pe))
-                return (pkey((ppos, lifted)), -pos)
 
         elif self.module == POSITION_BLOCKS:
             split = self.block_split or 0
@@ -107,15 +75,11 @@ class MonomialOrder:
         return key
 
     def describe(self) -> dict:
-        data = {"kind": self.kind, "module": self.module}
+        data = {"kind": DEGREVLEX, "module": self.module}
         if self.elim_split is not None:
             data["elim_split"] = self.elim_split
         if self.block_split is not None:
             data["block_split"] = self.block_split
-        if self.schreyer_leads:
-            data["schreyer_leads"] = [
-                [pos, list(e)] for pos, e in self.schreyer_leads
-            ]
         return data
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from .modules import FPModule
-from .poly import Polynomial
+from .modules import FPModule, _monomials_of_weighted_degree
+from .poly import FreeElement, Polynomial
 from .rings import RingContext
 
 
@@ -32,8 +32,6 @@ def random_homogeneous_polynomial(
     nonzero: bool = True,
 ) -> Polynomial:
     """A random homogeneous element of the given weighted degree."""
-    from .modules import _monomials_of_weighted_degree
-
     monos = list(_monomials_of_weighted_degree(ring.nvars, ring.grading, degree))
     if not monos:
         return ring.zero()
@@ -61,8 +59,6 @@ def random_module_with_planted_relation(
     Returns the module and the planted coefficients r_1..r_d, which satisfy
     sum r_i g_i = 0 by construction.
     """
-    from .poly import FreeElement
-
     planted = [
         random_homogeneous_polynomial(ring, entry_degree, rng) for _ in range(ngens)
     ]
@@ -95,8 +91,6 @@ def random_nonfree_module(
         ngens = rng.randint(1, 3)
         ncols = rng.randint(1, 2)
         columns = []
-        from .poly import FreeElement
-
         for _ in range(ncols):
             entries = [
                 random_homogeneous_polynomial(ring, rng.randint(1, 2), rng, nonzero=False)

@@ -9,7 +9,7 @@ I is verified, which the context records as a trust warning.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, StructuralError, UnsupportedError
 from .fields import FieldSpec
@@ -26,7 +26,7 @@ from .poly import (
     element_to_polynomial,
     polynomial_to_element,
 )
-from .syntax import format_polynomial, parse_polynomial, parse_vector
+from .syntax import format_polynomial, format_vector, parse_polynomial, parse_vector
 
 
 class RingContext:
@@ -43,7 +43,6 @@ class RingContext:
         complete_intersection: bool,
         warnings: Sequence[str],
         ideal_basis: GroebnerBasis,
-        order: MonomialOrder = DEFAULT_ORDER,
     ):
         self.field = field
         self.variables: Tuple[str, ...] = tuple(variables)
@@ -56,7 +55,7 @@ class RingContext:
         self.reduced = reduced
         self.complete_intersection = complete_intersection
         self.warnings: Tuple[str, ...] = tuple(warnings)
-        self.order = order
+        self.order: MonomialOrder = DEFAULT_ORDER
         self.ideal_basis = ideal_basis
         self._prime_bases: Dict[int, GroebnerBasis] = {}
         self._depth: Optional[int] = None
@@ -83,8 +82,6 @@ class RingContext:
     def format(self, value) -> str:
         if isinstance(value, Polynomial):
             return format_polynomial(value, self.variables, self.order)
-        from .syntax import format_vector
-
         return format_vector(value, self.variables, self.order)
 
     # -- reduction mod the defining ideal -------------------------------
@@ -98,11 +95,6 @@ class RingContext:
 
     def is_zero_in_ring(self, f: Polynomial) -> bool:
         return self.normal_form_poly(f).is_zero()
-
-    def is_unit(self, f: Polynomial) -> bool:
-        """Unit test for homogeneous elements: a nonzero constant."""
-        r = self.normal_form_poly(f)
-        return r.is_constant() and not r.is_zero()
 
     def is_in_maximal_ideal(self, f: Polynomial) -> bool:
         r = self.normal_form_poly(f)
@@ -134,6 +126,32 @@ class RingContext:
         if not gens:
             return empty_basis(self.field, self.nvars, rank, self.order)
         return groebner_basis(gens, self.order)
+
+    def minimal_subset(
+        self,
+        vectors: Sequence[FreeElement],
+        rank: int,
+        key: Callable[[FreeElement], object],
+        modulo: Sequence[FreeElement] = (),
+    ) -> List[FreeElement]:
+        """Greedy minimal generating subset of <vectors> + <modulo>, over <modulo>.
+
+        Graded Nakayama: the nonzero vectors are tried in ``key`` order and
+        each is kept unless <modulo> plus the vectors kept so far already
+        contain it.  For homogeneous input sorted by degree the kept vectors
+        form a minimal generating set.  The basis of the span is built only
+        when a vector has to be tested against it.
+        """
+        modulo = list(modulo)
+        picked: List[FreeElement] = []
+        basis = None
+        for vec in sorted((v for v in vectors if not v.is_zero()), key=key):
+            if basis is None:
+                basis = self.submodule_basis(modulo + picked, rank)
+            if not basis.normal_form(vec).is_zero():
+                picked.append(vec)
+                basis = None
+        return picked
 
     def syzygies(
         self,
@@ -180,8 +198,18 @@ class RingContext:
                 )
         return self._prime_bases[index]
 
+    def prime_normal_form(self, f: Polynomial, index: int) -> Polynomial:
+        """Normal form of f modulo the declared minimal prime ``index``.
+
+        ``make_ring`` checks that every declared prime contains the defining
+        ideal, so f needs no reduction modulo the ideal first.
+        """
+        return element_to_polynomial(
+            self.prime_basis(index).normal_form(polynomial_to_element(f))
+        )
+
     def in_prime(self, f: Polynomial, index: int) -> bool:
-        return self.prime_basis(index).normal_form(polynomial_to_element(f)).is_zero()
+        return self.prime_normal_form(f, index).is_zero()
 
     def is_nonzerodivisor(self, f: Polynomial) -> bool:
         """True when f avoids every declared minimal prime.
@@ -379,13 +407,7 @@ class Ideal:
     def basis(self) -> GroebnerBasis:
         if self._basis is None:
             elems = [polynomial_to_element(g) for g in self.generators]
-            elems.extend(self.ring.ideal_block(1))
-            if elems:
-                self._basis = groebner_basis(elems, self.ring.order)
-            else:
-                self._basis = empty_basis(
-                    self.ring.field, self.ring.nvars, 1, self.ring.order
-                )
+            self._basis = self.ring.submodule_basis(elems, 1)
         return self._basis
 
     def contains(self, f: Polynomial) -> bool:
@@ -410,17 +432,15 @@ class Ideal:
 
     def minimal_generators(self) -> List[Polynomial]:
         """Greedy homogeneous minimal generating set (graded Nakayama)."""
-        ordered = sorted(
-            self.generators,
-            key=lambda g: (g.degree(self.ring.grading), self.ring.format(g)),
-        )
-        picked: List[Polynomial] = []
-        accepted = Ideal(self.ring, [])
-        for g in ordered:
-            if not accepted.contains(g):
-                picked.append(g)
-                accepted = Ideal(self.ring, picked)
-        return picked
+        ring = self.ring
+
+        def key(vec: FreeElement):
+            g = element_to_polynomial(vec)
+            return (g.degree(ring.grading), ring.format(g))
+
+        vectors = [polynomial_to_element(g) for g in self.generators]
+        picked = ring.minimal_subset(vectors, 1, key)
+        return [element_to_polynomial(v) for v in picked]
 
     def contains_nonzerodivisor(self) -> bool:
         """True iff the ideal is not inside any declared minimal prime."""

@@ -27,7 +27,7 @@ from .homology import PD_INFINITE, koszul_depth, pd, tor
 from .modules import FPModule, annihilator, tensor, tensor_power
 from .poly import FreeElement, Polynomial
 from .randgen import random_module_with_planted_relation
-from .rings import Ideal, make_ring
+from .rings import Ideal, is_regular_sequence, make_ring
 from .syntax import parse_polynomial
 from .torsion import (
     check_relation_annihilates,
@@ -212,8 +212,6 @@ def criterion_4_torsion_bound(seed: int = 0) -> CriterionResult:
 
 def criterion_5_depth_tor(seed: int = 0) -> CriterionResult:
     """Koszul depth equals the derived-functor depth formula on the panel."""
-    from .rings import is_regular_sequence
-
     qq = _ring_qq_xy()
     qqz = _ring_qq_xyz()
     node = _node(5)

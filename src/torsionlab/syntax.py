@@ -258,15 +258,3 @@ def format_vector(
 ) -> str:
     comps = [format_polynomial(f.component(i), names, order) for i in range(f.rank)]
     return "[" + ", ".join(comps) + "]"
-
-
-def format_matrix_rows(
-    rows: Sequence[Sequence[Polynomial]],
-    names: Sequence[str],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> str:
-    body = ", ".join(
-        "[" + ", ".join(format_polynomial(p, names, order) for p in row) + "]"
-        for row in rows
-    )
-    return "[" + body + "]"

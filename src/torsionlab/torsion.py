@@ -12,21 +12,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certificates import Certificate
-from .errors import InputError, UnsupportedError
+from .errors import InputError, ResourceLimitError, UnsupportedError
 from .fields import FieldSpec
 from .homology import free_resolution, pd, tor
 from .modules import (
+    MINOR_SIZE_CAP,
     FPModule,
     ModuleElement,
     ModuleMap,
     annihilator,
     dual_generators,
+    has_nonzero_minor,
     kernel_of_map,
     presentation_ideal,
     rank_info,
+    relations_among,
     tensor,
     tensor_coords,
     tensor_power,
@@ -137,9 +141,7 @@ def alternating_tensor(
 
 
 def _signed_permutations(d: int):
-    import itertools
-
-    for perm in itertools.permutations(range(d)):
+    for perm in permutations(range(d)):
         inversions = sum(
             1
             for a in range(d)
@@ -364,8 +366,6 @@ def find_nonzerodivisor(ideal: Ideal, max_subset: int = 8) -> Optional[Polynomia
     gens = ideal.minimal_generators()
     if not gens:
         return None
-    from itertools import combinations
-
     k = min(len(gens), max_subset)
     for size in range(1, k + 1):
         for subset in combinations(range(len(gens)), size):
@@ -492,17 +492,11 @@ def _matrix_spans_generically(
 
     Tested as: rank of [relations | chosen unit columns] modulo each prime
     equals the generator count."""
-    from .modules import _determinant_mod
-    from itertools import combinations
-
     nu = minimal.ngens
-    if nu > 6:
-        from .errors import ResourceLimitError
-
+    if nu > MINOR_SIZE_CAP:
         raise ResourceLimitError(
             "minor-based generic spanning test limited to six generators"
         )
-    ncols = len(minimal.relations) + len(subset)
     entries = []
     for i in range(nu):
         row = [minimal.relation_entry(i, j) for j in range(len(minimal.relations))]
@@ -510,31 +504,9 @@ def _matrix_spans_generically(
             row.append(ring.one() if s == i else ring.zero())
         entries.append(row)
     primes = ring.effective_minimal_primes()
-    for pi in range(len(primes)):
-        basis = ring.prime_basis(pi)
-
-        def reduce_mod_p(f):
-            from .poly import element_to_polynomial, polynomial_to_element
-
-            return element_to_polynomial(
-                basis.normal_form(polynomial_to_element(ring.normal_form_poly(f)))
-            )
-
-        found = False
-        for rows_idx in combinations(range(nu), nu):
-            for cols_idx in combinations(range(ncols), nu):
-                det = _determinant_mod(
-                    [[entries[r][c] for c in cols_idx] for r in rows_idx],
-                    reduce_mod_p,
-                )
-                if not det.is_zero():
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    return all(
+        has_nonzero_minor(ring, entries, nu, pi) for pi in range(len(primes))
+    )
 
 
 def _choose_case2_generators(
@@ -547,8 +519,6 @@ def _choose_case2_generators(
     one extra generator, and a relation whose last coefficient is a
     non-zerodivisor.  Records the chosen subset; None when the search
     bound is exhausted."""
-    from itertools import combinations
-
     nu = minimal.ngens
     for subset in combinations(range(nu), rank_value):
         if not _matrix_spans_generically(ring, minimal, subset):
@@ -560,11 +530,7 @@ def _choose_case2_generators(
             columns = [
                 FreeElement.unit(ring.field, ring.nvars, nu, i) for i in chosen
             ]
-            syz = ring.syzygies(
-                columns + list(minimal.relations), nu
-            )
-            heads = [vec.restricted(range(len(chosen))) for vec in syz]
-            candidates = [h for h in heads if not h.is_zero()]
+            candidates = relations_among(ring, columns, minimal.relations, nu)
             for h in candidates:
                 last = h.component(len(chosen) - 1)
                 if not last.is_zero() and last.is_homogeneous(ring.grading) and ring.is_nonzerodivisor(last):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 
 import pytest
 
-from torsionlab import cache
+from torsionlab import cache, limits
 from torsionlab.engine import ExecConfig, run_source
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import ideal_groebner_basis
@@ -22,7 +23,11 @@ SCRIPT = (
 )
 
 
-def teardown_function(_fn):
+@pytest.fixture(autouse=True)
+def no_active_cache():
+    """Every test starts and ends without an active cache."""
+    cache.deactivate()
+    yield
     cache.deactivate()
 
 
@@ -68,6 +73,21 @@ class TestCacheStore:
         assert body["format"] == 1
         assert cache.ComputationCache.digest_for(body["request"]) == entries[0][:-5]
 
+    def test_one_lock_file_per_directory(self, tmp_path):
+        cache.activate(str(tmp_path))
+        ideals = [[parse_polynomial(f"x^{n} - y", ("x", "y"), QQ)] for n in range(1, 6)]
+        for gens in ideals:
+            ideal_groebner_basis(gens)
+        names = sorted(os.listdir(tmp_path))
+        assert [n for n in names if n.endswith(".lock")] == [cache.LOCK_NAME]
+        assert len([n for n in names if n.endswith(".json")]) == len(ideals)
+        assert len(names) == len(ideals) + 1
+        active = cache.active_cache()
+        hits = active.hits
+        for gens in ideals:
+            ideal_groebner_basis(gens)
+        assert active.hits == hits + len(ideals)
+
     def test_corrupt_entry_is_ignored(self, tmp_path):
         cache.activate(str(tmp_path))
         gens = [parse_polynomial("x^2 - y", ("x", "y"), QQ)]
@@ -96,6 +116,25 @@ class TestRunSoundness:
             os.unlink(tmp_path / "cache" / name)
         second = run_source(SCRIPT, cfg).to_json(include_timing=False)
         assert first == second
+
+    def test_run_leaves_no_cache_active(self):
+        with tempfile.TemporaryDirectory() as directory:
+            run_source(SCRIPT, ExecConfig(cache_dir=directory))
+        assert cache.active_cache() is None
+        # the run's cache directory is gone: a later computation must not
+        # try to write into it
+        basis = ideal_groebner_basis([parse_polynomial("x^2 - y", ("x", "y"), QQ)])
+        assert len(basis.elements) == 1
+
+    def test_run_restores_the_caller_cache(self, tmp_path):
+        cache.activate(str(tmp_path / "outer"))
+        outer = cache.active_cache()
+        run_source(SCRIPT, ExecConfig(cache_dir=str(tmp_path / "inner")))
+        assert cache.active_cache() is outer
+
+    def test_run_leaves_the_degree_cap_alone(self):
+        run_source(SCRIPT, ExecConfig(degree_cap=3))
+        assert limits.degree_cap() == limits.DEFAULT_DEGREE_CAP
 
     def test_env_var_activation(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "envcache"))

@@ -7,10 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from torsionlab.errors import DimensionError
+from torsionlab.errors import DimensionError, ResourceLimitError
 from torsionlab.fields import GF, QQ
+from torsionlab.limits import reset_degree_cap, set_degree_cap
 from torsionlab.groebner import groebner_basis, ideal_groebner_basis, syzygy_matrix
-from torsionlab.poly import FreeElement, Polynomial, polynomial_to_element
+from torsionlab.poly import (
+    FreeElement,
+    Polynomial,
+    element_to_polynomial,
+    polynomial_to_element,
+)
 from torsionlab.syntax import format_polynomial, parse_polynomial
 
 XY = ("x", "y")
@@ -127,6 +133,24 @@ class TestGroebnerBasis:
         gb = groebner_basis([f, g])
         target = FreeElement.from_components([qq_poly("0"), qq_poly("y")])
         assert gb.contains(target)
+
+    def test_degree_cap_bounds_completion_and_reduction(self):
+        # the S-pair of x^3 - y^2 and x*y^2 - 1 has the degree-4 term y^4;
+        # reducing x^4 by x^2 - y^2 passes through x^2*y^2 to y^4
+        gens = [qq_poly("x^3 - y^2"), qq_poly("x*y^2 - 1")]
+        basis = ideal_groebner_basis([qq_poly("x^2 - y^2")])
+        token = set_degree_cap(3)
+        try:
+            with pytest.raises(ResourceLimitError, match="degree 4 exceeds the degree cap 3"):
+                ideal_groebner_basis(gens)
+            with pytest.raises(ResourceLimitError, match="degree 4 exceeds the degree cap 3"):
+                basis.normal_form(as_elems(qq_poly("x^4"))[0])
+        finally:
+            reset_degree_cap(token)
+        assert len(ideal_groebner_basis(gens).elements) > 2
+        assert format_polynomial(
+            element_to_polynomial(basis.normal_form(as_elems(qq_poly("x^4"))[0])), XY
+        ) == "y^4"
 
 
 class TestSyzygies:
