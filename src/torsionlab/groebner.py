@@ -15,9 +15,9 @@ import heapq
 from typing import Dict, List, Sequence, Tuple
 
 from . import cache
-from .errors import DimensionError
+from .errors import AbortedError, DimensionError
 from .fields import FieldSpec
-from .limits import abort_point, check_term_degree, degree_cap
+from .limits import abort_hook, degree_cap, degree_cap_error
 from .orders import DEFAULT_ORDER, MonomialOrder
 from .poly import (
     FreeElement,
@@ -35,7 +35,7 @@ TermDict = Dict[Term, object]
 
 
 def _lead(terms: TermDict, key) -> Term:
-    return max(terms, key=key)
+    return min(terms, key=key)
 
 
 def _monic(field: FieldSpec, terms: TermDict, lead: Term) -> TermDict:
@@ -54,16 +54,31 @@ def _reduce_full(
     leads: Sequence[Term],
     tails: Sequence[TermDict],
     key,
+    where: Tuple[str, int, int, int],
 ) -> TermDict:
-    """Fully reduce ``terms``: no term of the result is divisible by a lead."""
+    """Fully reduce ``terms``: no term of the result is divisible by a lead.
+
+    Each lead comes from a heap of ``(key, term)`` kept beside ``work``: a
+    term is pushed when it enters ``work``, and an entry whose term has
+    cancelled since is skipped.  Every term a reduction step adds is smaller
+    than the lead it removes, so terms leave ``work`` largest first and a
+    popped lead never comes back.  ``where`` names the layer and its input
+    shape for a degree-cap error.
+    """
     p = field.characteristic
     cap = degree_cap()
+    hook = abort_hook()
     work = dict(terms)
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
     remainder: TermDict = {}
-    while work:
-        abort_point()
-        t = _lead(work, key)
-        c = work.pop(t)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        if hook is not None and hook():
+            raise AbortedError("computation cancelled")
         pos, mono = t
         reducer = -1
         for i in by_position.get(pos, ()):
@@ -77,16 +92,19 @@ def _reduce_full(
         # basis elements are monic, so the cofactor is just c
         for (gp, gm), gc in tails[reducer].items():
             tm = mono_mul(gm, shift)
-            check_term_degree(sum(tm), cap)
+            if sum(tm) > cap:
+                raise degree_cap_error(sum(tm), cap, where)
             tt = (gp, tm)
             old = work.get(tt)
-            if p:
-                v = ((old or 0) - c * gc) % p
-            else:
-                v = (old if old is not None else 0) - c * gc
+            if old is None:
+                # a product of nonzero field elements is nonzero
+                work[tt] = -c * gc % p if p else -c * gc
+                heapq.heappush(heap, (key(tt), tt))
+                continue
+            v = (old - c * gc) % p if p else old - c * gc
             if v:
                 work[tt] = v
-            elif old is not None:
+            else:
                 del work[tt]
     return remainder
 
@@ -113,8 +131,9 @@ class GroebnerBasis:
         self.order = order
         self.elements: Tuple[FreeElement, ...] = tuple(elements)
         self.reduced = reduced
-        key = order.term_key()
+        key = order.term_sort_key()
         self._key = key
+        self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
         self._leads: List[Term] = []
         self._tails: List[TermDict] = []
         self._by_position: Dict[int, List[int]] = {}
@@ -133,7 +152,13 @@ class GroebnerBasis:
         if f.nvars != self.nvars or f.rank != self.rank or f.field != self.field:
             raise DimensionError("element does not match the basis ambient module")
         reduced = _reduce_full(
-            self.field, f.terms, self._by_position, self._leads, self._tails, self._key
+            self.field,
+            f.terms,
+            self._by_position,
+            self._leads,
+            self._tails,
+            self._key,
+            self._where,
         )
         return FreeElement(self.field, self.nvars, self.rank, reduced, _normalized=True)
 
@@ -161,6 +186,8 @@ def _buchberger(
     """Completion loop.  Returns monic basis dicts and their lead terms."""
     p = field.characteristic
     cap = degree_cap()
+    hook = abort_hook()
+    where = ("S-polynomials of Groebner completion", nvars, rank, len(gens))
     basis: List[TermDict] = []
     leads: List[Term] = []
     tails: List[TermDict] = []
@@ -182,10 +209,12 @@ def _buchberger(
     pending = set()
 
     def add_pairs(j: int) -> None:
+        # each unordered pair once, as (i, j) with i < j: the position
+        # lists are ascending
         pos = leads[j][0]
         for i in by_position.get(pos, ()):
-            if i == j:
-                continue
+            if i >= j:
+                break
             heapq.heappush(pairs, (_spair_degree(leads[i], leads[j]), i, j))
             pending.add((i, j))
 
@@ -196,14 +225,11 @@ def _buchberger(
         add_pairs(j)
 
     while pairs:
-        abort_point()
+        if hook is not None and hook():
+            raise AbortedError("computation cancelled")
         _, i, j = heapq.heappop(pairs)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
+        pending.remove((i, j))
         li, lj = leads[i], leads[j]
-        if li[0] != lj[0]:
-            continue
         # Product criterion is only sound for rank-1 (ideal) inputs.
         if rank == 1 and mono_coprime(li[1], lj[1]):
             continue
@@ -239,9 +265,10 @@ def _buchberger(
                 spoly[t] = v
             elif old is not None:
                 del spoly[t]
-        for t in spoly:
-            check_term_degree(sum(t[1]), cap)
-        remainder = _reduce_full(field, spoly, by_position, leads, tails, key)
+        for _, tm in spoly:
+            if sum(tm) > cap:
+                raise degree_cap_error(sum(tm), cap, where)
+        remainder = _reduce_full(field, spoly, by_position, leads, tails, key, where)
         if remainder:
             add_pairs(push(remainder))
     return basis, leads
@@ -252,9 +279,11 @@ def _autoreduce(
     basis: List[TermDict],
     leads: List[Term],
     key,
+    where: Tuple[str, int, int, int],
 ) -> List[TermDict]:
     """Drop redundant leads, then tail-reduce to the canonical reduced basis."""
-    order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i]))
+    # smallest lead first, so a lead is dropped when a kept lead divides it
+    order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i]), reverse=True)
     keep: List[int] = []
     for i in order_idx:
         li = leads[i]
@@ -263,32 +292,25 @@ def _autoreduce(
         )
         if not redundant:
             keep.append(i)
-    kept = [dict(basis[i]) for i in keep]
     kept_leads = [leads[i] for i in keep]
     by_position: Dict[int, List[int]] = {}
     tails: List[TermDict] = []
     for i, lt in enumerate(kept_leads):
         by_position.setdefault(lt[0], []).append(i)
-        tail = dict(kept[i])
+        tail = dict(basis[keep[i]])
         del tail[lt]
         tails.append(tail)
-    for i in range(len(kept)):
-        lt = kept_leads[i]
-        body = dict(kept[i])
-        del body[lt]
-        # a lead never divides another kept lead or its own tail terms,
-        # so excluding element i gives the full reduction
-        pos_lists = {
-            pos: [j for j in idxs if j != i] for pos, idxs in by_position.items()
-        }
-        rem = _reduce_full(field, body, pos_lists, kept_leads, tails, key)
-        rem[lt] = field.one
-        kept[i] = rem
-        tail = dict(rem)
-        del tail[lt]
-        tails[i] = tail
-    pairs = sorted(zip(kept_leads, kept), key=lambda lr: key(lr[0]), reverse=True)
-    return [terms for _, terms in pairs]
+    kept: List[TermDict] = []
+    for i, lt in enumerate(kept_leads):
+        # every term of tail i, and every term its reduction produces, is
+        # smaller than lead i, and a multiple of lead i in the same position
+        # never is: element i is never picked to reduce its own tail
+        tails[i] = _reduce_full(
+            field, tails[i], by_position, kept_leads, tails, key, where
+        )
+        kept.append({**tails[i], lt: field.one})
+    # kept leads ascend; the reduced basis lists them largest first
+    return kept[::-1]
 
 
 def groebner_basis(
@@ -309,9 +331,10 @@ def groebner_basis(
     cached = cache.lookup_groebner(field, nvars, rank, order, live)
     if cached is not None:
         return GroebnerBasis(field, nvars, rank, order, cached, reduced=True)
-    key = order.term_key()
+    key = order.term_sort_key()
     basis, leads = _buchberger(field, nvars, rank, [g.terms for g in live], key)
-    reduced = _autoreduce(field, basis, leads, key)
+    where = ("autoreduction of Groebner completion", nvars, rank, len(live))
+    reduced = _autoreduce(field, basis, leads, key, where)
     elements = [
         FreeElement(field, nvars, rank, terms, _normalized=True) for terms in reduced
     ]

@@ -1,8 +1,10 @@
 """Monomial orders and their extensions to free-module terms.
 
 A module term is a pair ``(position, exponents)``.  Orders are realized as
-key functions usable with ``max``: larger key means larger term.  All keys
-are tuples of ints (or nested tuples), so comparisons stay cheap.
+sort keys where a larger term has a smaller key, so ``sorted``, ``min`` and
+a ``heapq`` min-heap all list terms from largest to smallest.  Keys are
+distinct for distinct terms and are tuples of ints (or nested tuples), so
+comparisons stay cheap.
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ Mono = Tuple[int, ...]
 Term = Tuple[int, Mono]
 
 
-def _degrevlex_key(e: Mono):
+def _degrevlex_sort_key(e: Mono):
     # a > b iff total degree is larger, or equal and the last nonzero
     # entry of a - b is negative.
-    total = 0
-    for x in e:
-        total += x
-    return (total, tuple(-x for x in reversed(e)))
+    return (-sum(e), e[::-1])
 
 
 @dataclass(frozen=True)
@@ -46,29 +45,29 @@ class MonomialOrder:
     elim_split: Optional[int] = None
     block_split: Optional[int] = None
 
-    def mono_key(self) -> Callable[[Mono], object]:
+    def mono_sort_key(self) -> Callable[[Mono], object]:
         split = self.elim_split
         if split is None:
-            return _degrevlex_key
+            return _degrevlex_sort_key
 
         def key(e: Mono):
-            return (_degrevlex_key(e[:split]), _degrevlex_key(e[split:]))
+            return (_degrevlex_sort_key(e[:split]), _degrevlex_sort_key(e[split:]))
 
         return key
 
-    def term_key(self) -> Callable[[Term], object]:
-        mkey = self.mono_key()
+    def term_sort_key(self) -> Callable[[Term], object]:
+        mkey = self.mono_sort_key()
         if self.module == POSITION_OVER_TERM:
 
             def key(t: Term):
-                return (-t[0], mkey(t[1]))
+                return (t[0], mkey(t[1]))
 
         elif self.module == POSITION_BLOCKS:
             split = self.block_split or 0
 
             def key(t: Term):
                 pos, e = t
-                return (1 if pos < split else 0, mkey(e), -pos)
+                return (0 if pos < split else 1, mkey(e), pos)
 
         else:
             raise ValueError(f"unknown module extension {self.module!r}")

@@ -8,6 +8,7 @@ Zero coefficients are never stored.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionError, InputError, UnsupportedError
@@ -18,11 +19,11 @@ Term = Tuple[int, Mono]
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:

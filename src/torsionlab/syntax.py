@@ -230,9 +230,9 @@ def format_polynomial(
 ) -> str:
     if not p.terms:
         return "0"
-    key = order.mono_key()
+    key = order.mono_sort_key()
     pieces: List[Tuple[bool, str]] = []
-    for mono in sorted(p.terms, key=key, reverse=True):
+    for mono in sorted(p.terms, key=key):
         c = p.terms[mono]
         negative = (p.field.characteristic == 0) and c < 0
         mag = -c if negative else c

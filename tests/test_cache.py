@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import tempfile
@@ -169,3 +170,23 @@ class TestCancellation:
             set_abort_hook(None)
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
+
+    def test_abort_hook_is_scoped_to_its_context(self):
+        consulted = []
+
+        def run():
+            limits.set_abort_hook(lambda: consulted.append(1) or False)
+            run_source(SCRIPT, ExecConfig())
+
+        contextvars.copy_context().run(run)
+        # the run read the hook, and the hook did not outlive its context
+        assert consulted
+        assert limits.abort_hook() is None
+        outer = limits.set_abort_hook(lambda: False)
+        hook = limits.abort_hook()
+        inner = limits.set_abort_hook(None)
+        assert limits.abort_hook() is None
+        limits.reset_abort_hook(inner)
+        assert limits.abort_hook() is hook
+        limits.reset_abort_hook(outer)
+        assert limits.abort_hook() is None

@@ -107,12 +107,12 @@ class TestGroebnerBasis:
             [qq_poly("x^2 - y"), qq_poly("x*y - 1"), qq_poly("x + y^2")]
         )
         elems = list(gb.elements)
-        key = gb.order.term_key()
+        key = gb.order.term_sort_key()
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
                 gi, gj = elems[i], elems[j]
-                (pi, mi) = max(gi.terms, key=key)
-                (pj, mj) = max(gj.terms, key=key)
+                (pi, mi) = min(gi.terms, key=key)
+                (pj, mj) = min(gj.terms, key=key)
                 if pi != pj:
                     continue
                 lcm = tuple(max(a, b) for a, b in zip(mi, mj))
@@ -151,6 +151,29 @@ class TestGroebnerBasis:
         assert format_polynomial(
             element_to_polynomial(basis.normal_form(as_elems(qq_poly("x^4"))[0])), XY
         ) == "y^4"
+
+    def test_degree_cap_error_names_the_layer_and_the_input_shape(self):
+        gens = [
+            FreeElement.from_components([qq_poly("x^3 - y^2"), qq_poly("0")]),
+            FreeElement.from_components([qq_poly("x*y^2 - 1"), qq_poly("0")]),
+        ]
+        basis = ideal_groebner_basis([qq_poly("x^2 - y^2")])
+        token = set_degree_cap(3)
+        try:
+            with pytest.raises(ResourceLimitError) as completion:
+                groebner_basis(gens)
+            with pytest.raises(ResourceLimitError) as reduction:
+                basis.normal_form(as_elems(qq_poly("x^4"))[0])
+        finally:
+            reset_degree_cap(token)
+        assert str(completion.value) == (
+            "term degree 4 exceeds the degree cap 3 in the S-polynomials of "
+            "Groebner completion (2 variables, rank 2, generators: 2)"
+        )
+        assert str(reduction.value) == (
+            "term degree 4 exceeds the degree cap 3 in the reduction of "
+            "normal_form (2 variables, rank 1, generators: 1)"
+        )
 
 
 class TestSyzygies:

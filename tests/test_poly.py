@@ -115,28 +115,29 @@ class TestHomogeneity:
 
 
 class TestOrders:
+    # a sort key lists terms largest first: the larger term has the smaller key
     def test_degrevlex_on_standard_monomials(self):
-        key = MonomialOrder().mono_key()
+        key = MonomialOrder().mono_sort_key()
         x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        assert key(x) > key(y) > key(z)
+        assert key(x) < key(y) < key(z)
         # x*z^2 < y^3: same degree, and the higher power of z loses
-        assert key((1, 0, 2)) < key((0, 3, 0))
+        assert key((1, 0, 2)) > key((0, 3, 0))
 
     def test_position_over_term_dominates(self):
-        key = MonomialOrder().term_key()
-        assert key((0, (0, 0, 0))) > key((1, (5, 5, 5)))
+        key = MonomialOrder().term_sort_key()
+        assert key((0, (0, 0, 0))) < key((1, (5, 5, 5)))
 
     def test_elimination_split(self):
-        key = MonomialOrder(elim_split=1).mono_key()
+        key = MonomialOrder(elim_split=1).mono_sort_key()
         # any power of x beats any monomial in the remaining variables
-        assert key((1, 0, 0)) > key((0, 9, 9))
+        assert key((1, 0, 0)) < key((0, 9, 9))
 
     def test_position_blocks(self):
-        key = MonomialOrder(module="position-blocks", block_split=1).term_key()
+        key = MonomialOrder(module="position-blocks", block_split=1).term_sort_key()
         # the first block beats the second whatever the monomial
-        assert key((0, (0, 0, 0))) > key((1, (5, 5, 5)))
+        assert key((0, (0, 0, 0))) < key((1, (5, 5, 5)))
         # inside a block the monomial decides before the position
-        assert key((2, (1, 0, 0))) > key((1, (0, 1, 0)))
+        assert key((2, (1, 0, 0))) < key((1, (0, 1, 0)))
 
     def test_descriptions_are_stable_cache_keys(self):
         # describe() is part of every cache key: changing it orphans caches
