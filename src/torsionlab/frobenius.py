@@ -13,12 +13,13 @@ target copy of the ring (which carries the q-dilated grading).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certificates import Certificate
 from .errors import InputError, ResourceLimitError, UnsupportedError
-from .groebner import groebner_basis
+from .groebner import Completion, groebner_basis
 from .homology import PD_INFINITE, _homology_between, free_resolution, pd
 from .modules import (
     FPModule,
@@ -28,7 +29,7 @@ from .modules import (
     tensor,
 )
 from .orders import MonomialOrder
-from .poly import FreeElement, Polynomial
+from .poly import FreeElement, Polynomial, polynomial_to_element
 from .rings import RingContext, make_ring
 from .torsion import torsion_split
 
@@ -352,42 +353,32 @@ def universal_pushforward(module: FPModule) -> Pushforward:
 
 
 def ring_is_regular_linear_forms(ring: RingContext) -> bool:
-    """Graded regularity: substitute away linear minimal generators of the
-    defining ideal; regular exactly when nothing remains."""
-    gens = [g for g in ring.ideal_generators]
-    changed = True
-    while changed:
-        changed = False
-        for idx, g in enumerate(gens):
-            if g.is_zero():
-                continue
-            linear = all(sum(mono) == 1 for mono in g.terms)
-            if not linear:
-                continue
-            mono, coeff = next(iter(sorted(g.terms.items())))
-            var = mono.index(1)
-            inv = ring.field.inv(coeff)
-            rest = Polynomial(
-                ring.field,
-                ring.nvars,
-                {mn: c for mn, c in g.terms.items() if mn != mono},
-                _normalized=True,
-            )
-            image = rest * ring.field.neg(inv)
-            images = [
-                Polynomial.variable(ring.field, ring.nvars, k)
-                for k in range(ring.nvars)
-            ]
-            images[var] = image
-            gens = [
-                h.substitute(images) if k != idx else Polynomial.zero(
-                    ring.field, ring.nvars
-                )
-                for k, h in enumerate(gens)
-            ]
-            changed = True
-            break
-    return all(g.is_zero() for g in gens)
+    """Regularity of R = k[x_1..x_n]/I at the irrelevant ideal m, for any
+    positive grading: R is regular exactly when its embedding dimension
+    dim_k m/(m^2 + I) = n - rank(linear parts of the generators of I)
+    equals dim R.  dim R is read off the lead-term ideal of I: the largest
+    set of variables that supports no lead monomial."""
+    n = ring.nvars
+    # row echelon form of the linear parts: a remainder against the kept
+    # forms is zero or leads with a variable none of them leads with
+    echelon = Completion(ring.field, n, 1, ring.order.term_sort_key(), "linear parts")
+    linear_rank = 0
+    for g in ring.ideal_generators:
+        part = {mono: c for mono, c in g.terms.items() if sum(mono) == 1}
+        form = polynomial_to_element(Polynomial(ring.field, n, part, _normalized=True))
+        remainder = echelon.reduce(form.terms)
+        if remainder:
+            echelon.add(remainder)
+            linear_rank += 1
+    leads = [mono for _, mono in ring.ideal_basis.lead_terms()]
+    for size in range(n, -1, -1):
+        for free in combinations(range(n), size):
+            if not any(
+                all(e == 0 or k in free for k, e in enumerate(mono)) for mono in leads
+            ):
+                return n - linear_rank == size
+    # a unit lead: I is the whole ring, and R = 0 is not a regular ring
+    return False
 
 
 def residue_field_module(ring: RingContext) -> FPModule:
@@ -496,6 +487,11 @@ def verify_regularity_probe(
         linear_forms=regular_by_forms,
         residue_field_pd=pd_residue,
     )
+    # over a regular ring the twist of a module with torsion has torsion
+    # too, so only torsion-free modules can witness regularity; a
+    # disagreement above still fails the probe
+    if cert.passed and not torsion_split(module).is_torsion_free:
+        return cert.mark_inapplicable("the module has torsion")
 
     restricted = restrict_scalars(module, e_prime)
     twisted = frobenius_functor(restricted, e)

@@ -176,6 +176,134 @@ def _spair_degree(lead_i: Term, lead_j: Term) -> int:
     return sum(mono_lcm(lead_i[1], lead_j[1]))
 
 
+class Completion:
+    """Buchberger completion state over ``k[x]^rank``, kept between steps.
+
+    ``add`` puts a generator into the basis (made monic) and queues its
+    pairs, ``complete`` reduces queued S-pairs until none is left, and
+    ``reduce`` fully reduces a vector against the current basis.  After
+    ``complete`` the basis is a Groebner basis, not reduced, of everything
+    added, so ``reduce`` gives zero exactly on the members of its span.
+    ``complete`` uses the degree cap and the abort hook read when the state
+    was made; ``layer`` names the computation in a degree-cap error.
+    """
+
+    def __init__(self, field: FieldSpec, nvars: int, rank: int, key, layer: str):
+        self.field = field
+        self.nvars = nvars
+        self.rank = rank
+        self.key = key
+        self.layer = layer
+        self.ngens = 0
+        self.cap = degree_cap()
+        self.hook = abort_hook()
+        self.basis: List[TermDict] = []
+        self.leads: List[Term] = []
+        self.tails: List[TermDict] = []
+        self.by_position: Dict[int, List[int]] = {}
+        self.pairs: List[Tuple[int, int, int]] = []
+        self.pending = set()
+
+    def _where(self, step: str) -> Tuple[str, int, int, int]:
+        return (f"{step} of {self.layer}", self.nvars, self.rank, self.ngens)
+
+    def _push(self, terms: TermDict) -> None:
+        lt = _lead(terms, self.key)
+        terms = _monic(self.field, terms, lt)
+        j = len(self.basis)
+        self.basis.append(terms)
+        self.leads.append(lt)
+        tail = dict(terms)
+        del tail[lt]
+        self.tails.append(tail)
+        positions = self.by_position.setdefault(lt[0], [])
+        # each unordered pair once, as (i, j) with i < j: the position
+        # lists are ascending
+        for i in positions:
+            heapq.heappush(self.pairs, (_spair_degree(self.leads[i], lt), i, j))
+            self.pending.add((i, j))
+        positions.append(j)
+
+    def add(self, terms: TermDict) -> None:
+        """Add a nonzero generator; its pairs wait for ``complete``."""
+        self.ngens += 1
+        self._push(dict(terms))
+
+    def reduce(self, terms: TermDict) -> TermDict:
+        """Full reduction of ``terms`` against the current basis."""
+        return _reduce_full(
+            self.field,
+            terms,
+            self.by_position,
+            self.leads,
+            self.tails,
+            self.key,
+            self._where("reduction"),
+        )
+
+    def complete(self) -> None:
+        """Reduce queued S-pairs, adding each nonzero remainder, until the
+        queue is empty."""
+        if not self.pairs:
+            return
+        p = self.field.characteristic
+        cap = self.cap
+        hook = self.hook
+        rank = self.rank
+        basis, leads, tails = self.basis, self.leads, self.tails
+        by_position, pairs, pending = self.by_position, self.pairs, self.pending
+        where = self._where("S-polynomials")
+        while pairs:
+            if hook is not None and hook():
+                raise AbortedError("computation cancelled")
+            _, i, j = heapq.heappop(pairs)
+            pending.remove((i, j))
+            li, lj = leads[i], leads[j]
+            # Product criterion is only sound for rank-1 (ideal) inputs.
+            if rank == 1 and mono_coprime(li[1], lj[1]):
+                continue
+            lcm = mono_lcm(li[1], lj[1])
+            # Chain criterion: a third element dividing the lcm whose pairs
+            # with i and j were both already handled makes this pair redundant.
+            skip = False
+            for k in by_position.get(li[0], ()):
+                if k == i or k == j:
+                    continue
+                if mono_divides(leads[k][1], lcm):
+                    pik = (min(i, k), max(i, k))
+                    pjk = (min(j, k), max(j, k))
+                    if pik not in pending and pjk not in pending:
+                        skip = True
+                        break
+            if skip:
+                continue
+            shift_i = mono_sub(lcm, li[1])
+            shift_j = mono_sub(lcm, lj[1])
+            spoly: TermDict = {}
+            for (gp, gm), gc in basis[i].items():
+                t = (gp, mono_mul(gm, shift_i))
+                spoly[t] = gc
+            for (gp, gm), gc in basis[j].items():
+                t = (gp, mono_mul(gm, shift_j))
+                old = spoly.get(t)
+                if p:
+                    v = ((old or 0) - gc) % p
+                else:
+                    v = (old if old is not None else 0) - gc
+                if v:
+                    spoly[t] = v
+                elif old is not None:
+                    del spoly[t]
+            for _, tm in spoly:
+                if sum(tm) > cap:
+                    raise degree_cap_error(sum(tm), cap, where)
+            remainder = _reduce_full(
+                self.field, spoly, by_position, leads, tails, self.key, where
+            )
+            if remainder:
+                self._push(remainder)
+
+
 def _buchberger(
     field: FieldSpec,
     nvars: int,
@@ -183,95 +311,13 @@ def _buchberger(
     gens: Sequence[TermDict],
     key,
 ) -> Tuple[List[TermDict], List[Term]]:
-    """Completion loop.  Returns monic basis dicts and their lead terms."""
-    p = field.characteristic
-    cap = degree_cap()
-    hook = abort_hook()
-    where = ("S-polynomials of Groebner completion", nvars, rank, len(gens))
-    basis: List[TermDict] = []
-    leads: List[Term] = []
-    tails: List[TermDict] = []
-    by_position: Dict[int, List[int]] = {}
-
-    def push(terms: TermDict) -> int:
-        lt = _lead(terms, key)
-        terms = _monic(field, terms, lt)
-        i = len(basis)
-        basis.append(terms)
-        leads.append(lt)
-        tail = dict(terms)
-        del tail[lt]
-        tails.append(tail)
-        by_position.setdefault(lt[0], []).append(i)
-        return i
-
-    pairs: List[Tuple[int, int, int]] = []
-    pending = set()
-
-    def add_pairs(j: int) -> None:
-        # each unordered pair once, as (i, j) with i < j: the position
-        # lists are ascending
-        pos = leads[j][0]
-        for i in by_position.get(pos, ()):
-            if i >= j:
-                break
-            heapq.heappush(pairs, (_spair_degree(leads[i], leads[j]), i, j))
-            pending.add((i, j))
-
+    """Completion of ``gens``.  Returns monic basis dicts and their lead terms."""
+    state = Completion(field, nvars, rank, key, "Groebner completion")
     for g in gens:
         if g:
-            push(dict(g))
-    for j in range(len(basis)):
-        add_pairs(j)
-
-    while pairs:
-        if hook is not None and hook():
-            raise AbortedError("computation cancelled")
-        _, i, j = heapq.heappop(pairs)
-        pending.remove((i, j))
-        li, lj = leads[i], leads[j]
-        # Product criterion is only sound for rank-1 (ideal) inputs.
-        if rank == 1 and mono_coprime(li[1], lj[1]):
-            continue
-        lcm = mono_lcm(li[1], lj[1])
-        # Chain criterion: a third element dividing the lcm whose pairs with
-        # i and j were both already handled makes this pair redundant.
-        skip = False
-        for k in by_position.get(li[0], ()):
-            if k == i or k == j:
-                continue
-            if mono_divides(leads[k][1], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        shift_i = mono_sub(lcm, li[1])
-        shift_j = mono_sub(lcm, lj[1])
-        spoly: TermDict = {}
-        for (gp, gm), gc in basis[i].items():
-            t = (gp, mono_mul(gm, shift_i))
-            spoly[t] = gc
-        for (gp, gm), gc in basis[j].items():
-            t = (gp, mono_mul(gm, shift_j))
-            old = spoly.get(t)
-            if p:
-                v = ((old or 0) - gc) % p
-            else:
-                v = (old if old is not None else 0) - gc
-            if v:
-                spoly[t] = v
-            elif old is not None:
-                del spoly[t]
-        for _, tm in spoly:
-            if sum(tm) > cap:
-                raise degree_cap_error(sum(tm), cap, where)
-        remainder = _reduce_full(field, spoly, by_position, leads, tails, key, where)
-        if remainder:
-            add_pairs(push(remainder))
-    return basis, leads
+            state.add(g)
+    state.complete()
+    return state.basis, state.leads
 
 
 def _autoreduce(
@@ -328,7 +374,8 @@ def groebner_basis(
     for g in live:
         if g.field != field or g.nvars != nvars or g.rank != rank:
             raise DimensionError("generators live in different modules")
-    cached = cache.lookup_groebner(field, nvars, rank, order, live)
+    request = cache.groebner_request(field, nvars, rank, order, live)
+    cached = cache.lookup_groebner(request, field, nvars, rank)
     if cached is not None:
         return GroebnerBasis(field, nvars, rank, order, cached, reduced=True)
     key = order.term_sort_key()
@@ -338,7 +385,7 @@ def groebner_basis(
     elements = [
         FreeElement(field, nvars, rank, terms, _normalized=True) for terms in reduced
     ]
-    cache.store_groebner(field, nvars, rank, order, live, elements)
+    cache.store_groebner(request, elements)
     return GroebnerBasis(field, nvars, rank, order, elements, reduced=True)
 
 

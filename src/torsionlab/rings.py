@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InputError, StructuralError, UnsupportedError
+from .errors import DimensionError, InputError, StructuralError, UnsupportedError
 from .fields import FieldSpec
 from .groebner import (
+    Completion,
     GroebnerBasis,
+    TermDict,
     empty_basis,
     groebner_basis,
     syzygy_generators,
@@ -137,20 +139,42 @@ class RingContext:
         """Greedy minimal generating subset of <vectors> + <modulo>, over <modulo>.
 
         Graded Nakayama: the nonzero vectors are tried in ``key`` order and
-        each is kept unless <modulo> plus the vectors kept so far already
-        contain it.  For homogeneous input sorted by degree the kept vectors
-        form a minimal generating set.  The basis of the span is built only
-        when a vector has to be tested against it.
+        each is kept unless <modulo> + I*R^rank plus the vectors kept so far
+        already contain it.  For homogeneous input sorted by degree the kept
+        vectors form a minimal generating set.  One Buchberger completion
+        runs through the whole call (Kreuzer-Robbiano, Computational
+        Commutative Algebra 2, 4.6): it starts from <modulo> + I*R^rank,
+        and a kept vector's remainder joins it, and is completed, only when
+        the next vector is tested.  Full reduction against any Groebner
+        basis of the span decides membership, so the kept vectors are those
+        a reduced basis would pick.  The intermediate bases are not
+        canonical and never reach the cache.
         """
-        modulo = list(modulo)
+        candidates = sorted((v for v in vectors if not v.is_zero()), key=key)
+        base = [g for g in modulo if not g.is_zero()]
+        for vec in (*candidates, *base):
+            if vec.field != self.field or vec.nvars != self.nvars or vec.rank != rank:
+                raise DimensionError("vector does not match the ambient module")
+        if not candidates:
+            return []
+        state = Completion(
+            self.field,
+            self.nvars,
+            rank,
+            self.order.term_sort_key(),
+            "minimal-generator completion",
+        )
+        for g in base + self.ideal_block(rank):
+            state.add(g.terms)
         picked: List[FreeElement] = []
-        basis = None
-        for vec in sorted((v for v in vectors if not v.is_zero()), key=key):
-            if basis is None:
-                basis = self.submodule_basis(modulo + picked, rank)
-            if not basis.normal_form(vec).is_zero():
+        kept: TermDict = {}
+        for vec in candidates:
+            if kept:
+                state.add(kept)
+            state.complete()
+            kept = state.reduce(vec.terms)
+            if kept:
                 picked.append(vec)
-                basis = None
         return picked
 
     def syzygies(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextvars
+import hashlib
 import json
 import os
 import tempfile
@@ -12,7 +13,9 @@ import pytest
 from torsionlab import cache, limits
 from torsionlab.engine import ExecConfig, run_source
 from torsionlab.fields import GF, QQ
-from torsionlab.groebner import ideal_groebner_basis
+from torsionlab.groebner import groebner_basis, ideal_groebner_basis
+from torsionlab.orders import MonomialOrder
+from torsionlab.poly import FreeElement
 from torsionlab.syntax import parse_polynomial
 
 
@@ -72,7 +75,53 @@ class TestCacheStore:
         assert entries
         body = json.loads((tmp_path / entries[0]).read_text())
         assert body["format"] == 1
-        assert cache.ComputationCache.digest_for(body["request"]) == entries[0][:-5]
+        canonical = json.dumps(body["request"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == entries[0][:-5]
+
+    @pytest.mark.parametrize("case", ["GF(7) ideal", "QQ rank 2"])
+    def test_entries_match_the_payload_encoding_byte_for_byte(self, tmp_path, case):
+        if case == "GF(7) ideal":
+            field, rank, order = GF(7), 1, MonomialOrder()
+            texts = [["x^3 - 2*y^2*z"], ["y*z + 3*x^2"], ["x*y - z^2"], ["3*y*z - x^2"]]
+        else:
+            field, rank, order = QQ, 2, MonomialOrder(module="position-over-term")
+            texts = [["x^2 - 1/3*y*z", "0"], ["-5/2*z", "y - x"], ["0", "x*y + 7*z^2"]]
+        names = ("x", "y", "z")
+        gens = [
+            FreeElement.from_components(
+                [parse_polynomial(t, names, field) for t in row], rank=rank
+            )
+            for row in texts
+        ]
+        cache.activate(str(tmp_path))
+        basis = groebner_basis(gens, order)
+        # the entry as written by encoding the request payload with json.dumps
+        payload = {
+            "op": "groebner",
+            "engine": cache.ENGINE_VERSION,
+            "characteristic": field.characteristic,
+            "nvars": 3,
+            "rank": rank,
+            "order": order.describe(),
+            "generators": sorted((cache.encode_element(g) for g in gens), key=json.dumps),
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        name = hashlib.sha256(canonical.encode("utf-8")).hexdigest() + ".json"
+        body = json.dumps(
+            {
+                "format": cache.CACHE_FORMAT,
+                "request": payload,
+                "result": {"elements": [cache.encode_element(g) for g in basis]},
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert sorted(os.listdir(tmp_path)) == sorted([name, cache.LOCK_NAME])
+        assert (tmp_path / name).read_text(encoding="utf-8") == body
+        # and the entry is found again
+        again = groebner_basis(list(reversed(gens)), order)
+        assert cache.active_cache().hits == 1
+        assert [g.terms for g in again] == [g.terms for g in basis]
 
     def test_one_lock_file_per_directory(self, tmp_path):
         cache.activate(str(tmp_path))

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from torsionlab.engine import run_source
 from torsionlab.errors import InputError, UnsupportedError
 from torsionlab.fields import GF, QQ
 from torsionlab.frobenius import (
     ModuleAlgebra,
     frobenius_functor,
+    residue_field_module,
     restrict_scalars,
     ring_is_regular_linear_forms,
     tor_frobenius,
@@ -220,12 +222,70 @@ class TestRegularityDecision:
         assert ring_is_regular_linear_forms(ring)
 
     def test_agreement_with_residue_field_pd(self, node2):
-        from torsionlab.frobenius import residue_field_module
-
         for ring in (regular_f2(), node2):
             by_forms = ring_is_regular_linear_forms(ring)
             by_pd = pd(residue_field_module(ring)) != PD_INFINITE
             assert by_forms == by_pd
+
+    def test_weighted_grading_decided_without_the_grading(self):
+        # y - x^2 is homogeneous for weights (1,2); the ring is k[x], regular
+        ring = weighted_parabola()
+        assert ring_is_regular_linear_forms(ring)
+        assert pd(residue_field_module(ring)) == 1
+        # the graded cusp has no linear part and dimension 1: singular
+        cusp = semigroup_ring()
+        assert not ring_is_regular_linear_forms(cusp)
+        assert pd(residue_field_module(cusp)) == PD_INFINITE
+
+
+WEIGHTED_PROBE = (
+    "ring R = GF(2)[x,y] / (y - x^2) with grading (1,2) "
+    "minimal_primes [(y - x^2)] reduced ci;\n"
+    "module N = coker [[x]] over R;\n"
+    "probe regularity R N;\n"
+)
+
+
+def weighted_parabola():
+    from torsionlab.syntax import parse_polynomial
+
+    f = parse_polynomial("y - x^2", ("x", "y"), GF(2))
+    return make_ring(
+        GF(2),
+        ("x", "y"),
+        ideal=[f],
+        grading=(1, 2),
+        minimal_primes=[[f]],
+        reduced=True,
+        complete_intersection=True,
+    )
+
+
+class TestWeightedRegularityProbe:
+    def test_script_no_longer_fails(self):
+        report = run_source(WEIGHTED_PROBE)
+        assert [r.status for r in report.results] == ["ok", "ok", "inapplicable"]
+        (cert,) = report.certificates
+        assert cert.inapplicable_reason == "the module has torsion"
+        (decision,) = cert.subclaims
+        assert decision.name == "regularity-decisions-agree"
+        assert decision.passed
+        assert decision.witnesses == {"linear_forms": True, "residue_field_pd": 1}
+
+    def test_free_module_passes(self):
+        source = WEIGHTED_PROBE.replace("coker [[x]]", "coker [[0]]")
+        report = run_source(source)
+        assert report.exit_code == 0, [r.summary for r in report.results]
+
+    def test_disagreeing_decisions_fail_a_module_with_torsion(self, monkeypatch):
+        import torsionlab.frobenius as frobenius
+
+        monkeypatch.setattr(frobenius, "ring_is_regular_linear_forms", lambda ring: False)
+        report = run_source(WEIGHTED_PROBE)
+        (cert,) = report.certificates
+        assert cert.verdict == "fail"
+        assert cert.failed_subclaims() == ["regularity-decisions-agree"]
+        assert report.exit_code == 1
 
 
 class TestTheorem35:

@@ -199,3 +199,22 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
         monic.add(frozenset((t, c * inv) for t, c in terms.items()))
     assert reduced
     assert len(monic) == len(reduced)
+
+
+@given(problems())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_completion_fed_one_generator_at_a_time_autoreduces_to_the_basis(problem):
+    gens, f, order = problem
+    field, nvars, rank = f.field, f.nvars, f.rank
+    key = order.term_sort_key()
+    state = groebner.Completion(field, nvars, rank, key, "Groebner completion")
+    for g in gens:
+        state.add(g.terms)
+        state.complete()
+        # a Groebner basis of what was added so far: g reduces to zero
+        assert state.reduce(g.terms) == {}
+    where = ("autoreduction of Groebner completion", nvars, rank, len(gens))
+    reduced = groebner._autoreduce(field, state.basis, state.leads, key, where)
+    expected = groebner_basis(gens, order)
+    assert [FreeElement(field, nvars, rank, terms) for terms in reduced] == list(expected)
+    assert state.reduce(f.terms) == expected.normal_form(f).terms

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torsionlab.errors import ResourceLimitError
+from torsionlab import cache
+from torsionlab.errors import AbortedError, ResourceLimitError
 from torsionlab.fields import GF, QQ
+from torsionlab.limits import (
+    reset_abort_hook,
+    reset_degree_cap,
+    set_abort_hook,
+    set_degree_cap,
+)
 from torsionlab.modules import (
     FPModule,
     _minimal_homogeneous_subset,
@@ -113,6 +122,99 @@ class TestGreedyMinimalSubset:
             "[x^2 + y^2]",
             "[x^2]",
         ]
+
+
+def from_scratch_greedy(ring, vectors, rank, key, modulo):
+    """The greedy pass with a fresh reduced basis of the span for every test."""
+    picked = []
+    for vec in sorted((v for v in vectors if not v.is_zero()), key=key):
+        if not ring.submodule_basis(list(modulo) + picked, rank).normal_form(vec).is_zero():
+            picked.append(vec)
+    return picked
+
+
+class TestIncrementalCompletion:
+    @pytest.mark.parametrize("ring_name", sorted(RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_same_kept_list_as_from_scratch_bases(self, ring_name, data):
+        ring = RINGS[ring_name]()
+        rank = len(POSITION_DEGREES)
+        vectors = data.draw(homogeneous_vectors(ring, 6), label="vectors")
+        modulo = data.draw(
+            st.one_of(st.just([]), homogeneous_vectors(ring, 3)), label="modulo"
+        )
+
+        def by_degree(vec):
+            deg = vec.homogeneous_degree(ring.grading, POSITION_DEGREES)
+            return (deg, format_vector(vec, ring.variables))
+
+        def by_text(vec):
+            return format_vector(vec, ring.variables)
+
+        for key in (by_degree, by_text):
+            expected = from_scratch_greedy(ring, vectors, rank, key, modulo)
+            assert ring.minimal_subset(vectors, rank, key, modulo) == expected
+
+    def capped(self, ring, texts):
+        vectors = [polynomial_to_element(ring.poly(t)) for t in texts]
+        key = lambda vec: format_vector(vec, ring.variables)  # noqa: E731
+        token = set_degree_cap(3)
+        try:
+            with pytest.raises(ResourceLimitError) as error:
+                ring.minimal_subset(vectors, 1, key)
+        finally:
+            reset_degree_cap(token)
+        assert len(ring.minimal_subset(vectors, 1, key)) == len(texts)
+        return str(error.value)
+
+    def test_degree_cap_stops_its_completion(self, QQxy):
+        # tried in text order; testing y^5 completes the first two, whose
+        # S-polynomial y^2*(x^3 - y^2) - x^2*(x*y^2 - 1) has the term y^4
+        message = self.capped(QQxy, ("x*y^2 - 1", "x^3 - y^2", "y^5"))
+        assert message == (
+            "term degree 4 exceeds the degree cap 3 in the S-polynomials of "
+            "minimal-generator completion (2 variables, rank 1, generators: 2)"
+        )
+
+    def test_degree_cap_stops_its_membership_test(self, QQxy):
+        # reducing x^4 by x^2 - y^2 passes through x^2*y^2
+        message = self.capped(QQxy, ("x^2 - y^2", "x^4"))
+        assert message == (
+            "term degree 4 exceeds the degree cap 3 in the reduction of "
+            "minimal-generator completion (2 variables, rank 1, generators: 1)"
+        )
+
+    def test_abort_hook_stops_it_and_writes_no_cache_entry(self, tmp_path):
+        ring = quotient_qq()
+        vectors = [
+            polynomial_to_element(ring.poly(t))
+            for t in ("x*y^2 - y", "x^3 - y^2", "y^5", "x*y")
+        ]
+        key = lambda vec: format_vector(vec, ring.variables)  # noqa: E731
+        consulted = []
+
+        def run(hook):
+            cache_token = cache.activate(str(tmp_path))
+            hook_token = set_abort_hook(hook)
+            try:
+                return ring.minimal_subset(vectors, 1, key)
+            finally:
+                reset_abort_hook(hook_token)
+                cache.restore(cache_token)
+
+        run(lambda: consulted.append(1) or False)
+        steps = len(consulted)
+        consulted.clear()
+        # abort at the last step the hook is consulted
+        with pytest.raises(AbortedError):
+            run(lambda: consulted.append(1) or len(consulted) == steps)
+        assert len(consulted) == steps > 1
+        assert os.listdir(tmp_path) == []
 
 
 class TestMinorSearchCap:
