@@ -20,11 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .certificates import Certificate
 from .errors import InputError, ResourceLimitError, UnsupportedError
 from .groebner import Completion, groebner_basis
-from .homology import PD_INFINITE, _homology_between, free_resolution, pd
+from .homology import PD_INFINITE, complex_homology, free_resolution, pd
 from .modules import (
     FPModule,
     annihilator,
-    dual_generators,
+    dual_evaluation,
     rank_info,
     tensor,
 )
@@ -83,27 +83,9 @@ def tor_frobenius(module: FPModule, e: int, i: int) -> FPModule:
         raise InputError("the twisted Tor check starts at homological degree 1")
     q = power.q
     res = free_resolution(module, i + 1)
-    betti = res.betti
-    if i >= len(betti) or betti[i] == 0:
-        return FPModule.zero_module(ring)
-
-    outgoing = [_powered_column(c, q) for c in res.differentials[i - 1]]
-    incoming = (
-        [_powered_column(c, q) for c in res.differentials[i]]
-        if res.length > i
-        else []
-    )
-    amb_degrees = tuple(q * d for d in res.step_degrees[i])
-    return _homology_between(
-        ring,
-        incoming,
-        betti[i],
-        amb_degrees,
-        [],
-        outgoing,
-        betti[i - 1],
-        [],
-    )
+    diffs = [[_powered_column(c, q) for c in cols] for cols in res.differentials]
+    degrees = [tuple(q * d for d in degs) for degs in res.step_degrees]
+    return complex_homology(diffs, degrees, FPModule.free(ring, 1), i)
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +311,11 @@ def universal_pushforward(module: FPModule) -> Pushforward:
     split = torsion_split(module)
     if not split.is_torsion_free:
         raise InputError("the universal pushforward needs a torsion-free module")
-    rows, row_degrees = dual_generators(module)
-    nu_star = len(rows)
-    target_degrees = tuple(-d for d in row_degrees)
-    columns = []
-    for j in range(module.ngens):
-        comps = [rows[i].component(j) for i in range(nu_star)]
-        if nu_star:
-            columns.append(FreeElement.from_components(comps, rank=nu_star))
-        else:
-            columns.append(FreeElement.zero(ring.field, ring.nvars, 0))
-    cokernel = FPModule(ring, columns, nu_star, target_degrees)
+    columns, target_degrees = dual_evaluation(module)
+    cokernel = FPModule(ring, columns, len(target_degrees), target_degrees)
     return Pushforward(
         module=module,
-        free_rank=nu_star,
+        free_rank=len(target_degrees),
         evaluation_columns=tuple(columns),
         cokernel=cokernel,
     )

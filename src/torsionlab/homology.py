@@ -19,7 +19,10 @@ from .errors import InputError
 from .modules import (
     FPModule,
     _minimal_homogeneous_subset,
+    block_ambient,
+    induced_columns,
     present_subquotient,
+    relations_among,
     tensor,
 )
 from .poly import FreeElement, Polynomial
@@ -141,79 +144,38 @@ def pd(module: FPModule):
 # complexes of the form F (x) N
 
 
-def _block_ambient(
-    n_module: FPModule, shifts: Sequence[int]
-) -> Tuple[int, Tuple[int, ...], List[FreeElement]]:
-    """Rank, position degrees, and relations of F (x) N for a free module F
-    whose generators carry the given degree shifts (one block per shift)."""
-    n = n_module.ngens
-    copies = len(shifts)
-    rank = n * copies
-    degrees = tuple(s + d for s in shifts for d in n_module.gen_degrees)
-    relations = []
-    for b in range(copies):
-        for col in n_module.relations:
-            relations.append(col.embedded(rank, offset=b * n))
-    return rank, degrees, relations
-
-
-def _induced_columns(
-    diff_cols: Sequence[FreeElement], n_module: FPModule
-) -> List[FreeElement]:
-    """Columns of d (x) N on free covers: block (c, t) -> sum_r d[r][c] e_{(r,t)}."""
-    ring = n_module.ring
-    n = n_module.ngens
-    out = []
-    for col in diff_cols:
-        target_rank = col.rank * n
-        for t in range(n):
-            terms = {}
-            for (r, mono), coeff in col.terms.items():
-                terms[(r * n + t, mono)] = coeff
-            out.append(
-                FreeElement(ring.field, ring.nvars, target_rank, terms, _normalized=True)
-            )
-    return out
-
-
-def _homology_between(
-    ring: RingContext,
-    incoming: Sequence[FreeElement],
-    ambient_rank: int,
-    ambient_degrees: Sequence[int],
-    ambient_relations: Sequence[FreeElement],
-    outgoing: Sequence[FreeElement],
-    target_rank: int,
-    target_relations: Sequence[FreeElement],
+def complex_homology(
+    diffs: Sequence[Sequence[FreeElement]],
+    step_degrees: Sequence[Sequence[int]],
+    n_module: FPModule,
+    i: int,
 ) -> FPModule:
-    """Homology ker(outgoing)/im(incoming) at a module C with given data.
+    """H_i(F (x) N), minimized, for a bounded complex F of free modules.
 
-    ``outgoing`` are free-cover columns of the map out of C (its count is
-    the rank of C); ``incoming`` are columns of the map into C.
+    F_j has one generator per entry of ``step_degrees[j]``, of that degree,
+    and ``diffs[j - 1]`` holds the columns of d_j : F_j -> F_{j-1}.  The
+    cycles are the relations among the columns of d_i (x) N modulo the
+    relations of F_{i-1} (x) N; the boundaries are the columns of
+    d_{i+1} (x) N.
     """
-    if ambient_rank == 0:
+    ring = n_module.ring
+    if i >= len(step_degrees):
         return FPModule.zero_module(ring)
-    if outgoing:
-        combined = list(outgoing) + list(target_relations)
-        syz = ring.syzygies(combined, target_rank)
-        kernel_gens = []
-        for vec in syz:
-            head = vec.restricted(range(ambient_rank))
-            if not head.is_zero():
-                kernel_gens.append(head)
-    else:
-        kernel_gens = [
-            FreeElement.unit(ring.field, ring.nvars, ambient_rank, i)
-            for i in range(ambient_rank)
+    rank, degrees, relations = block_ambient(n_module, step_degrees[i])
+    if rank == 0:
+        return FPModule.zero_module(ring)
+    if i == 0:
+        cycles = [
+            FreeElement.unit(ring.field, ring.nvars, rank, r) for r in range(rank)
         ]
-    module, _ = present_subquotient(
-        ring,
-        ambient_rank,
-        tuple(ambient_degrees),
-        kernel_gens,
-        list(incoming),
-        list(ambient_relations),
-    )
+    else:
+        target_rank, _, target_relations = block_ambient(
+            n_module, step_degrees[i - 1]
+        )
+        outgoing = induced_columns(diffs[i - 1], n_module)
+        cycles = relations_among(ring, outgoing, target_relations, target_rank)
+    boundaries = induced_columns(diffs[i], n_module) if i < len(diffs) else []
+    module, _ = present_subquotient(ring, rank, degrees, cycles, boundaries, relations)
     return module.minimal().module
 
 
@@ -223,31 +185,10 @@ def tor(m_module: FPModule, n_module: FPModule, i: int) -> FPModule:
         raise InputError("Tor index must be nonnegative")
     if m_module.ring != n_module.ring:
         raise InputError("Tor needs modules over one ring")
-    ring = m_module.ring
     if i == 0:
         return tensor(m_module.minimal().module, n_module).minimal().module
     res = free_resolution(m_module, i + 1)
-    betti = res.betti
-    if i >= len(betti) or betti[i] == 0:
-        return FPModule.zero_module(ring)
-    d_i_cols = res.differentials[i - 1]
-    d_next_cols = res.differentials[i] if res.length > i else ()
-    amb_rank, amb_degrees, amb_relations = _block_ambient(
-        n_module, res.step_degrees[i]
-    )
-    tgt_rank, _, tgt_relations = _block_ambient(n_module, res.step_degrees[i - 1])
-    outgoing = _induced_columns(d_i_cols, n_module)
-    incoming = _induced_columns(d_next_cols, n_module) if d_next_cols else []
-    return _homology_between(
-        ring,
-        incoming,
-        amb_rank,
-        amb_degrees,
-        amb_relations,
-        outgoing,
-        tgt_rank,
-        tgt_relations,
-    )
+    return complex_homology(res.differentials, res.step_degrees, n_module, i)
 
 
 # ---------------------------------------------------------------------------
@@ -343,30 +284,13 @@ def koszul_depth(
 
     diffs = koszul_differentials(ring, seq)
     seq_degrees = [f.degree(ring.grading) for f in seq]
+    step_degrees = [
+        [sum(seq_degrees[s] for s in S) for S in combinations(range(d), i)]
+        for i in range(d + 1)
+    ]
     homologies: Dict[int, FPModule] = {0: m_mod_jm.minimal().module}
     for i in range(1, d + 1):
-        amb_shifts = [
-            sum(seq_degrees[s] for s in S) for S in combinations(range(d), i)
-        ]
-        tgt_shifts = [
-            sum(seq_degrees[s] for s in S) for S in combinations(range(d), i - 1)
-        ]
-        amb_rank, amb_degrees, amb_relations = _block_ambient(module, amb_shifts)
-        tgt_rank, _, tgt_relations = _block_ambient(module, tgt_shifts)
-        outgoing = _induced_columns(diffs[i - 1], module)
-        incoming = (
-            _induced_columns(diffs[i], module) if i < d else []
-        )
-        h = _homology_between(
-            ring,
-            incoming,
-            amb_rank,
-            amb_degrees,
-            amb_relations,
-            outgoing,
-            tgt_rank,
-            tgt_relations,
-        )
+        h = complex_homology(diffs, step_degrees, module, i)
         if h.nu() > 0:
             homologies[i] = h
     top = max(homologies)

@@ -100,8 +100,6 @@ class MinimalPresentation:
     module: "FPModule"
     nu: int
     is_free: bool
-    # column j expresses the class of original generator j in the minimal cover
-    transform: Tuple[FreeElement, ...]
 
 
 class FPModule:
@@ -367,10 +365,9 @@ class ModuleMap:
     def push_coords(self, coords: FreeElement) -> FreeElement:
         ring = self.source.ring
         out = FreeElement.zero(ring.field, ring.nvars, self.target.ngens)
-        for i in range(self.source.ngens):
-            comp = coords.component(i)
+        for column, comp in zip(self.columns, coords.components()):
             if not comp.is_zero():
-                out = out + self.columns[i].scaled(comp)
+                out = out + column.scaled(comp)
         return out
 
 
@@ -380,13 +377,8 @@ class ModuleMap:
 
 def _minimalize(module: FPModule) -> MinimalPresentation:
     ring = module.ring
-    field, nvars = ring.field, ring.nvars
-    m = module.ngens
     degrees = list(module.gen_degrees)
     cols: List[List[Polynomial]] = [list(c.components()) for c in module.relations]
-    transform: List[FreeElement] = [
-        FreeElement.unit(field, nvars, m, i) for i in range(m)
-    ]
 
     # eliminate unit entries (degree-zero constants) by Gaussian moves
     while True:
@@ -415,24 +407,7 @@ def _minimalize(module: FPModule) -> MinimalPresentation:
             scale = factor * inv_u
             for r in range(rank_now):
                 col[r] = ring.normal_form_poly(col[r] - scale * pivot_col[r])
-        # substitution vector for the removed generator, in remaining coords
         keep = [r for r in range(rank_now) if r != i]
-        subst_terms = []
-        for new_idx, r in enumerate(keep):
-            c = ring.normal_form_poly(pivot_col[r] * inv_u)
-            subst_terms.append(-c)
-        new_transform = []
-        for t in transform:
-            ti = t.component(i)
-            comps = [
-                ring.normal_form_poly(t.component(r) + ti * subst_terms[new_idx])
-                for new_idx, r in enumerate(keep)
-            ]
-            if keep:
-                new_transform.append(FreeElement.from_components(comps, rank=len(keep)))
-            else:
-                new_transform.append(FreeElement.zero(field, nvars, 0))
-        transform = new_transform
         cols = [
             [col[r] for r in keep] for jj, col in enumerate(cols) if jj != j
         ]
@@ -446,12 +421,7 @@ def _minimalize(module: FPModule) -> MinimalPresentation:
     ]
     picked = _minimal_homogeneous_subset(ring, live_cols, rank_now, degrees)
     minimal_module = FPModule(ring, picked, rank_now, degrees)
-    return MinimalPresentation(
-        module=minimal_module,
-        nu=rank_now,
-        is_free=not picked,
-        transform=tuple(transform),
-    )
+    return MinimalPresentation(module=minimal_module, nu=rank_now, is_free=not picked)
 
 
 def minimal_presentation(module: FPModule) -> Tuple[FPModule, int, bool]:
@@ -460,61 +430,58 @@ def minimal_presentation(module: FPModule) -> Tuple[FPModule, int, bool]:
     return data.module, data.nu, data.is_free
 
 
-def transform_coords(module: FPModule, coords: FreeElement) -> FreeElement:
-    """Rewrite free-cover coordinates of M in the minimal cover."""
-    data = module.minimal()
-    ring = module.ring
-    out = FreeElement.zero(ring.field, ring.nvars, data.nu)
-    for i in range(module.ngens):
-        c = coords.component(i)
-        if not c.is_zero():
-            out = out + data.transform[i].scaled(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tensor products
+
+
+def block_ambient(
+    n_module: FPModule, shifts: Sequence[int]
+) -> Tuple[int, Tuple[int, ...], List[FreeElement]]:
+    """Rank, position degrees, and relations of F (x) N for a free module F
+    whose generators carry the given degree shifts (one block per shift)."""
+    n = n_module.ngens
+    copies = len(shifts)
+    rank = n * copies
+    degrees = tuple(s + d for s in shifts for d in n_module.gen_degrees)
+    relations = []
+    for b in range(copies):
+        for col in n_module.relations:
+            relations.append(col.embedded(rank, offset=b * n))
+    return rank, degrees, relations
+
+
+def induced_columns(
+    diff_cols: Sequence[FreeElement], n_module: FPModule
+) -> List[FreeElement]:
+    """Columns of d (x) N on free covers: block (c, t) -> sum_r d[r][c] e_{(r,t)}."""
+    ring = n_module.ring
+    n = n_module.ngens
+    out = []
+    for col in diff_cols:
+        target_rank = col.rank * n
+        for t in range(n):
+            terms = {}
+            for (r, mono), coeff in col.terms.items():
+                terms[(r * n + t, mono)] = coeff
+            out.append(
+                FreeElement(ring.field, ring.nvars, target_rank, terms, _normalized=True)
+            )
+    return out
 
 
 def tensor(left: FPModule, right: FPModule) -> FPModule:
     """Presentation of M (x) N on generators e_i (x) f_j.
 
-    Relation columns are the usual two blocks: relations of M spread over
-    the N-indices and vice versa.  Generator (i, j) has flat index
-    i * ngens(N) + j.
+    The cover is F (x) N for the free cover F of M, so generator (i, j) has
+    flat index i * ngens(N) + j.  Relation columns are the usual two blocks:
+    the relations of M induced over N, then the relations of N once per
+    generator of M.
     """
     if left.ring != right.ring:
         raise DimensionError("tensor factors live over different rings")
-    ring = left.ring
-    m, n = left.ngens, right.ngens
-    rank = m * n
-    degrees = tuple(
-        left.gen_degrees[i] + right.gen_degrees[j]
-        for i in range(m)
-        for j in range(n)
-    )
-    cols: List[FreeElement] = []
-    for col in left.relations:
-        comps = col.components()
-        for j in range(n):
-            terms = {}
-            for i in range(m):
-                for mono, c in comps[i].terms.items():
-                    terms[(i * n + j, mono)] = c
-            cols.append(
-                FreeElement(ring.field, ring.nvars, rank, terms, _normalized=True)
-            )
-    for i in range(m):
-        for col in right.relations:
-            comps = col.components()
-            terms = {}
-            for j in range(n):
-                for mono, c in comps[j].terms.items():
-                    terms[(i * n + j, mono)] = c
-            cols.append(
-                FreeElement(ring.field, ring.nvars, rank, terms, _normalized=True)
-            )
-    return FPModule(ring, cols, rank, degrees)
+    rank, degrees, relations = block_ambient(right, left.gen_degrees)
+    cols = induced_columns(left.relations, right) + relations
+    return FPModule(left.ring, cols, rank, degrees)
 
 
 def tensor_power(module: FPModule, t: int) -> FPModule:
@@ -589,16 +556,12 @@ def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
     source, target = phi.source, phi.target
     ring = source.ring
     m = source.ngens
-    combined = list(phi.columns) + list(target.relations)
-    syz = ring.syzygies(combined, target.ngens) if combined else []
-    candidates = []
-    for vec in syz:
-        head = vec.restricted(range(m)) if m else FreeElement.zero(
-            ring.field, ring.nvars, 0
-        )
-        head = source.element_normal_form(head)
-        if not head.is_zero():
-            candidates.append(head)
+    heads = relations_among(ring, phi.columns, target.relations, target.ngens)
+    candidates = [
+        head
+        for head in map(source.element_normal_form, heads)
+        if not head.is_zero()
+    ]
     gens = _minimal_homogeneous_subset(
         ring, candidates, m, source.gen_degrees, modulo=source.relations
     )
@@ -686,6 +649,23 @@ def dual_generators(module: FPModule) -> Tuple[List[FreeElement], List[int]]:
     degs = [r.homogeneous_degree(ring.grading, dual_pos_degrees) for r in rows]
     module._dual = (tuple(rows), tuple(degs))
     return rows, degs
+
+
+def dual_evaluation(module: FPModule) -> Tuple[List[FreeElement], Tuple[int, ...]]:
+    """The evaluation M -> R^{nu*} through the dual generators: one image
+    column per generator of M (the transpose of the dual rows), and the
+    degrees of the generators of R^{nu*}."""
+    rows, row_degrees = dual_generators(module)
+    if not rows:
+        ring = module.ring
+        zero = FreeElement.zero(ring.field, ring.nvars, 0)
+        return [zero] * module.ngens, ()
+    entries = [row.components() for row in rows]
+    columns = [
+        FreeElement.from_components([row[j] for row in entries], rank=len(rows))
+        for j in range(module.ngens)
+    ]
+    return columns, tuple(-d for d in row_degrees)
 
 
 def annihilator(module: FPModule, element: Optional[ModuleElement] = None) -> Ideal:

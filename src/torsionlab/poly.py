@@ -9,7 +9,7 @@ Zero coefficients are never stored.
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionError, InputError, UnsupportedError
 from .fields import Coefficient, FieldSpec
@@ -321,7 +321,14 @@ class FreeElement:
         return Polynomial(self.field, self.nvars, out, _normalized=True)
 
     def components(self) -> list:
-        return [self.component(i) for i in range(self.rank)]
+        """Every component in one pass; each keeps its terms' order."""
+        buckets: List[Dict[Mono, Coefficient]] = [{} for _ in range(self.rank)]
+        for (pos, mono), c in self.terms.items():
+            buckets[pos][mono] = c
+        return [
+            Polynomial(self.field, self.nvars, terms, _normalized=True)
+            for terms in buckets
+        ]
 
     def positions(self) -> set:
         return {p for p, _ in self.terms}

@@ -365,36 +365,26 @@ class _Parser:
         line = self.stream.peek().line
         self.stream.expect("verify")
         claim = self._name()
-        args: List[Expr] = []
-        kwargs: List[Tuple[str, Expr]] = []
-        while self.stream.peek().text != ";":
-            tok = self.stream.peek()
-            if tok.text in ("over", "with", "sequence", ","):
-                self.stream.next()
-                continue
-            if (
-                tok.kind == "name"
-                and self.stream.tokens[self.stream.index + 1].text == "="
-            ):
-                key = self._name()
-                self.stream.expect("=")
-                kwargs.append((key, self.parse_expression()))
-                continue
-            args.append(self.parse_atom_or_group())
-        self.stream.expect(";")
-        return VerifyStmt(
-            claim=claim, args=tuple(args), kwargs=tuple(kwargs), line=line
-        )
+        args, kwargs = self._arguments(("over", "with", "sequence", ","))
+        return VerifyStmt(claim=claim, args=args, kwargs=kwargs, line=line)
 
     def parse_probe(self) -> ProbeStmt:
         line = self.stream.peek().line
         self.stream.expect("probe")
         kind = self._name()
+        args, kwargs = self._arguments((",",))
+        return ProbeStmt(kind=kind, args=args, kwargs=kwargs, line=line)
+
+    def _arguments(
+        self, skip: Tuple[str, ...]
+    ) -> Tuple[Tuple[Expr, ...], Tuple[Tuple[str, Expr], ...]]:
+        """Positional and ``key=value`` arguments up to and including the
+        closing ';', passing over the tokens in ``skip``."""
         args: List[Expr] = []
         kwargs: List[Tuple[str, Expr]] = []
         while self.stream.peek().text != ";":
             tok = self.stream.peek()
-            if tok.text == ",":
+            if tok.text in skip:
                 self.stream.next()
                 continue
             if (
@@ -407,7 +397,7 @@ class _Parser:
                 continue
             args.append(self.parse_atom_or_group())
         self.stream.expect(";")
-        return ProbeStmt(kind=kind, args=tuple(args), kwargs=tuple(kwargs), line=line)
+        return tuple(args), tuple(kwargs)
 
     def parse_print(self) -> PrintStmt:
         line = self.stream.peek().line

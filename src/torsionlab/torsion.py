@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certificates import Certificate
@@ -25,7 +25,7 @@ from .modules import (
     ModuleElement,
     ModuleMap,
     annihilator,
-    dual_generators,
+    dual_evaluation,
     has_nonzero_minor,
     kernel_of_map,
     presentation_ideal,
@@ -70,17 +70,9 @@ def torsion_split(module: FPModule, verify: bool = True) -> TorsionSplit:
         raise UnsupportedError(
             "torsion computations require a declared-reduced ring"
         )
-    rows, row_degrees = dual_generators(module)
-    nu_star = len(rows)
-    target = FPModule.free(ring, nu_star, tuple(-d for d in row_degrees))
-    columns = []
-    for j in range(module.ngens):
-        comps = [rows[i].component(j) for i in range(nu_star)]
-        if nu_star:
-            columns.append(FreeElement.from_components(comps, rank=nu_star))
-        else:
-            columns.append(FreeElement.zero(ring.field, ring.nvars, 0))
-    evaluation = ModuleMap(module, target, columns, check=bool(nu_star))
+    columns, target_degrees = dual_evaluation(module)
+    target = FPModule.free(ring, len(target_degrees), target_degrees)
+    evaluation = ModuleMap(module, target, columns, check=bool(target_degrees))
     torsion, inclusion = kernel_of_map(evaluation)
     torsion_free = FPModule(
         ring,
@@ -531,34 +523,22 @@ def _choose_case2_generators(
                 FreeElement.unit(ring.field, ring.nvars, nu, i) for i in chosen
             ]
             candidates = relations_among(ring, columns, minimal.relations, nu)
-            for h in candidates:
-                last = h.component(len(chosen) - 1)
-                if not last.is_zero() and last.is_homogeneous(ring.grading) and ring.is_nonzerodivisor(last):
+            # the single relations first, then bounded pairwise sums
+            pair_sums = (a + b for a, b in combinations(candidates, 2))
+            for h in chain(candidates, pair_sums):
+                coeffs = h.components()
+                last = coeffs[-1]
+                if (
+                    not last.is_zero()
+                    and last.is_homogeneous(ring.grading)
+                    and ring.is_nonzerodivisor(last)
+                ):
                     cert.info(
                         "chosen-generators",
                         subset=chosen,
-                        relation=[ring.format(h.component(i)) for i in range(len(chosen))],
+                        relation=[ring.format(c) for c in coeffs],
                     )
-                    return chosen, [h.component(i) for i in range(len(chosen))]
-            # bounded pairwise sums in deterministic order
-            for a in range(len(candidates)):
-                for b in range(a + 1, len(candidates)):
-                    h = candidates[a] + candidates[b]
-                    last = h.component(len(chosen) - 1)
-                    if (
-                        not last.is_zero()
-                        and last.is_homogeneous(ring.grading)
-                        and ring.is_nonzerodivisor(last)
-                    ):
-                        cert.info(
-                            "chosen-generators",
-                            subset=chosen,
-                            relation=[
-                                ring.format(h.component(i))
-                                for i in range(len(chosen))
-                            ],
-                        )
-                        return chosen, [h.component(i) for i in range(len(chosen))]
+                    return chosen, coeffs
     return None
 
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from torsionlab.errors import InputError
+from torsionlab.fields import GF, QQ
 from torsionlab.homology import (
     PD_INFINITE,
+    complex_homology,
     free_resolution,
     koszul_complex,
     koszul_depth,
@@ -14,7 +16,7 @@ from torsionlab.homology import (
     tor,
 )
 from torsionlab.modules import FPModule, annihilator, tensor_power
-from torsionlab.rings import Ideal
+from torsionlab.rings import Ideal, make_ring
 
 
 def koszul_module(ring, texts):
@@ -186,6 +188,39 @@ class TestKoszulDepth:
                     sup = i
                     break
             assert koszul_depth(seq, module).depth == d - sup
+
+
+class TestHomologyCallers:
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+    def test_tor_against_residue_field_is_koszul_homology(self, field):
+        """tor(k, M, i) and koszul_depth on the variables both compute
+        H_i(K (x) M); complex_homology on the Koszul complex is a third way."""
+        ring = make_ring(field, ("x", "y", "z"), reduced=True)
+        variables = [ring.poly(v) for v in ("x", "y", "z")]
+        residue_field = FPModule.cyclic(ring, variables)
+        syzygy = koszul_module(ring, ["x", "y", "z"])
+        modules = [
+            FPModule.free(ring, 1),
+            syzygy,
+            tensor_power(syzygy, 2),
+            FPModule.cyclic(ring, [ring.poly("x")]),
+            FPModule.cyclic(ring, [ring.poly("x^2"), ring.poly("y*z")]),
+        ]
+        koszul = koszul_complex(ring, variables)
+        step_degrees = [[i] * koszul.rank(i) for i in range(4)]
+        for module in modules:
+            homologies = koszul_depth(variables, module).homologies
+            for i in range(4):
+                computed = [
+                    tor(residue_field, module, i),
+                    homologies.get(i, FPModule.zero_module(ring)),
+                    complex_homology(koszul.differentials, step_degrees, module, i),
+                ]
+                invariants = {
+                    (h.is_zero(), h.nu(), tuple(sorted(h.gen_degrees)))
+                    for h in computed
+                }
+                assert len(invariants) == 1, (module, i, invariants)
 
 
 class TestKoszulComplex:

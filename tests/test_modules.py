@@ -59,18 +59,6 @@ class TestMinimalPresentation:
         ideal = Ideal(QQxy, [c.component(0) for c in mm.relations])
         assert ideal == Ideal(QQxy, [QQxy.poly("y")])
 
-    def test_transform_tracks_generator_classes(self, QQxy):
-        from torsionlab.modules import transform_coords
-
-        rows = [
-            [QQxy.poly("x"), QQxy.poly("1")],
-            [QQxy.poly("y"), QQxy.poly("0")],
-        ]
-        m = FPModule.from_rows(QQxy, rows, gen_degrees=(0, 0))
-        # generator 0 satisfies 1 * g0 = 0, so it must map to zero
-        g0 = FreeElement.unit(QQxy.field, 2, 2, 0)
-        assert m.minimal().module.element_is_zero(transform_coords(m, g0))
-
     def test_entries_land_in_maximal_ideal(self, node5):
         m = koszul_module(node5, ["x + y"])
         mm = m.minimal().module
@@ -145,6 +133,51 @@ class TestTensor:
     def test_ring_mismatch_rejected(self, QQxy, node5):
         with pytest.raises(DimensionError):
             tensor(FPModule.free(QQxy, 1), FPModule.free(node5, 1))
+
+    @pytest.mark.parametrize(
+        "ring_name, left_rows, left_degrees, right_rows, right_degrees",
+        [
+            (
+                "QQxy",
+                [["x^2", "y^3"], ["y", "x^2"]],
+                (0, 1),
+                [["x", "y"], ["y^3", "0"]],
+                (2, 0),
+            ),
+            ("node5", [["x", "y"], ["y", "x"]], (0, 0), [["y", "x^2"]], (1,)),
+        ],
+        ids=["QQxy", "node5"],
+    )
+    def test_relations_are_the_two_block_presentation(
+        self, request, ring_name, left_rows, left_degrees, right_rows, right_degrees
+    ):
+        """tensor(M, N) is coker [A (x) I_n | I_m (x) B], generator (i, j) at
+        i * n + j, written out here entry by entry."""
+        ring = request.getfixturevalue(ring_name)
+        a = [[ring.poly(t) for t in row] for row in left_rows]
+        b = [[ring.poly(t) for t in row] for row in right_rows]
+        m, n = len(a), len(b)
+        zero = ring.zero()
+        # columns of A (x) I_n ordered by (c, j), then of I_m (x) B by (i, c)
+        rows = []
+        for i in range(m):
+            for j in range(n):
+                row = []
+                for c in range(len(a[0])):
+                    row.extend(a[i][c] if jj == j else zero for jj in range(n))
+                for ii in range(m):
+                    row.extend(b[j][c] if ii == i else zero for c in range(len(b[0])))
+                rows.append(row)
+        degrees = tuple(
+            left_degrees[i] + right_degrees[j] for i in range(m) for j in range(n)
+        )
+        expected = FPModule.from_rows(ring, rows, degrees)
+        product = tensor(
+            FPModule.from_rows(ring, a, left_degrees),
+            FPModule.from_rows(ring, b, right_degrees),
+        )
+        assert product.gen_degrees == expected.gen_degrees
+        assert product.relations == expected.relations
 
 
 class TestKernel:
