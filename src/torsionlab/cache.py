@@ -27,6 +27,7 @@ from contextvars import ContextVar, Token
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from .errors import InputError
 from .fields import FieldSpec
 from .orders import MonomialOrder
 from .poly import FreeElement
@@ -92,7 +93,12 @@ class ComputationCache:
 
     def __init__(self, directory: str):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise InputError(
+                f"cannot use cache directory {directory}: {exc.strerror}"
+            ) from exc
         self.hits = 0
         self.misses = 0
 

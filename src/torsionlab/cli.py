@@ -5,7 +5,8 @@
     torsionlab verify-suite paper [--only SUBSTR] [--json out.json]
 
 Exit codes: 0 all claims pass, 1 some claim fails, 2 inapplicable results
-only, 3 resource, parse, or input errors.
+only, 3 resource, parse, or input errors, or a --cache or --json path that
+cannot be used.
 """
 
 from __future__ import annotations
@@ -75,10 +76,8 @@ def _cmd_run(args) -> int:
         print(f"[{result.status}] {result.summary}")
         if result.output and result.output != result.summary:
             print(result.output)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
+    if args.json_path and not _write_json(args.json_path, report.to_json()):
+        return 3
     return report.exit_code
 
 
@@ -96,10 +95,23 @@ def _cmd_suite(args) -> int:
             {"id": r.identifier, "passed": r.passed, "detail": r.detail}
             for r in results
         ]
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        if not _write_json(args.json_path, text):
+            return 3
     return 0 if all(r.passed for r in results) else 1
+
+
+def _write_json(path: str, text: str) -> bool:
+    """Write ``text`` and a newline to ``path``; False, with the error on
+    standard error, when the path cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextvars import ContextVar, Token
 from typing import Callable, Optional, Tuple
 
-from .errors import ResourceLimitError
+from .errors import InputError, ResourceLimitError
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -30,7 +30,7 @@ def degree_cap() -> int:
 
 def set_degree_cap(cap: int) -> Token:
     if cap < 1:
-        raise ValueError("degree cap must be positive")
+        raise InputError("degree cap must be positive")
     return _degree_cap.set(cap)
 
 

@@ -14,24 +14,13 @@ values) instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    DegenerateError,
-    DimensionError,
-    InputError,
-    ResourceLimitError,
-    UnsupportedError,
-)
+from .errors import DegenerateError, DimensionError, InputError, UnsupportedError
 from .groebner import GroebnerBasis
 from .poly import FreeElement, Polynomial
 from .rings import Ideal, RingContext
 from .syntax import format_vector
-
-# Largest minor size the minor-based rank and spanning tests will search.
-MINOR_SIZE_CAP = 6
 
 
 def infer_generator_degrees(
@@ -211,9 +200,6 @@ class FPModule:
 
     def element_is_zero(self, coords: FreeElement) -> bool:
         return self.element_normal_form(coords).is_zero()
-
-    def relation_entry(self, i: int, j: int) -> Polynomial:
-        return self.relations[j].component(i)
 
     def relation_degrees(self) -> Tuple[int, ...]:
         return tuple(
@@ -638,12 +624,7 @@ def dual_generators(module: FPModule) -> Tuple[List[FreeElement], List[int]]:
         degs = [-d for d in module.gen_degrees]
         module._dual = (tuple(rows), tuple(degs))
         return rows, degs
-    rel_degs = module.relation_degrees()
-    transpose_cols = []
-    for i in range(m):
-        comps = [module.relation_entry(i, j) for j in range(a)]
-        transpose_cols.append(FreeElement.from_components(comps, rank=a))
-    syz = ring.syzygies(transpose_cols, a)
+    syz = ring.syzygies(transpose(module.relations, m), a)
     dual_pos_degrees = tuple(-d for d in module.gen_degrees)
     rows = _minimal_homogeneous_subset(ring, syz, m, dual_pos_degrees)
     degs = [r.homogeneous_degree(ring.grading, dual_pos_degrees) for r in rows]
@@ -660,12 +641,18 @@ def dual_evaluation(module: FPModule) -> Tuple[List[FreeElement], Tuple[int, ...
         ring = module.ring
         zero = FreeElement.zero(ring.field, ring.nvars, 0)
         return [zero] * module.ngens, ()
-    entries = [row.components() for row in rows]
-    columns = [
-        FreeElement.from_components([row[j] for row in entries], rank=len(rows))
-        for j in range(module.ngens)
+    return transpose(rows, module.ngens), tuple(-d for d in row_degrees)
+
+
+def transpose(vectors: Sequence[FreeElement], rank: int) -> List[FreeElement]:
+    """The columns of the transpose of the matrix with the given nonempty
+    list of columns in R^rank: one column of length len(vectors) per
+    position."""
+    entries = [vec.components() for vec in vectors]
+    return [
+        FreeElement.from_components([row[i] for row in entries], rank=len(vectors))
+        for i in range(rank)
     ]
-    return columns, tuple(-d for d in row_degrees)
 
 
 def annihilator(module: FPModule, element: Optional[ModuleElement] = None) -> Ideal:
@@ -720,72 +707,22 @@ class RankInfo:
 
 
 def rank_info(module: FPModule) -> RankInfo:
-    """Generic ranks over each declared minimal prime via nonvanishing minors.
-
-    rank at p = ngens - (largest k with a k x k minor of the minimal
-    relation matrix nonzero mod p).  Needs a reduced ring with declared
+    """Generic ranks over each declared minimal prime p: ngens minus the
+    rank of the minimal relation matrix over Frac(R/p), from
+    ``RingContext.rank_at_prime``.  Needs a reduced ring with declared
     minimal primes (a polynomial ring counts with its zero ideal).
     """
     ring = module.ring
     if not ring.reduced:
         raise UnsupportedError("rank needs a declared-reduced ring")
     primes = ring.effective_minimal_primes()
-    data = module.minimal()
-    mm = data.module
+    mm = module.minimal().module
     k = mm.ngens
-    a = len(mm.relations)
-    if min(k, a) > MINOR_SIZE_CAP:
-        raise ResourceLimitError(
-            f"minor-based rank limited to matrices of size {MINOR_SIZE_CAP}"
-        )
-    entries = [[mm.relation_entry(i, j) for j in range(a)] for i in range(k)]
-    ranks = []
-    for pi in range(len(primes)):
-        found = 0
-        for size in range(min(k, a), 0, -1):
-            if has_nonzero_minor(ring, entries, size, pi):
-                found = size
-                break
-        ranks.append(k - found)
+    ranks = [
+        k - ring.rank_at_prime(mm.relations, k, pi) for pi in range(len(primes))
+    ]
     has_rank = len(set(ranks)) == 1
     return RankInfo(tuple(ranks), has_rank, ranks[0] if has_rank else None)
-
-
-def has_nonzero_minor(
-    ring: RingContext, entries: List[List[Polynomial]], size: int, prime: int
-) -> bool:
-    """Has the matrix a size x size minor that is nonzero modulo the
-    declared minimal prime with index ``prime``?"""
-    reduce_fn = partial(ring.prime_normal_form, index=prime)
-    ncols = len(entries[0])
-    for rows in combinations(range(len(entries)), size):
-        for cols in combinations(range(ncols), size):
-            minor = [[entries[r][c] for c in cols] for r in rows]
-            if not _determinant_mod(minor, reduce_fn).is_zero():
-                return True
-    return False
-
-
-def _determinant_mod(matrix: List[List[Polynomial]], reduce_fn) -> Polynomial:
-    n = len(matrix)
-    if n == 1:
-        return reduce_fn(matrix[0][0])
-    total = None
-    for j in range(n):
-        top = matrix[0][j]
-        if top.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
-        sub = _determinant_mod(minor, reduce_fn)
-        if sub.is_zero():
-            continue
-        piece = reduce_fn(top * sub)
-        if j % 2:
-            piece = -piece
-        total = piece if total is None else reduce_fn(total + piece)
-    if total is None:
-        return Polynomial.zero(matrix[0][0].field, matrix[0][0].nvars)
-    return total
 
 
 # ---------------------------------------------------------------------------

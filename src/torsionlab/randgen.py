@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
+from .errors import TorsionLabError
 from .modules import FPModule, _monomials_of_weighted_degree
 from .poly import FreeElement, Polynomial
 from .rings import RingContext
@@ -103,7 +104,7 @@ def random_nonfree_module(
             continue
         try:
             module = FPModule(ring, columns, ngens, (0,) * ngens)
-        except Exception:
+        except TorsionLabError:
             continue
         if module.nu() > 0 and not module.is_free():
             return module

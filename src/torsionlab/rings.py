@@ -26,6 +26,7 @@ from .poly import (
     FreeElement,
     Polynomial,
     element_to_polynomial,
+    mono_divides,
     polynomial_to_element,
 )
 from .syntax import format_polynomial, format_vector, parse_polynomial, parse_vector
@@ -106,14 +107,7 @@ class RingContext:
 
     def ideal_block(self, rank: int) -> List[FreeElement]:
         """The lift I * e_j of the defining ideal into k[x]^rank."""
-        block: List[FreeElement] = []
-        for g in self.ideal_basis:
-            gp = element_to_polynomial(g)
-            for j in range(rank):
-                block.append(
-                    FreeElement.unit(self.field, self.nvars, rank, j).scaled(gp)
-                )
-        return block
+        return _lift(self.ideal_basis, rank)
 
     def submodule_basis(
         self, columns: Sequence[FreeElement], rank: int
@@ -222,18 +216,52 @@ class RingContext:
                 )
         return self._prime_bases[index]
 
-    def prime_normal_form(self, f: Polynomial, index: int) -> Polynomial:
-        """Normal form of f modulo the declared minimal prime ``index``.
+    def in_prime(self, f: Polynomial, index: int) -> bool:
+        """Does f lie in the declared minimal prime ``index``?
 
         ``make_ring`` checks that every declared prime contains the defining
         ideal, so f needs no reduction modulo the ideal first.
         """
-        return element_to_polynomial(
-            self.prime_basis(index).normal_form(polynomial_to_element(f))
-        )
+        return self.prime_basis(index).contains(polynomial_to_element(f))
 
-    def in_prime(self, f: Polynomial, index: int) -> bool:
-        return self.prime_normal_form(f, index).is_zero()
+    def rank_at_prime(
+        self, columns: Sequence[FreeElement], rank: int, index: int
+    ) -> int:
+        """Rank over Frac(R/p) of the matrix with these columns in R^rank,
+        for the declared minimal prime p with index ``index``.
+
+        One position-over-term completion of <columns> + p*R^rank over k[x]
+        (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
+        2.4).  The basis is triangular: the i-th components of the elements
+        leading at position i generate the ideal J_i >= p of i-th entries of
+        the vectors that vanish before i, and their leads generate in(J_i).
+        Over the domain R/p the matrix has a pivot at i exactly when
+        J_i != p, that is when one of those leads lies outside in(p).  Over
+        a reduced ring R_p = Frac(R/p), so this is the generic rank at p.
+        The completion is not cached.
+        """
+        for col in columns:
+            if col.field != self.field or col.nvars != self.nvars or col.rank != rank:
+                raise DimensionError("column does not match the ambient module")
+        prime = self.prime_basis(index)
+        state = Completion(
+            self.field,
+            self.nvars,
+            rank,
+            self.order.term_sort_key(),
+            "rank-at-prime completion",
+        )
+        for vec in (*columns, *_lift(prime, rank)):
+            if not vec.is_zero():
+                state.add(vec.terms)
+        state.complete()
+        prime_leads = [mono for _, mono in prime.lead_terms()]
+        pivots = {
+            pos
+            for pos, mono in state.leads
+            if not any(mono_divides(lead, mono) for lead in prime_leads)
+        }
+        return len(pivots)
 
     def is_nonzerodivisor(self, f: Polynomial) -> bool:
         """True when f avoids every declared minimal prime.
@@ -297,6 +325,16 @@ class RingContext:
 
     def __repr__(self) -> str:
         return f"RingContext({self.descriptor()})"
+
+
+def _lift(basis: GroebnerBasis, rank: int) -> List[FreeElement]:
+    """The lift J * e_j into k[x]^rank of the ideal J with this basis."""
+    block: List[FreeElement] = []
+    for g in basis:
+        gp = element_to_polynomial(g)
+        for j in range(rank):
+            block.append(FreeElement.unit(gp.field, gp.nvars, rank, j).scaled(gp))
+    return block
 
 
 def make_ring(
@@ -488,7 +526,8 @@ class Ideal:
 
 
 def is_regular_sequence(ring: RingContext, sequence: Sequence[Polynomial]) -> bool:
-    """Koszul test: the sequence is regular on R iff H_i vanishes for i >= 1.
+    """Koszul test: the sequence is regular on R iff its depth on R is its
+    length, that is iff H_i of the Koszul complex vanishes for i >= 1.
 
     Requires a nonempty, homogeneous sequence inside the irrelevant maximal
     ideal, so the generated ideal is proper.
@@ -507,20 +546,7 @@ def is_regular_sequence(ring: RingContext, sequence: Sequence[Polynomial]) -> bo
             )
         seq.append(ring.normal_form_poly(f))
 
-    from .homology import koszul_differentials
+    from .homology import koszul_depth
+    from .modules import FPModule
 
-    diffs = koszul_differentials(ring, seq)
-    d = len(seq)
-    for i in range(1, d + 1):
-        cols_i = diffs[i - 1]  # d_i columns, rank C(d, i-1)
-        rank_i_minus = cols_i[0].rank if cols_i else 1
-        kernel = ring.syzygies(cols_i, rank_i_minus)
-        if not kernel:
-            continue
-        image_cols = diffs[i] if i < d else []
-        rank_i = len(cols_i)
-        image_basis = ring.submodule_basis(image_cols, rank_i)
-        for v in kernel:
-            if not image_basis.normal_form(v).is_zero():
-                return False
-    return True
+    return koszul_depth(seq, FPModule.free(ring, 1)).depth == len(seq)

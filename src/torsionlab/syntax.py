@@ -256,5 +256,5 @@ def format_vector(
     names: Sequence[str],
     order: MonomialOrder = DEFAULT_ORDER,
 ) -> str:
-    comps = [format_polynomial(f.component(i), names, order) for i in range(f.rank)]
+    comps = [format_polynomial(c, names, order) for c in f.components()]
     return "[" + ", ".join(comps) + "]"

@@ -16,17 +16,15 @@ from itertools import chain, combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certificates import Certificate
-from .errors import InputError, ResourceLimitError, UnsupportedError
+from .errors import InputError, UnsupportedError
 from .fields import FieldSpec
 from .homology import free_resolution, pd, tor
 from .modules import (
-    MINOR_SIZE_CAP,
     FPModule,
     ModuleElement,
     ModuleMap,
     annihilator,
     dual_evaluation,
-    has_nonzero_minor,
     kernel_of_map,
     presentation_ideal,
     rank_info,
@@ -482,22 +480,14 @@ def _matrix_spans_generically(
 ) -> bool:
     """Do the chosen generators span M at every declared minimal prime?
 
-    Tested as: rank of [relations | chosen unit columns] modulo each prime
+    Tested as: the rank of [relations | chosen unit columns] at each prime
     equals the generator count."""
     nu = minimal.ngens
-    if nu > MINOR_SIZE_CAP:
-        raise ResourceLimitError(
-            "minor-based generic spanning test limited to six generators"
-        )
-    entries = []
-    for i in range(nu):
-        row = [minimal.relation_entry(i, j) for j in range(len(minimal.relations))]
-        for s in subset:
-            row.append(ring.one() if s == i else ring.zero())
-        entries.append(row)
+    columns = list(minimal.relations)
+    columns.extend(FreeElement.unit(ring.field, ring.nvars, nu, s) for s in subset)
     primes = ring.effective_minimal_primes()
     return all(
-        has_nonzero_minor(ring, entries, nu, pi) for pi in range(len(primes))
+        ring.rank_at_prime(columns, nu, pi) == nu for pi in range(len(primes))
     )
 
 

@@ -1,14 +1,16 @@
-"""Greedy minimal generating sets (graded Nakayama) and the minor-search caps."""
+"""Greedy minimal generating sets (graded Nakayama) and ranks at a minimal prime."""
 
 from __future__ import annotations
 
 import os
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsionlab import cache
+from torsionlab.engine import run_source
 from torsionlab.errors import AbortedError, ResourceLimitError
 from torsionlab.fields import GF, QQ
 from torsionlab.limits import (
@@ -217,24 +219,117 @@ class TestIncrementalCompletion:
         assert os.listdir(tmp_path) == []
 
 
-class TestMinorSearchCap:
-    def seven_generators(self, ring):
-        """coker(x * identity) on seven generators: minimal, 7 x 7."""
-        x = ring.poly("x")
-        rows = [[x if i == j else ring.zero() for j in range(7)] for i in range(7)]
-        return FPModule.from_rows(ring, rows)
+def plane_and_line():
+    """GF(3)[x,y,z]/(xy, xz): a plane and a line, with primes (x) and (y,z)."""
+    names = ("x", "y", "z")
+    poly = lambda text: parse_polynomial(text, names, GF(3))  # noqa: E731
+    return make_ring(
+        GF(3),
+        names,
+        ideal=[poly("x*y"), poly("x*z")],
+        minimal_primes=[[poly("x")], [poly("y"), poly("z")]],
+        reduced=True,
+    )
 
-    def test_rank_info_past_the_cap(self, QQxy):
-        module = self.seven_generators(QQxy)
-        with pytest.raises(
-            ResourceLimitError, match="^minor-based rank limited to matrices of size 6$"
-        ):
-            rank_info(module)
 
-    def test_generic_spanning_past_the_cap(self, QQxy):
-        module = self.seven_generators(QQxy)
-        with pytest.raises(
-            ResourceLimitError,
-            match="^minor-based generic spanning test limited to six generators$",
-        ):
-            _matrix_spans_generically(QQxy, module.minimal().module, [0])
+RANK_RINGS = {**RINGS, "GF(3) plane and line": plane_and_line}
+
+
+@st.composite
+def presentations(draw, ring):
+    """A module on 1-3 generators of degree 0 with 1-3 homogeneous relation
+    columns; a row may be twice the first row, so that ranks drop."""
+    ngens = draw(st.integers(1, 3))
+    doubled = [i > 0 and draw(st.booleans()) for i in range(ngens)]
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 2))
+        monos = list(_monomials_of_weighted_degree(ring.nvars, ring.grading, degree))
+        comps = []
+        for i in range(ngens):
+            if doubled[i]:
+                comps.append(comps[0] + comps[0])
+                continue
+            terms = {}
+            for mono in monos:
+                c = draw(st.sampled_from((0, 0, 1, 2, -1)))
+                if c:
+                    terms[mono] = c
+            comps.append(ring.normal_form_poly(Polynomial(ring.field, ring.nvars, terms)))
+        columns.append(FreeElement.from_components(comps, rank=ngens))
+    return FPModule(ring, columns, ngens, (0,) * ngens)
+
+
+def minor_rank(ring, columns, rank, index):
+    """The largest k with a k x k minor of the matrix nonzero modulo the
+    prime ``index``, by Laplace expansion over every row and column subset."""
+
+    def det(matrix):
+        if len(matrix) == 1:
+            return matrix[0][0]
+        total = ring.zero()
+        for j, top in enumerate(matrix[0]):
+            term = top * det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+            total = total + term if j % 2 == 0 else total - term
+        return total
+
+    rows = [[col.component(i) for col in columns] for i in range(rank)]
+    for size in range(min(rank, len(columns)), 0, -1):
+        for r in combinations(range(rank), size):
+            for c in combinations(range(len(columns)), size):
+                minor = [[rows[i][j] for j in c] for i in r]
+                if not ring.in_prime(det(minor), index):
+                    return size
+    return 0
+
+
+class TestRankAtPrime:
+    @pytest.mark.parametrize("ring_name", sorted(RANK_RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_agrees_with_a_minor_search(self, ring_name, data):
+        ring = RANK_RINGS[ring_name]()
+        module = data.draw(presentations(ring), label="module")
+        minimal = module.minimal().module
+        nu = minimal.ngens
+        primes = range(len(ring.effective_minimal_primes()))
+        relations = list(minimal.relations)
+        expected = tuple(nu - minor_rank(ring, relations, nu, p) for p in primes)
+        assert rank_info(module).per_prime == expected
+        for size in range(nu + 1):
+            for subset in combinations(range(nu), size):
+                units = [FreeElement.unit(ring.field, ring.nvars, nu, s) for s in subset]
+                spans = all(
+                    minor_rank(ring, relations + units, nu, p) == nu for p in primes
+                )
+                assert _matrix_spans_generically(ring, minimal, subset) == spans
+
+    def test_seven_generators(self, QQxy):
+        # coker(x * identity) on seven generators: minimal, 7 x 7, torsion
+        x = QQxy.poly("x")
+        rows = [[x if i == j else QQxy.zero() for j in range(7)] for i in range(7)]
+        assert rank_info(FPModule.from_rows(QQxy, rows)).per_prime == (0,)
+
+    def test_seven_generator_verifiers_pass(self):
+        matrix = "[" + ",".join(
+            "[" + ",".join("x" if i == j else "0" for j in range(7)) + "]"
+            for i in range(7)
+        ) + "]"
+        report = run_source(
+            "ring Q = QQ[x,y];\n"
+            f"module M = coker {matrix} over Q;\n"
+            "module K = coker [[x],[y]] over Q;\n"
+            "verify thm2.10 M K case=2;\n"
+            "ring P = GF(2)[x,y];\n"
+            f"module S = coker {matrix} over P;\n"
+            "verify thm3.5 S e=1;\n"
+        )
+        assert [r.status for r in report.results if r.kind == "verify"] == [
+            "pass",
+            "pass",
+        ]
+        assert report.exit_code == 0

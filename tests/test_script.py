@@ -260,3 +260,38 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "criterion-03-node-regression" in out
+
+    def demo_script(self, tmp_path):
+        script = tmp_path / "demo.tl"
+        script.write_text(
+            "ring Q = QQ[x,y];\nmodule K = coker [[x]] over Q;\nprint nu(K);\n"
+        )
+        return str(script)
+
+    def assert_input_error(self, argv, capsys, needle):
+        from torsionlab.cli import main
+
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+
+    def test_run_cache_under_a_file_exit_three(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache_dir = str(blocker / "cache")
+        argv = ["run", self.demo_script(tmp_path), "--cache", cache_dir]
+        self.assert_input_error(argv, capsys, cache_dir)
+
+    def test_run_json_in_missing_directory_exit_three(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        argv = ["run", self.demo_script(tmp_path), "--json", out]
+        self.assert_input_error(argv, capsys, out)
+
+    def test_verify_suite_json_in_missing_directory_exit_three(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out.json")
+        argv = ["verify-suite", "paper", "--only", "criterion-03", "--json", out]
+        self.assert_input_error(argv, capsys, out)
+
+    def test_run_degree_cap_zero_exit_three(self, tmp_path, capsys):
+        argv = ["run", self.demo_script(tmp_path), "--degree-cap", "0"]
+        self.assert_input_error(argv, capsys, "degree cap must be positive")
