@@ -38,9 +38,7 @@ from .homology import (
     PD_INFINITE,
     DepthResult,
     FreeResolution,
-    KoszulComplex,
     free_resolution,
-    koszul_complex,
     koszul_depth,
     pd,
     tor,

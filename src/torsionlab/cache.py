@@ -13,8 +13,9 @@ Entries are JSON files named by the SHA-256 of a canonical request payload
 Writes go through a temp file plus atomic rename under an advisory lock on
 the directory's one ``.lock`` file, so concurrent processes sharing a cache
 directory stay consistent and an interrupted run never leaves a partial
-entry.  The active cache is scoped to the current context: ``activate``
-returns a token that ``restore`` uses to put the previous cache back.
+entry.  ``open_cache`` opens the cache a run asks for; the cache in use is
+the ``cache`` field of the run settings (``limits.run_scope``), so it is
+scoped to the current context like the degree cap.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import hashlib
 import json
 import os
 import tempfile
-from contextvars import ContextVar, Token
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import InputError
 from .fields import FieldSpec
+from .limits import current
 from .orders import MonomialOrder
 from .poly import FreeElement
 
@@ -150,29 +151,12 @@ class Request:
         self.head = f'{{"format":{CACHE_FORMAT},"request":{text},"result":'
 
 
-_active: ContextVar[Optional[ComputationCache]] = ContextVar(
-    "active_cache", default=None
-)
-
-
-def activate(directory: Optional[str]) -> Token:
-    """Enable the cache in ``directory`` (or $TORSIONLAB_CACHE); None disables."""
+def open_cache(directory: Optional[str]) -> Optional[ComputationCache]:
+    """The cache in ``directory`` (or $TORSIONLAB_CACHE); None when neither
+    is set."""
     if directory is None:
         directory = os.environ.get(ENV_VAR)
-    return _active.set(ComputationCache(directory) if directory else None)
-
-
-def restore(token: Token) -> None:
-    """Put back the cache that was active before ``activate`` returned ``token``."""
-    _active.reset(token)
-
-
-def deactivate() -> None:
-    _active.set(None)
-
-
-def active_cache() -> Optional[ComputationCache]:
-    return _active.get()
+    return ComputationCache(directory) if directory else None
 
 
 def groebner_request(
@@ -182,11 +166,11 @@ def groebner_request(
     order: MonomialOrder,
     gens: Sequence[FreeElement],
 ) -> Optional[Request]:
-    """The request for the reduced basis of ``gens``, or None when no cache
-    is active.  The generators are sorted by their own canonical text,
+    """The request for the reduced basis of ``gens``, or None when the run
+    uses no cache.  The generators are sorted by their own canonical text,
     which sorts them as their ``json.dumps`` text does: the two differ only
     by a space after each comma and colon."""
-    active = _active.get()
+    active = current().cache
     if active is None:
         return None
     payload = {

@@ -11,12 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import cache as cache_module
+from .cache import open_cache
 from .certificates import Certificate
 from .errors import InputError, TorsionLabError
 from .fields import GF, QQ
@@ -36,7 +35,7 @@ from .homology import (
     pd,
     tor,
 )
-from .limits import reset_degree_cap, set_degree_cap
+from .limits import checked_degree_cap, current, run_scope
 from .modules import (
     FPModule,
     ModuleElement,
@@ -502,19 +501,20 @@ class _Engine:
 
 def execute(script: Script, config: Optional[ExecConfig] = None) -> RunReport:
     """Run every statement; resource and input errors are recorded per
-    statement and later independent statements still execute.  The degree
-    cap and the cache of ``config`` hold for this run only."""
+    statement and later independent statements still execute.  The cache
+    of ``config``, and its degree cap when set, hold for this run only; the
+    abort hook is the caller's."""
     config = config or ExecConfig()
-    with ExitStack() as run_scope:
-        if config.degree_cap is not None:
-            run_scope.callback(reset_degree_cap, set_degree_cap(config.degree_cap))
-        cache_token = cache_module.activate(config.cache_dir)
-        run_scope.callback(cache_module.restore, cache_token)
+    changes = {}
+    if config.degree_cap is not None:
+        # checked before open_cache makes the cache directory
+        changes["degree_cap"] = checked_degree_cap(config.degree_cap)
+    with run_scope(cache=open_cache(config.cache_dir), **changes):
         return _execute(script, config)
 
 
 def _execute(script: Script, config: ExecConfig) -> RunReport:
-    active = cache_module.active_cache()
+    active = current().cache
     start = time.monotonic()
     engine = _Engine(config)
     report = RunReport(seed=config.seed)

@@ -21,6 +21,7 @@ from .certificates import Certificate
 from .errors import InputError, ResourceLimitError, UnsupportedError
 from .groebner import Completion, groebner_basis
 from .homology import PD_INFINITE, complex_homology, free_resolution, pd
+from .limits import GENERATOR_CAP
 from .modules import (
     FPModule,
     annihilator,
@@ -142,7 +143,7 @@ def restrict_scalars(module: FPModule, e: int) -> FPModule:
     alpha_index = {a: k for k, a in enumerate(alphas)}
     block = len(alphas)
     ntags = m * block
-    if ntags > 4096:
+    if ntags > GENERATOR_CAP:
         raise ResourceLimitError(
             f"restriction of scalars needs {ntags} generators; "
             "lower e or the module size"

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import cache
 from .errors import AbortedError, DimensionError
 from .fields import FieldSpec
-from .limits import abort_hook, degree_cap, degree_cap_error
+from .limits import current, degree_cap_error
 from .orders import DEFAULT_ORDER, MonomialOrder
 from .poly import (
     FreeElement,
@@ -66,8 +66,9 @@ def _reduce_full(
     shape for a degree-cap error.
     """
     p = field.characteristic
-    cap = degree_cap()
-    hook = abort_hook()
+    settings = current()
+    cap = settings.degree_cap
+    hook = settings.abort_hook
     work = dict(terms)
     heap = [(key(t), t) for t in work]
     heapq.heapify(heap)
@@ -123,14 +124,12 @@ class GroebnerBasis:
         rank: int,
         order: MonomialOrder,
         elements: Sequence[FreeElement],
-        reduced: bool = True,
     ):
         self.field = field
         self.nvars = nvars
         self.rank = rank
         self.order = order
         self.elements: Tuple[FreeElement, ...] = tuple(elements)
-        self.reduced = reduced
         key = order.term_sort_key()
         self._key = key
         self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
@@ -195,8 +194,9 @@ class Completion:
         self.key = key
         self.layer = layer
         self.ngens = 0
-        self.cap = degree_cap()
-        self.hook = abort_hook()
+        settings = current()
+        self.cap = settings.degree_cap
+        self.hook = settings.abort_hook
         self.basis: List[TermDict] = []
         self.leads: List[Term] = []
         self.tails: List[TermDict] = []
@@ -377,7 +377,7 @@ def groebner_basis(
     request = cache.groebner_request(field, nvars, rank, order, live)
     cached = cache.lookup_groebner(request, field, nvars, rank)
     if cached is not None:
-        return GroebnerBasis(field, nvars, rank, order, cached, reduced=True)
+        return GroebnerBasis(field, nvars, rank, order, cached)
     key = order.term_sort_key()
     basis, leads = _buchberger(field, nvars, rank, [g.terms for g in live], key)
     where = ("autoreduction of Groebner completion", nvars, rank, len(live))
@@ -386,7 +386,7 @@ def groebner_basis(
         FreeElement(field, nvars, rank, terms, _normalized=True) for terms in reduced
     ]
     cache.store_groebner(request, elements)
-    return GroebnerBasis(field, nvars, rank, order, elements, reduced=True)
+    return GroebnerBasis(field, nvars, rank, order, elements)
 
 
 def empty_basis(
@@ -395,7 +395,7 @@ def empty_basis(
     rank: int,
     order: MonomialOrder = DEFAULT_ORDER,
 ) -> GroebnerBasis:
-    return GroebnerBasis(field, nvars, rank, order, (), reduced=True)
+    return GroebnerBasis(field, nvars, rank, order, ())
 
 
 def normal_form(f: FreeElement, basis: GroebnerBasis) -> FreeElement:
@@ -406,15 +406,15 @@ def normal_form(f: FreeElement, basis: GroebnerBasis) -> FreeElement:
 def syzygy_generators(
     columns: Sequence[FreeElement],
     lift: Sequence[FreeElement] = (),
-    order: MonomialOrder = DEFAULT_ORDER,
 ) -> List[FreeElement]:
     """Generators of ``{v : sum v_i columns[i] in <lift>}`` in k[x]^len(columns).
 
     With an empty ``lift`` this is the kernel of the map defined by the
     columns.  The lift slot is how quotient rings feed in ``I * e_j``.
-    Computed by a position-over-term elimination basis on the graph of the
-    map: augmented vectors ``columns[i] (+) e_i`` are completed, and the
-    basis elements supported purely in the tag block are the syzygies.
+    Computed by an elimination basis on the graph of the map under the
+    default order, position over term: augmented vectors
+    ``columns[i] (+) e_i`` are completed, and the basis elements supported
+    purely in the tag block are the syzygies.
     """
     if not columns:
         return []
@@ -431,10 +431,7 @@ def syzygy_generators(
         if extra.rank != rank:
             raise DimensionError("lift vectors live in a different module")
         aug.append(extra.embedded(total))
-    block_order = MonomialOrder(
-        module="position-over-term", elim_split=order.elim_split
-    )
-    gb = groebner_basis(aug, block_order)
+    gb = groebner_basis(aug)
     out: List[FreeElement] = []
     for g in gb:
         if all(pos >= rank for pos, _ in g.terms):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError
@@ -195,24 +194,6 @@ def tor(m_module: FPModule, n_module: FPModule, i: int) -> FPModule:
 # Koszul complexes
 
 
-@dataclass
-class KoszulComplex:
-    """The exterior-algebra complex on a sequence of ring elements."""
-
-    elements: Tuple[Polynomial, ...]
-    differentials: Tuple[Tuple[FreeElement, ...], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.elements)
-
-    def rank(self, i: int) -> int:
-        d = self.length
-        if 0 <= i <= d:
-            return comb(d, i)
-        return 0
-
-
 def koszul_differentials(
     ring: RingContext, sequence: Sequence[Polynomial]
 ) -> List[List[FreeElement]]:
@@ -239,12 +220,6 @@ def koszul_differentials(
             cols.append(vec)
         diffs.append(cols)
     return diffs
-
-
-def koszul_complex(ring: RingContext, sequence: Sequence[Polynomial]) -> KoszulComplex:
-    seq = [ring.normal_form_poly(f) for f in sequence]
-    diffs = koszul_differentials(ring, seq)
-    return KoszulComplex(tuple(seq), tuple(tuple(c) for c in diffs))
 
 
 @dataclass

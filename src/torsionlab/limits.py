@@ -1,55 +1,76 @@
-"""Global resource limits for runaway computations.
+"""Run-scoped settings and resource limits for runaway computations.
 
-Every long-running loop reads the degree cap and the abort hook once per
-call, compares each new term's degree with the cap (raising
-``degree_cap_error``) and calls the hook once per step, so a single setting
-bounds the whole engine.  Both are scoped to the current context:
-``set_degree_cap`` and ``set_abort_hook`` return tokens that
-``reset_degree_cap`` and ``reset_abort_hook`` use to put the previous value
-back.
+Three settings hold for a whole run: the degree cap, the abort hook and the
+on-disk cache.  They live in one frozen ``RunSettings`` held by one context
+variable, so they are scoped to the current context and no run leaves state
+behind.  Every long-running loop reads ``current()`` once per call, compares
+each new term's degree with the cap (raising ``degree_cap_error``) and calls
+the hook once per step, so a single setting bounds the whole engine;
+``groebner_basis`` reads the cache from the same settings.
+
+``run_scope(**changes)`` replaces the named fields for its block, inherits
+the rest, and puts the enclosing settings back when the block ends, also
+when it raises.
+
+``GENERATOR_CAP`` bounds the generators of a module the engine builds in
+one step (a tensor product, a restriction of scalars), so an input that
+would take hours fails at once with a typed error instead.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar, Token
-from typing import Callable, Optional, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
 
+if TYPE_CHECKING:
+    from .cache import ComputationCache
+
 DEFAULT_DEGREE_CAP = 64
+GENERATOR_CAP = 4096
 
 AbortHook = Callable[[], bool]
 
-_degree_cap: ContextVar[int] = ContextVar("degree_cap", default=DEFAULT_DEGREE_CAP)
-_abort_hook: ContextVar[Optional[AbortHook]] = ContextVar("abort_hook", default=None)
 
-
-def degree_cap() -> int:
-    return _degree_cap.get()
-
-
-def set_degree_cap(cap: int) -> Token:
+def checked_degree_cap(cap: int) -> int:
     if cap < 1:
         raise InputError("degree cap must be positive")
-    return _degree_cap.set(cap)
+    return cap
 
 
-def reset_degree_cap(token: Token) -> None:
-    _degree_cap.reset(token)
+@dataclass(frozen=True)
+class RunSettings:
+    """The settings of a run.  ``abort_hook`` is a cooperative cancellation
+    hook (return True to abort); ``cache`` is None when no cache is used."""
+
+    degree_cap: int = DEFAULT_DEGREE_CAP
+    abort_hook: Optional[AbortHook] = None
+    cache: Optional["ComputationCache"] = None
+
+    def __post_init__(self):
+        checked_degree_cap(self.degree_cap)
 
 
-def abort_hook() -> Optional[AbortHook]:
-    return _abort_hook.get()
+_settings: ContextVar[RunSettings] = ContextVar("run_settings", default=RunSettings())
 
 
-def set_abort_hook(hook: Optional[AbortHook]) -> Token:
-    """Install a cooperative cancellation hook (return True to abort), or
-    clear it with None."""
-    return _abort_hook.set(hook)
+def current() -> RunSettings:
+    return _settings.get()
 
 
-def reset_abort_hook(token: Token) -> None:
-    _abort_hook.reset(token)
+@contextmanager
+def run_scope(**changes) -> Iterator[RunSettings]:
+    """Replace the named fields of the current settings for the block; a
+    cap below 1 raises ``InputError`` before anything is replaced."""
+    settings = replace(current(), **changes)
+    token = _settings.set(settings)
+    try:
+        yield settings
+    finally:
+        _settings.reset(token)
 
 
 def degree_cap_error(

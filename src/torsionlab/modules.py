@@ -16,8 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DegenerateError, DimensionError, InputError, UnsupportedError
+from .errors import (
+    DegenerateError,
+    DimensionError,
+    InputError,
+    ResourceLimitError,
+    UnsupportedError,
+)
 from .groebner import GroebnerBasis
+from .limits import GENERATOR_CAP
 from .poly import FreeElement, Polynomial
 from .rings import Ideal, RingContext
 from .syntax import format_vector
@@ -112,12 +119,7 @@ class FPModule:
         for col in relations:
             if col.rank != ngens or col.nvars != ring.nvars or col.field != ring.field:
                 raise DimensionError("relation column does not match the module")
-            comps = [ring.normal_form_poly(c) for c in col.components()] if ngens else []
-            vec = (
-                FreeElement.from_components(comps, rank=ngens)
-                if ngens
-                else FreeElement.zero(ring.field, ring.nvars, 0)
-            )
+            vec = ring.normal_form_vector(col)
             if vec.is_zero():
                 continue
             if not vec.is_homogeneous(ring.grading, self.gen_degrees):
@@ -461,10 +463,17 @@ def tensor(left: FPModule, right: FPModule) -> FPModule:
     The cover is F (x) N for the free cover F of M, so generator (i, j) has
     flat index i * ngens(N) + j.  Relation columns are the usual two blocks:
     the relations of M induced over N, then the relations of N once per
-    generator of M.
+    generator of M.  A product with more than ``GENERATOR_CAP`` generators
+    raises ``ResourceLimitError`` before it is built.
     """
     if left.ring != right.ring:
         raise DimensionError("tensor factors live over different rings")
+    ngens = left.ngens * right.ngens
+    if ngens > GENERATOR_CAP:
+        raise ResourceLimitError(
+            f"tensor product needs {ngens} generators "
+            f"({left.ngens} x {right.ngens}), over the cap of {GENERATOR_CAP}"
+        )
     rank, degrees, relations = block_ambient(right, left.gen_degrees)
     cols = induced_columns(left.relations, right) + relations
     return FPModule(left.ring, cols, rank, degrees)

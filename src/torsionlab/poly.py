@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DimensionError, InputError, UnsupportedError
+from .errors import DimensionError, InputError
 from .fields import Coefficient, FieldSpec
 
 Mono = Tuple[int, ...]
@@ -230,21 +230,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def frobenius_power(self, q: int) -> "Polynomial":
-        """Raise to the q-th power over a prime field by exponent dilation."""
-        p = self.field.characteristic
-        if p == 0:
-            raise UnsupportedError("Frobenius powers need positive characteristic")
-        if q < 1 or (q > 1 and q % p):
-            raise InputError(f"{q} is not a power of the characteristic {p}")
-        # Over F_p the coefficients are fixed by c -> c^q.
-        return Polynomial(
-            self.field,
-            self.nvars,
-            {tuple(q * x for x in m): c for m, c in self.terms.items()},
-            _normalized=True,
-        )
-
     def __repr__(self) -> str:
         from .syntax import format_polynomial
 
@@ -329,9 +314,6 @@ class FreeElement:
             Polynomial(self.field, self.nvars, terms, _normalized=True)
             for terms in buckets
         ]
-
-    def positions(self) -> set:
-        return {p for p, _ in self.terms}
 
     def _check_compatible(self, other: "FreeElement") -> None:
         if (

@@ -96,6 +96,14 @@ class RingContext:
             self.ideal_basis.normal_form(polynomial_to_element(f))
         )
 
+    def normal_form_vector(self, vec: FreeElement) -> FreeElement:
+        """``vec`` with every component in normal form mod I."""
+        if not self.ideal_generators or vec.is_zero():
+            return vec
+        return FreeElement.from_components(
+            [self.normal_form_poly(c) for c in vec.components()], rank=vec.rank
+        )
+
     def is_zero_in_ring(self, f: Polynomial) -> bool:
         return self.normal_form_poly(f).is_zero()
 
@@ -183,13 +191,9 @@ class RingContext:
         """
         if not columns:
             return []
-        raw = syzygy_generators(columns, lift=self.ideal_block(rank), order=self.order)
-        out = []
-        for vec in raw:
-            comps = [self.normal_form_poly(c) for c in vec.components()]
-            if any(not c.is_zero() for c in comps):
-                out.append(FreeElement.from_components(comps, rank=len(columns)))
-        return out
+        raw = syzygy_generators(columns, lift=self.ideal_block(rank))
+        reduced = (self.normal_form_vector(vec) for vec in raw)
+        return [vec for vec in reduced if not vec.is_zero()]
 
     # -- declared minimal primes -----------------------------------------
 

@@ -12,8 +12,10 @@ import pytest
 
 from torsionlab import cache, limits
 from torsionlab.engine import ExecConfig, run_source
+from torsionlab.errors import AbortedError
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis, ideal_groebner_basis
+from torsionlab.limits import current, run_scope
 from torsionlab.orders import MonomialOrder
 from torsionlab.poly import FreeElement
 from torsionlab.syntax import parse_polynomial
@@ -27,12 +29,8 @@ SCRIPT = (
 )
 
 
-@pytest.fixture(autouse=True)
-def no_active_cache():
-    """Every test starts and ends without an active cache."""
-    cache.deactivate()
-    yield
-    cache.deactivate()
+def cache_in(directory):
+    return run_scope(cache=cache.open_cache(str(directory)))
 
 
 class TestElementCodec:
@@ -61,16 +59,15 @@ class TestCacheStore:
             parse_polynomial("x^2", ("x", "y"), QQ),
             parse_polynomial("x*y + y^2", ("x", "y"), QQ),
         ]
-        cache.activate(str(tmp_path))
-        cold = ideal_groebner_basis(list(gens))
-        warm = ideal_groebner_basis(list(gens))
+        with cache_in(tmp_path) as settings:
+            cold = ideal_groebner_basis(list(gens))
+            warm = ideal_groebner_basis(list(gens))
         assert [g.terms for g in warm] == [g.terms for g in cold]
-        active = cache.active_cache()
-        assert active.hits >= 1
+        assert settings.cache.hits >= 1
 
     def test_entries_are_content_addressed_files(self, tmp_path):
-        cache.activate(str(tmp_path))
-        ideal_groebner_basis([parse_polynomial("x", ("x", "y"), GF(5))])
+        with cache_in(tmp_path):
+            ideal_groebner_basis([parse_polynomial("x", ("x", "y"), GF(5))])
         entries = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
         assert entries
         body = json.loads((tmp_path / entries[0]).read_text())
@@ -93,8 +90,9 @@ class TestCacheStore:
             )
             for row in texts
         ]
-        cache.activate(str(tmp_path))
-        basis = groebner_basis(gens, order)
+        with cache_in(tmp_path) as settings:
+            basis = groebner_basis(gens, order)
+            again = groebner_basis(list(reversed(gens)), order)
         # the entry as written by encoding the request payload with json.dumps
         payload = {
             "op": "groebner",
@@ -119,33 +117,31 @@ class TestCacheStore:
         assert sorted(os.listdir(tmp_path)) == sorted([name, cache.LOCK_NAME])
         assert (tmp_path / name).read_text(encoding="utf-8") == body
         # and the entry is found again
-        again = groebner_basis(list(reversed(gens)), order)
-        assert cache.active_cache().hits == 1
+        assert settings.cache.hits == 1
         assert [g.terms for g in again] == [g.terms for g in basis]
 
     def test_one_lock_file_per_directory(self, tmp_path):
-        cache.activate(str(tmp_path))
         ideals = [[parse_polynomial(f"x^{n} - y", ("x", "y"), QQ)] for n in range(1, 6)]
-        for gens in ideals:
-            ideal_groebner_basis(gens)
-        names = sorted(os.listdir(tmp_path))
+        with cache_in(tmp_path) as settings:
+            for gens in ideals:
+                ideal_groebner_basis(gens)
+            names = sorted(os.listdir(tmp_path))
+            hits = settings.cache.hits
+            for gens in ideals:
+                ideal_groebner_basis(gens)
         assert [n for n in names if n.endswith(".lock")] == [cache.LOCK_NAME]
         assert len([n for n in names if n.endswith(".json")]) == len(ideals)
         assert len(names) == len(ideals) + 1
-        active = cache.active_cache()
-        hits = active.hits
-        for gens in ideals:
-            ideal_groebner_basis(gens)
-        assert active.hits == hits + len(ideals)
+        assert settings.cache.hits == hits + len(ideals)
 
     def test_corrupt_entry_is_ignored(self, tmp_path):
-        cache.activate(str(tmp_path))
         gens = [parse_polynomial("x^2 - y", ("x", "y"), QQ)]
-        first = ideal_groebner_basis(list(gens))
-        for name in os.listdir(tmp_path):
-            if name.endswith(".json"):
-                (tmp_path / name).write_text("{ not json")
-        again = ideal_groebner_basis(list(gens))
+        with cache_in(tmp_path):
+            first = ideal_groebner_basis(list(gens))
+            for name in os.listdir(tmp_path):
+                if name.endswith(".json"):
+                    (tmp_path / name).write_text("{ not json")
+            again = ideal_groebner_basis(list(gens))
         assert [g.terms for g in again] == [g.terms for g in first]
 
 
@@ -170,21 +166,20 @@ class TestRunSoundness:
     def test_run_leaves_no_cache_active(self):
         with tempfile.TemporaryDirectory() as directory:
             run_source(SCRIPT, ExecConfig(cache_dir=directory))
-        assert cache.active_cache() is None
+        assert current().cache is None
         # the run's cache directory is gone: a later computation must not
         # try to write into it
         basis = ideal_groebner_basis([parse_polynomial("x^2 - y", ("x", "y"), QQ)])
         assert len(basis.elements) == 1
 
     def test_run_restores_the_caller_cache(self, tmp_path):
-        cache.activate(str(tmp_path / "outer"))
-        outer = cache.active_cache()
-        run_source(SCRIPT, ExecConfig(cache_dir=str(tmp_path / "inner")))
-        assert cache.active_cache() is outer
+        with cache_in(tmp_path / "outer") as settings:
+            run_source(SCRIPT, ExecConfig(cache_dir=str(tmp_path / "inner")))
+            assert current().cache is settings.cache
 
     def test_run_leaves_the_degree_cap_alone(self):
         run_source(SCRIPT, ExecConfig(degree_cap=3))
-        assert limits.degree_cap() == limits.DEFAULT_DEGREE_CAP
+        assert current().degree_cap == limits.DEFAULT_DEGREE_CAP
 
     def test_env_var_activation(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "envcache"))
@@ -195,18 +190,13 @@ class TestRunSoundness:
 
 class TestCancellation:
     def test_abort_leaves_no_partial_cache_entries(self, tmp_path):
-        from torsionlab.errors import AbortedError
-        from torsionlab.limits import set_abort_hook
-
-        cache.activate(str(tmp_path))
         counter = {"calls": 0}
 
         def hook():
             counter["calls"] += 1
             return counter["calls"] > 5
 
-        set_abort_hook(hook)
-        try:
+        with cache_in(tmp_path), run_scope(abort_hook=hook):
             with pytest.raises(AbortedError):
                 ideal_groebner_basis(
                     [
@@ -215,27 +205,28 @@ class TestCancellation:
                         parse_polynomial("y^4 + x^3*y", ("x", "y"), QQ),
                     ]
                 )
-        finally:
-            set_abort_hook(None)
+        assert current().abort_hook is None
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
     def test_abort_hook_is_scoped_to_its_context(self):
         consulted = []
 
+        scope = run_scope(abort_hook=lambda: consulted.append(1) or False)
+        context = contextvars.copy_context()
+
         def run():
-            limits.set_abort_hook(lambda: consulted.append(1) or False)
+            # the scope is entered in the copied context and left open
+            scope.__enter__()
             run_source(SCRIPT, ExecConfig())
 
-        contextvars.copy_context().run(run)
+        context.run(run)
         # the run read the hook, and the hook did not outlive its context
         assert consulted
-        assert limits.abort_hook() is None
-        outer = limits.set_abort_hook(lambda: False)
-        hook = limits.abort_hook()
-        inner = limits.set_abort_hook(None)
-        assert limits.abort_hook() is None
-        limits.reset_abort_hook(inner)
-        assert limits.abort_hook() is hook
-        limits.reset_abort_hook(outer)
-        assert limits.abort_hook() is None
+        assert current().abort_hook is None
+        context.run(scope.__exit__, None, None, None)
+        with run_scope(abort_hook=lambda: False) as outer:
+            with run_scope(abort_hook=None):
+                assert current().abort_hook is None
+            assert current().abort_hook is outer.abort_hook
+        assert current().abort_hook is None

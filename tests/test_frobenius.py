@@ -9,6 +9,7 @@ from torsionlab.errors import InputError, UnsupportedError
 from torsionlab.fields import GF, QQ
 from torsionlab.frobenius import (
     ModuleAlgebra,
+    _powered_column,
     frobenius_functor,
     residue_field_module,
     restrict_scalars,
@@ -49,6 +50,17 @@ def regular_f2():
 
 
 class TestFrobeniusFunctor:
+    def test_powered_column_is_the_entrywise_qth_power(self):
+        from torsionlab.syntax import parse_polynomial
+
+        entries = [
+            parse_polynomial(text, ("x", "y"), GF(5))
+            for text in ("x + 2*y", "0", "3*x^2*y - y^3")
+        ]
+        column = FreeElement.from_components(entries)
+        powered = FreeElement.from_components([f ** 5 for f in entries])
+        assert _powered_column(column, 5) == powered
+
     def test_free_module_fixed(self, node2):
         free = FPModule.free(node2, 2)
         assert frobenius_functor(free, 3).is_free()

@@ -9,8 +9,8 @@ import pytest
 
 from torsionlab.errors import DimensionError, ResourceLimitError
 from torsionlab.fields import GF, QQ
-from torsionlab.limits import reset_degree_cap, set_degree_cap
 from torsionlab.groebner import groebner_basis, ideal_groebner_basis, syzygy_matrix
+from torsionlab.limits import run_scope
 from torsionlab.poly import (
     FreeElement,
     Polynomial,
@@ -139,14 +139,11 @@ class TestGroebnerBasis:
         # reducing x^4 by x^2 - y^2 passes through x^2*y^2 to y^4
         gens = [qq_poly("x^3 - y^2"), qq_poly("x*y^2 - 1")]
         basis = ideal_groebner_basis([qq_poly("x^2 - y^2")])
-        token = set_degree_cap(3)
-        try:
+        with run_scope(degree_cap=3):
             with pytest.raises(ResourceLimitError, match="degree 4 exceeds the degree cap 3"):
                 ideal_groebner_basis(gens)
             with pytest.raises(ResourceLimitError, match="degree 4 exceeds the degree cap 3"):
                 basis.normal_form(as_elems(qq_poly("x^4"))[0])
-        finally:
-            reset_degree_cap(token)
         assert len(ideal_groebner_basis(gens).elements) > 2
         assert format_polynomial(
             element_to_polynomial(basis.normal_form(as_elems(qq_poly("x^4"))[0])), XY
@@ -158,14 +155,11 @@ class TestGroebnerBasis:
             FreeElement.from_components([qq_poly("x*y^2 - 1"), qq_poly("0")]),
         ]
         basis = ideal_groebner_basis([qq_poly("x^2 - y^2")])
-        token = set_degree_cap(3)
-        try:
+        with run_scope(degree_cap=3):
             with pytest.raises(ResourceLimitError) as completion:
                 groebner_basis(gens)
             with pytest.raises(ResourceLimitError) as reduction:
                 basis.normal_form(as_elems(qq_poly("x^4"))[0])
-        finally:
-            reset_degree_cap(token)
         assert str(completion.value) == (
             "term degree 4 exceeds the degree cap 3 in the S-polynomials of "
             "Groebner completion (2 variables, rank 2, generators: 2)"

@@ -13,12 +13,7 @@ from torsionlab import cache
 from torsionlab.engine import run_source
 from torsionlab.errors import AbortedError, ResourceLimitError
 from torsionlab.fields import GF, QQ
-from torsionlab.limits import (
-    reset_abort_hook,
-    reset_degree_cap,
-    set_abort_hook,
-    set_degree_cap,
-)
+from torsionlab.limits import run_scope
 from torsionlab.modules import (
     FPModule,
     _minimal_homogeneous_subset,
@@ -165,12 +160,9 @@ class TestIncrementalCompletion:
     def capped(self, ring, texts):
         vectors = [polynomial_to_element(ring.poly(t)) for t in texts]
         key = lambda vec: format_vector(vec, ring.variables)  # noqa: E731
-        token = set_degree_cap(3)
-        try:
+        with run_scope(degree_cap=3):
             with pytest.raises(ResourceLimitError) as error:
                 ring.minimal_subset(vectors, 1, key)
-        finally:
-            reset_degree_cap(token)
         assert len(ring.minimal_subset(vectors, 1, key)) == len(texts)
         return str(error.value)
 
@@ -201,13 +193,8 @@ class TestIncrementalCompletion:
         consulted = []
 
         def run(hook):
-            cache_token = cache.activate(str(tmp_path))
-            hook_token = set_abort_hook(hook)
-            try:
+            with run_scope(cache=cache.open_cache(str(tmp_path)), abort_hook=hook):
                 return ring.minimal_subset(vectors, 1, key)
-            finally:
-                reset_abort_hook(hook_token)
-                cache.restore(cache_token)
 
         run(lambda: consulted.append(1) or False)
         steps = len(consulted)

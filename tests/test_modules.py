@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from torsionlab.errors import DegenerateError, DimensionError, InputError
+from torsionlab.engine import run_source
+from torsionlab.errors import (
+    DegenerateError,
+    DimensionError,
+    InputError,
+    ResourceLimitError,
+)
 from torsionlab.fields import GF, QQ
 from torsionlab.modules import (
     FPModule,
@@ -81,6 +87,29 @@ class TestTensor:
         assert mm.ngens == 1
         ideal = Ideal(node5, [c.component(0) for c in mm.relations])
         assert ideal == Ideal(node5, [node5.poly("x")])
+
+    def test_a_product_over_the_generator_cap_is_refused(self, QQxy):
+        # 64 x 64 = 4096 generators is the cap itself
+        assert tensor(FPModule.free(QQxy, 64), FPModule.free(QQxy, 64)).ngens == 4096
+        with pytest.raises(ResourceLimitError) as error:
+            tensor(FPModule.free(QQxy, 65), FPModule.free(QQxy, 64))
+        assert str(error.value) == (
+            "tensor product needs 4160 generators (65 x 64), over the cap of 4096"
+        )
+
+    def test_thm2_10_case_two_stops_at_the_generator_cap(self):
+        # case 2 takes tensor powers of T, 9 generators; the fourth has 9^4
+        report = run_source(
+            "ring Q = QQ[x,y,z];\n"
+            "module K = coker [[x],[y],[z]] over Q;\n"
+            "let T = tensor(K, K);\n"
+            "verify thm2.10 T K case=2;\n"
+        )
+        assert report.exit_code == 3
+        assert report.results[-1].error == (
+            "ResourceLimitError: tensor product needs 6561 generators "
+            "(729 x 9), over the cap of 4096"
+        )
 
     def test_tensor_power_edge_cases(self, QQxy):
         m = koszul_module(QQxy, ["x", "y"])

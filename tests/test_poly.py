@@ -90,10 +90,6 @@ class TestArithmetic:
         y = Polynomial.variable(QQ, 2, 1)
         assert (x + y) ** 2 == x * x + 2 * (x * y) + y * y
 
-    def test_frobenius_power_is_exact_qth_power(self):
-        f = parse_polynomial("x + 2*y", ("x", "y"), GF(5))
-        assert f.frobenius_power(5) == f ** 5
-
     def test_substitute(self):
         f = parse_polynomial("x^2 + y", NAMES, QQ)
         x = Polynomial.variable(QQ, 3, 0)

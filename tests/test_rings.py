@@ -8,6 +8,7 @@ import pytest
 
 from torsionlab.errors import InputError, StructuralError
 from torsionlab.fields import GF, QQ
+from torsionlab.poly import FreeElement
 from torsionlab.rings import Ideal, is_regular_sequence, make_ring
 
 from conftest import node_ring
@@ -108,6 +109,26 @@ class TestRegularSequences:
         base = [QQxyz.poly("x"), QQxyz.poly("y + z"), QQxyz.poly("z")]
         seq = [base[i] for i in perm]
         assert is_regular_sequence(QQxyz, seq)
+
+
+class TestNormalFormVector:
+    def test_reduces_every_component_mod_the_ideal(self, node5):
+        vec = FreeElement.from_components(
+            [node5.poly("x") * node5.poly("y"), node5.poly("x^2"), node5.zero()]
+        )
+        reduced = node5.normal_form_vector(vec)
+        assert reduced == FreeElement.from_components(
+            [node5.zero(), node5.poly("x^2"), node5.zero()]
+        )
+        assert node5.normal_form_vector(
+            FreeElement.from_components([node5.poly("x") * node5.poly("y")])
+        ).is_zero()
+
+    def test_returns_the_vector_itself_when_nothing_reduces(self, QQxy, node5):
+        vec = FreeElement.from_components([QQxy.poly("x*y"), QQxy.poly("y^2")])
+        assert QQxy.normal_form_vector(vec) is vec
+        zero = FreeElement.zero(node5.field, node5.nvars, 3)
+        assert node5.normal_form_vector(zero) is zero
 
 
 class TestIdeal:

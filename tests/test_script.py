@@ -295,3 +295,10 @@ class TestCli:
     def test_run_degree_cap_zero_exit_three(self, tmp_path, capsys):
         argv = ["run", self.demo_script(tmp_path), "--degree-cap", "0"]
         self.assert_input_error(argv, capsys, "degree cap must be positive")
+
+    def test_run_degree_cap_zero_makes_no_cache_directory(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        argv = ["run", self.demo_script(tmp_path), "--degree-cap", "0"]
+        argv += ["--cache", str(cache_dir)]
+        self.assert_input_error(argv, capsys, "degree cap must be positive")
+        assert not cache_dir.exists()
