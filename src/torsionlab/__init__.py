@@ -30,7 +30,6 @@ from .groebner import (
     GroebnerBasis,
     groebner_basis,
     ideal_groebner_basis,
-    normal_form,
     syzygy_generators,
     syzygy_matrix,
 )
@@ -57,7 +56,6 @@ from .modules import (
     tensor,
     tensor_power,
 )
-from .orders import MonomialOrder
 from .poly import FreeElement, Polynomial
 from .rings import Ideal, RingContext, is_regular_sequence, make_ring
 from .script import Script, format_script, parse_script

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 from .errors import InputError
 from .fields import FieldSpec
 from .limits import current
-from .orders import MonomialOrder
+from .orders import ORDER_DESCRIPTION
 from .poly import FreeElement
 
 CACHE_FORMAT = 1
@@ -163,7 +163,6 @@ def groebner_request(
     field: FieldSpec,
     nvars: int,
     rank: int,
-    order: MonomialOrder,
     gens: Sequence[FreeElement],
 ) -> Optional[Request]:
     """The request for the reduced basis of ``gens``, or None when the run
@@ -179,7 +178,7 @@ def groebner_request(
         "characteristic": field.characteristic,
         "nvars": nvars,
         "rank": rank,
-        "order": order.describe(),
+        "order": ORDER_DESCRIPTION,
         "generators": sorted((encode_element(g) for g in gens), key=_canonical),
     }
     text = _canonical(payload)

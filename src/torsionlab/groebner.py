@@ -18,7 +18,7 @@ from . import cache
 from .errors import AbortedError, DimensionError
 from .fields import FieldSpec
 from .limits import current, degree_cap_error
-from .orders import DEFAULT_ORDER, MonomialOrder
+from .orders import term_key
 from .poly import (
     FreeElement,
     Polynomial,
@@ -34,8 +34,8 @@ Term = Tuple[int, Tuple[int, ...]]
 TermDict = Dict[Term, object]
 
 
-def _lead(terms: TermDict, key) -> Term:
-    return min(terms, key=key)
+def _lead(terms: TermDict) -> Term:
+    return min(terms, key=term_key)
 
 
 def _monic(field: FieldSpec, terms: TermDict, lead: Term) -> TermDict:
@@ -53,14 +53,13 @@ def _reduce_full(
     by_position: Dict[int, List[int]],
     leads: Sequence[Term],
     tails: Sequence[TermDict],
-    key,
     where: Tuple[str, int, int, int],
 ) -> TermDict:
     """Fully reduce ``terms``: no term of the result is divisible by a lead.
 
-    Each lead comes from a heap of ``(key, term)`` kept beside ``work``: a
-    term is pushed when it enters ``work``, and an entry whose term has
-    cancelled since is skipped.  Every term a reduction step adds is smaller
+    Each lead comes from a heap of ``(term_key, term)`` kept beside
+    ``work``: a term is pushed when it enters ``work``, and an entry whose
+    term has cancelled since is skipped.  Every term a reduction step adds is smaller
     than the lead it removes, so terms leave ``work`` largest first and a
     popped lead never comes back.  ``where`` names the layer and its input
     shape for a degree-cap error.
@@ -70,7 +69,7 @@ def _reduce_full(
     cap = settings.degree_cap
     hook = settings.abort_hook
     work = dict(terms)
-    heap = [(key(t), t) for t in work]
+    heap = [(term_key(t), t) for t in work]
     heapq.heapify(heap)
     remainder: TermDict = {}
     while heap:
@@ -100,7 +99,7 @@ def _reduce_full(
             if old is None:
                 # a product of nonzero field elements is nonzero
                 work[tt] = -c * gc % p if p else -c * gc
-                heapq.heappush(heap, (key(tt), tt))
+                heapq.heappush(heap, (term_key(tt), tt))
                 continue
             v = (old - c * gc) % p if p else old - c * gc
             if v:
@@ -114,7 +113,7 @@ class GroebnerBasis:
     """A reduced Groebner basis of a submodule of ``k[x]^rank``.
 
     Elements are monic, pairwise autoreduced, and sorted by descending lead
-    term, which makes the object canonical for its submodule and order.
+    term, which makes the object canonical for its submodule.
     """
 
     def __init__(
@@ -122,22 +121,18 @@ class GroebnerBasis:
         field: FieldSpec,
         nvars: int,
         rank: int,
-        order: MonomialOrder,
         elements: Sequence[FreeElement],
     ):
         self.field = field
         self.nvars = nvars
         self.rank = rank
-        self.order = order
         self.elements: Tuple[FreeElement, ...] = tuple(elements)
-        key = order.term_sort_key()
-        self._key = key
         self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
         self._leads: List[Term] = []
         self._tails: List[TermDict] = []
         self._by_position: Dict[int, List[int]] = {}
         for i, g in enumerate(self.elements):
-            lt = _lead(g.terms, key)
+            lt = _lead(g.terms)
             self._leads.append(lt)
             tail = dict(g.terms)
             del tail[lt]
@@ -156,7 +151,6 @@ class GroebnerBasis:
             self._by_position,
             self._leads,
             self._tails,
-            self._key,
             self._where,
         )
         return FreeElement(self.field, self.nvars, self.rank, reduced, _normalized=True)
@@ -187,11 +181,10 @@ class Completion:
     was made; ``layer`` names the computation in a degree-cap error.
     """
 
-    def __init__(self, field: FieldSpec, nvars: int, rank: int, key, layer: str):
+    def __init__(self, field: FieldSpec, nvars: int, rank: int, layer: str):
         self.field = field
         self.nvars = nvars
         self.rank = rank
-        self.key = key
         self.layer = layer
         self.ngens = 0
         settings = current()
@@ -208,7 +201,7 @@ class Completion:
         return (f"{step} of {self.layer}", self.nvars, self.rank, self.ngens)
 
     def _push(self, terms: TermDict) -> None:
-        lt = _lead(terms, self.key)
+        lt = _lead(terms)
         terms = _monic(self.field, terms, lt)
         j = len(self.basis)
         self.basis.append(terms)
@@ -237,7 +230,6 @@ class Completion:
             self.by_position,
             self.leads,
             self.tails,
-            self.key,
             self._where("reduction"),
         )
 
@@ -298,7 +290,7 @@ class Completion:
                 if sum(tm) > cap:
                     raise degree_cap_error(sum(tm), cap, where)
             remainder = _reduce_full(
-                self.field, spoly, by_position, leads, tails, self.key, where
+                self.field, spoly, by_position, leads, tails, where
             )
             if remainder:
                 self._push(remainder)
@@ -309,10 +301,9 @@ def _buchberger(
     nvars: int,
     rank: int,
     gens: Sequence[TermDict],
-    key,
 ) -> Tuple[List[TermDict], List[Term]]:
     """Completion of ``gens``.  Returns monic basis dicts and their lead terms."""
-    state = Completion(field, nvars, rank, key, "Groebner completion")
+    state = Completion(field, nvars, rank, "Groebner completion")
     for g in gens:
         if g:
             state.add(g)
@@ -324,12 +315,13 @@ def _autoreduce(
     field: FieldSpec,
     basis: List[TermDict],
     leads: List[Term],
-    key,
     where: Tuple[str, int, int, int],
 ) -> List[TermDict]:
     """Drop redundant leads, then tail-reduce to the canonical reduced basis."""
     # smallest lead first, so a lead is dropped when a kept lead divides it
-    order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i]), reverse=True)
+    order_idx = sorted(
+        range(len(basis)), key=lambda i: term_key(leads[i]), reverse=True
+    )
     keep: List[int] = []
     for i in order_idx:
         li = leads[i]
@@ -352,17 +344,14 @@ def _autoreduce(
         # smaller than lead i, and a multiple of lead i in the same position
         # never is: element i is never picked to reduce its own tail
         tails[i] = _reduce_full(
-            field, tails[i], by_position, kept_leads, tails, key, where
+            field, tails[i], by_position, kept_leads, tails, where
         )
         kept.append({**tails[i], lt: field.one})
     # kept leads ascend; the reduced basis lists them largest first
     return kept[::-1]
 
 
-def groebner_basis(
-    gens: Sequence[FreeElement],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> GroebnerBasis:
+def groebner_basis(gens: Sequence[FreeElement]) -> GroebnerBasis:
     """The reduced Groebner basis of the submodule generated by ``gens``.
 
     Idempotent: running it on its own output returns an equal basis.
@@ -374,33 +363,22 @@ def groebner_basis(
     for g in live:
         if g.field != field or g.nvars != nvars or g.rank != rank:
             raise DimensionError("generators live in different modules")
-    request = cache.groebner_request(field, nvars, rank, order, live)
+    request = cache.groebner_request(field, nvars, rank, live)
     cached = cache.lookup_groebner(request, field, nvars, rank)
     if cached is not None:
-        return GroebnerBasis(field, nvars, rank, order, cached)
-    key = order.term_sort_key()
-    basis, leads = _buchberger(field, nvars, rank, [g.terms for g in live], key)
+        return GroebnerBasis(field, nvars, rank, cached)
+    basis, leads = _buchberger(field, nvars, rank, [g.terms for g in live])
     where = ("autoreduction of Groebner completion", nvars, rank, len(live))
-    reduced = _autoreduce(field, basis, leads, key, where)
+    reduced = _autoreduce(field, basis, leads, where)
     elements = [
         FreeElement(field, nvars, rank, terms, _normalized=True) for terms in reduced
     ]
     cache.store_groebner(request, elements)
-    return GroebnerBasis(field, nvars, rank, order, elements)
+    return GroebnerBasis(field, nvars, rank, elements)
 
 
-def empty_basis(
-    field: FieldSpec,
-    nvars: int,
-    rank: int,
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> GroebnerBasis:
-    return GroebnerBasis(field, nvars, rank, order, ())
-
-
-def normal_form(f: FreeElement, basis: GroebnerBasis) -> FreeElement:
-    """Unique remainder of ``f`` on division by the basis."""
-    return basis.normal_form(f)
+def empty_basis(field: FieldSpec, nvars: int, rank: int) -> GroebnerBasis:
+    return GroebnerBasis(field, nvars, rank, ())
 
 
 def syzygy_generators(
@@ -411,8 +389,8 @@ def syzygy_generators(
 
     With an empty ``lift`` this is the kernel of the map defined by the
     columns.  The lift slot is how quotient rings feed in ``I * e_j``.
-    Computed by an elimination basis on the graph of the map under the
-    default order, position over term: augmented vectors
+    Computed by a basis of the graph of the map under position over
+    term: augmented vectors
     ``columns[i] (+) e_i`` are completed, and the basis elements supported
     purely in the tag block are the syzygies.
     """
@@ -459,14 +437,11 @@ def syzygy_matrix(
     return [vec.components() for vec in syz]
 
 
-def ideal_groebner_basis(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> GroebnerBasis:
+def ideal_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
     live = [polynomial_to_element(g) for g in gens if not g.is_zero()]
     if not live:
         if not gens:
             raise DimensionError("cannot infer the ring from no generators")
         g0 = gens[0]
-        return empty_basis(g0.field, g0.nvars, 1, order)
-    return groebner_basis(live, order)
+        return empty_basis(g0.field, g0.nvars, 1)
+    return groebner_basis(live)

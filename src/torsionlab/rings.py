@@ -21,7 +21,6 @@ from .groebner import (
     groebner_basis,
     syzygy_generators,
 )
-from .orders import DEFAULT_ORDER, MonomialOrder
 from .poly import (
     FreeElement,
     Polynomial,
@@ -58,7 +57,6 @@ class RingContext:
         self.reduced = reduced
         self.complete_intersection = complete_intersection
         self.warnings: Tuple[str, ...] = tuple(warnings)
-        self.order: MonomialOrder = DEFAULT_ORDER
         self.ideal_basis = ideal_basis
         self._prime_bases: Dict[int, GroebnerBasis] = {}
         self._depth: Optional[int] = None
@@ -84,8 +82,8 @@ class RingContext:
 
     def format(self, value) -> str:
         if isinstance(value, Polynomial):
-            return format_polynomial(value, self.variables, self.order)
-        return format_vector(value, self.variables, self.order)
+            return format_polynomial(value, self.variables)
+        return format_vector(value, self.variables)
 
     # -- reduction mod the defining ideal -------------------------------
 
@@ -128,8 +126,8 @@ class RingContext:
         gens = [c for c in columns if not c.is_zero()]
         gens.extend(self.ideal_block(rank))
         if not gens:
-            return empty_basis(self.field, self.nvars, rank, self.order)
-        return groebner_basis(gens, self.order)
+            return empty_basis(self.field, self.nvars, rank)
+        return groebner_basis(gens)
 
     def minimal_subset(
         self,
@@ -160,11 +158,7 @@ class RingContext:
         if not candidates:
             return []
         state = Completion(
-            self.field,
-            self.nvars,
-            rank,
-            self.order.term_sort_key(),
-            "minimal-generator completion",
+            self.field, self.nvars, rank, "minimal-generator completion"
         )
         for g in base + self.ideal_block(rank):
             state.add(g.terms)
@@ -212,12 +206,10 @@ class RingContext:
             gens = [g for g in self.effective_minimal_primes()[index] if not g.is_zero()]
             if gens:
                 self._prime_bases[index] = groebner_basis(
-                    [polynomial_to_element(g) for g in gens], self.order
+                    [polynomial_to_element(g) for g in gens]
                 )
             else:
-                self._prime_bases[index] = empty_basis(
-                    self.field, self.nvars, 1, self.order
-                )
+                self._prime_bases[index] = empty_basis(self.field, self.nvars, 1)
         return self._prime_bases[index]
 
     def in_prime(self, f: Polynomial, index: int) -> bool:
@@ -248,13 +240,7 @@ class RingContext:
             if col.field != self.field or col.nvars != self.nvars or col.rank != rank:
                 raise DimensionError("column does not match the ambient module")
         prime = self.prime_basis(index)
-        state = Completion(
-            self.field,
-            self.nvars,
-            rank,
-            self.order.term_sort_key(),
-            "rank-at-prime completion",
-        )
+        state = Completion(self.field, self.nvars, rank, "rank-at-prime completion")
         for vec in (*columns, *_lift(prime, rank)):
             if not vec.is_zero():
                 state.add(vec.terms)
@@ -380,11 +366,9 @@ def make_ring(
         gens.append(g)
 
     if gens:
-        ideal_basis = groebner_basis(
-            [polynomial_to_element(g) for g in gens], DEFAULT_ORDER
-        )
+        ideal_basis = groebner_basis([polynomial_to_element(g) for g in gens])
     else:
-        ideal_basis = empty_basis(field, nvars, 1, DEFAULT_ORDER)
+        ideal_basis = empty_basis(field, nvars, 1)
 
     warnings: List[str] = []
     primes: List[Tuple[Polynomial, ...]] = []
@@ -399,9 +383,7 @@ def make_ring(
                 raise InputError("minimal prime generators must be homogeneous")
             checked.append(g)
         if checked:
-            prime_gb = groebner_basis(
-                [polynomial_to_element(g) for g in checked], DEFAULT_ORDER
-            )
+            prime_gb = groebner_basis([polynomial_to_element(g) for g in checked])
             for g in gens:
                 if not prime_gb.normal_form(polynomial_to_element(g)).is_zero():
                     raise StructuralError(
@@ -447,7 +429,7 @@ def make_ring(
             reduced=True,
             complete_intersection=True,
             warnings=(),
-            ideal_basis=empty_basis(field, nvars, 1, DEFAULT_ORDER),
+            ideal_basis=empty_basis(field, nvars, 1),
         )
         if not is_regular_sequence(ambient, gens):
             raise StructuralError(

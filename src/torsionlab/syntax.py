@@ -2,9 +2,9 @@
 
 The grammar is ``3*x^2*y - 1/2*z`` with coefficients first, explicit ``*``
 and ``^``, and vectors written ``[f1, f2]``.  Formatting is canonical:
-terms are sorted by the active monomial order (degrevlex by default), so
-parse/format round-trips are stable.  The tokenizer here is shared with the
-script language.
+terms are sorted largest first in degrevlex, the engine's one monomial
+order, so parse/format round-trips are stable.  The tokenizer here is
+shared with the script language.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import ScriptParseError
 from .fields import FieldSpec
-from .orders import DEFAULT_ORDER, MonomialOrder
+from .orders import mono_key
 from .poly import FreeElement, Polynomial
 
 _TOKEN_RE = re.compile(
@@ -223,16 +223,11 @@ def _format_monomial(mono, names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def format_polynomial(
-    p: Polynomial,
-    names: Sequence[str],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> str:
+def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
     if not p.terms:
         return "0"
-    key = order.mono_sort_key()
     pieces: List[Tuple[bool, str]] = []
-    for mono in sorted(p.terms, key=key):
+    for mono in sorted(p.terms, key=mono_key):
         c = p.terms[mono]
         negative = (p.field.characteristic == 0) and c < 0
         mag = -c if negative else c
@@ -251,10 +246,6 @@ def format_polynomial(
     return out
 
 
-def format_vector(
-    f: FreeElement,
-    names: Sequence[str],
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> str:
-    comps = [format_polynomial(c, names, order) for c in f.components()]
+def format_vector(f: FreeElement, names: Sequence[str]) -> str:
+    comps = [format_polynomial(c, names) for c in f.components()]
     return "[" + ", ".join(comps) + "]"

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import time
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import torsionlab.frobenius as frobenius
 from torsionlab.engine import run_source
-from torsionlab.errors import InputError, UnsupportedError
+from torsionlab.errors import InputError, ResourceLimitError, UnsupportedError
 from torsionlab.fields import GF, QQ
 from torsionlab.frobenius import (
     ModuleAlgebra,
@@ -21,10 +26,22 @@ from torsionlab.frobenius import (
     verify_regularity_probe,
 )
 from torsionlab.homology import PD_INFINITE, pd
-from torsionlab.modules import FPModule, annihilator, modules_equivalent
-from torsionlab.poly import FreeElement
+from torsionlab.modules import (
+    FPModule,
+    _monomials_of_weighted_degree,
+    annihilator,
+    modules_equivalent,
+)
+from torsionlab.poly import FreeElement, Polynomial
 from torsionlab.rings import Ideal, make_ring
-from torsionlab.torsion import koszul_syzygy_module, maximal_ideal_module
+from torsionlab.syntax import parse_polynomial
+from torsionlab.torsion import (
+    koszul_syzygy_module,
+    maximal_ideal_module,
+    torsion_split,
+)
+
+from conftest import node_ring
 
 
 def fermat_cubic_ring():
@@ -149,6 +166,58 @@ class TestTorFrobenius:
             assert vanishes_somewhere == finite, module.descriptor()
 
 
+def _reduced_ci_ring(p, names, ideal, primes, grading=None):
+    field = GF(p)
+
+    def poly(text):
+        return parse_polynomial(text, names, field)
+
+    return make_ring(
+        field,
+        names,
+        ideal=[poly(t) for t in ideal],
+        grading=grading,
+        minimal_primes=[[poly(t) for t in prime] for prime in primes],
+        reduced=True,
+        complete_intersection=True,
+    )
+
+
+RESTRICTION_RINGS = {
+    "GF(2) node": lambda: node_ring(2),
+    "GF(3) node": lambda: node_ring(3),
+    "GF(2) Fermat cubic": fermat_cubic_ring,
+    "GF(3) plane grading (1,2)": lambda: _reduced_ci_ring(
+        3, ("x", "y"), [], [], grading=(1, 2)
+    ),
+    "GF(2) cusp grading (2,3)": lambda: _reduced_ci_ring(
+        2, ("x", "y"), ["x^3 + y^2"], [["x^3 + y^2"]], grading=(2, 3)
+    ),
+}
+
+
+@st.composite
+def homogeneous_modules(draw, ring):
+    """A module on 1-2 generators of degree 0 or 1 with 0-2 homogeneous
+    relation columns."""
+    gen_degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    columns = []
+    for _ in range(draw(st.integers(0, 2))):
+        degree = draw(st.integers(1, 3))
+        comps = []
+        for gen_degree in gen_degrees:
+            want = degree - gen_degree
+            monos = _monomials_of_weighted_degree(ring.nvars, ring.grading, want)
+            terms = {}
+            for mono in monos if want >= 0 else ():
+                c = draw(st.sampled_from((0, 0, 1, -1)))
+                if c:
+                    terms[mono] = c
+            comps.append(Polynomial(ring.field, ring.nvars, terms))
+        columns.append(FreeElement.from_components(comps, rank=len(gen_degrees)))
+    return FPModule(ring, columns, len(gen_degrees), gen_degrees)
+
+
 class TestRestrictScalars:
     def test_one_variable_line(self):
         ring = make_ring(GF(2), ("x",), reduced=True)
@@ -190,6 +259,87 @@ class TestRestrictScalars:
     def test_characteristic_zero_rejected(self, QQxy):
         with pytest.raises(UnsupportedError):
             restrict_scalars(FPModule.free(QQxy, 1), 1)
+
+    def test_over_the_generator_cap_is_refused_with_the_count(self):
+        ring = make_ring(GF(3), ("x", "y", "z", "w"), reduced=True)
+        with pytest.raises(ResourceLimitError) as error:
+            restrict_scalars(FPModule.free(ring, 1), 2)
+        assert str(error.value) == (
+            "restriction of scalars needs 6561 generators (1 x 6561), "
+            "over the cap of 4096"
+        )
+
+    @pytest.mark.parametrize(
+        "e, needs",
+        [
+            (40, f"{2**80} generators (1 x {2**80})"),
+            # 2^20000 has more digits than str() will print
+            (10000, "1 x 2^20000 generators"),
+        ],
+    )
+    def test_a_huge_exponent_is_refused_before_anything_is_built(
+        self, monkeypatch, e, needs
+    ):
+        # listing 2^(2e) exponent vectors, or building the target ring,
+        # would never finish
+        def unreachable(ring, e):
+            raise AssertionError("the target ring was built")
+
+        monkeypatch.setattr(frobenius, "restricted_ring", unreachable)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as error:
+            restrict_scalars(FPModule.free(regular_f2(), 1), e)
+        assert time.perf_counter() - start < 1.0
+        assert str(error.value) == (
+            f"restriction of scalars needs {needs}, over the cap of 4096"
+        )
+
+    @pytest.mark.parametrize(
+        "ring_name, rows, e, expected",
+        [
+            ("GF(2) node", None, 1, (4, 3, 2, 3)),
+            ("GF(3) node", [["x"]], 2, (81, 9, 9, 9)),
+            ("GF(2) Fermat cubic", [["x"], ["y"]], 1, (16, 10, 6, 10)),
+            ("GF(2) Fermat cubic", None, 2, (64, 36, 19, 34)),
+            ("GF(3) plane grading (1,2)", [["x"], ["y"]], 2, (162, 82, 0, 82)),
+            ("GF(2) cusp grading (2,3)", None, 2, (16, 8, 4, 4)),
+        ],
+    )
+    def test_pinned_invariants(self, ring_name, rows, e, expected):
+        # ngens and nu of the restriction, then the torsion and torsion-free
+        # nu of its twist; pinned from an independent construction, an
+        # x-eliminating Groebner basis on the graph of the generators
+        ring = RESTRICTION_RINGS[ring_name]()
+        if rows is None:
+            source = FPModule.free(ring, 1)
+        else:
+            source = FPModule.from_rows(
+                ring, [[ring.poly(t) for t in row] for row in rows]
+            )
+        result = restrict_scalars(source, e)
+        split = torsion_split(frobenius_functor(result, 1))
+        got = (result.ngens, result.nu(), split.torsion.nu())
+        assert got + (split.torsion_free_part.nu(),) == expected
+
+    def test_cusp_hilbert_values(self):
+        ring = RESTRICTION_RINGS["GF(2) cusp grading (2,3)"]()
+        result = restrict_scalars(FPModule.free(ring, 1), 2)
+        values = [result.hilbert_function(d) for d in range(8)]
+        assert values == [1, 0, 1, 1, 1, 1, 1, 1]
+
+    @given(data=st.data())
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_hilbert_function_of_random_modules_is_kept(self, data):
+        name = data.draw(st.sampled_from(sorted(RESTRICTION_RINGS)))
+        ring = RESTRICTION_RINGS[name]()
+        source = data.draw(homogeneous_modules(ring))
+        result = restrict_scalars(source, data.draw(st.integers(1, 2)))
+        for degree in range(9):
+            assert result.hilbert_function(degree) == source.hilbert_function(degree)
 
 
 class TestUniversalPushforward:

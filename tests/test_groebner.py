@@ -11,6 +11,7 @@ from torsionlab.errors import DimensionError, ResourceLimitError
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis, ideal_groebner_basis, syzygy_matrix
 from torsionlab.limits import run_scope
+from torsionlab.orders import term_key
 from torsionlab.poly import (
     FreeElement,
     Polynomial,
@@ -107,12 +108,11 @@ class TestGroebnerBasis:
             [qq_poly("x^2 - y"), qq_poly("x*y - 1"), qq_poly("x + y^2")]
         )
         elems = list(gb.elements)
-        key = gb.order.term_sort_key()
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
                 gi, gj = elems[i], elems[j]
-                (pi, mi) = min(gi.terms, key=key)
-                (pj, mj) = min(gj.terms, key=key)
+                (pi, mi) = min(gi.terms, key=term_key)
+                (pj, mj) = min(gj.terms, key=term_key)
                 if pi != pj:
                     continue
                 lcm = tuple(max(a, b) for a, b in zip(mi, mj))

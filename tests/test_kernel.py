@@ -1,21 +1,20 @@
 """Guards on the reduction kernel, checked against code written from the
-definitions: the order keys against a comparator, normal forms against a
-naive division that re-sorts its work on every step, and the pair queue
-against repeated S-pair reductions."""
+definitions: the term order's keys against a comparator, normal forms
+against a naive division that re-sorts its work on every step, and the
+pair queue against repeated S-pair reductions."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsionlab import groebner
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis
-from torsionlab.orders import MonomialOrder
+from torsionlab.orders import mono_key, term_key
 from torsionlab.poly import FreeElement, Polynomial, polynomial_to_element
 from torsionlab.syntax import parse_polynomial
 
@@ -35,61 +34,30 @@ def degrevlex_cmp(a, b) -> int:
     return 0
 
 
-def mono_cmp(order: MonomialOrder):
-    split = order.elim_split
-    if split is None:
-        return degrevlex_cmp
-    return lambda a, b: degrevlex_cmp(a[:split], b[:split]) or degrevlex_cmp(
-        a[split:], b[split:]
-    )
+def term_cmp(a, b) -> int:
+    """-1 when term a is larger than term b in position over term."""
+    # the smaller position dominates
+    return _sign(a[0] - b[0]) or degrevlex_cmp(a[1], b[1])
 
 
-def term_cmp(order: MonomialOrder):
-    """-1 when term a is larger than term b under ``order``."""
-    mcmp = mono_cmp(order)
-    if order.module == "position-over-term":
-        # the smaller position dominates
-        return lambda a, b: _sign(a[0] - b[0]) or mcmp(a[1], b[1])
-    split = order.block_split or 0
-
-    def cmp(a, b):
-        # the first block dominates, then the monomial, then the position
-        block_a, block_b = a[0] >= split, b[0] >= split
-        return _sign(block_a - block_b) or mcmp(a[1], b[1]) or _sign(a[0] - b[0])
-
-    return cmp
-
-
-MONO_ORDERS = [MonomialOrder(), MonomialOrder(elim_split=1), MonomialOrder(elim_split=2)]
-TERM_ORDERS = [
-    MonomialOrder(module=module, elim_split=elim, block_split=block)
-    for elim in (None, 1, 2)
-    for module, block in (
-        ("position-over-term", None),
-        ("position-blocks", 1),
-        ("position-blocks", 2),
-    )
-]
 MONOS = list(itertools.product(range(3), repeat=3))
 TERMS = [(pos, mono) for pos in range(3) for mono in MONOS]
 
 
-@pytest.mark.parametrize("order", MONO_ORDERS, ids=lambda o: str(o.describe()))
-def test_mono_sort_key_lists_monomials_largest_first(order):
-    expected = sorted(MONOS, key=functools.cmp_to_key(mono_cmp(order)))
-    assert sorted(MONOS, key=order.mono_sort_key()) == expected
+def test_mono_key_lists_monomials_largest_first():
+    expected = sorted(MONOS, key=functools.cmp_to_key(degrevlex_cmp))
+    assert sorted(MONOS, key=mono_key) == expected
 
 
-@pytest.mark.parametrize("order", TERM_ORDERS, ids=lambda o: str(o.describe()))
-def test_term_sort_key_lists_terms_largest_first(order):
-    expected = sorted(TERMS, key=functools.cmp_to_key(term_cmp(order)))
-    assert sorted(TERMS, key=order.term_sort_key()) == expected
+def test_term_key_lists_terms_largest_first():
+    expected = sorted(TERMS, key=functools.cmp_to_key(term_cmp))
+    assert sorted(TERMS, key=term_key) == expected
 
 
-def naive_normal_form(f: FreeElement, basis, order: MonomialOrder) -> FreeElement:
+def naive_normal_form(f: FreeElement, basis) -> FreeElement:
     """Division by ``basis``, re-sorting the whole work set on every step."""
     field = f.field
-    key = functools.cmp_to_key(term_cmp(order))
+    key = functools.cmp_to_key(term_cmp)
     leads = [sorted(g.terms, key=key)[0] for g in basis]
     work = dict(f.terms)
     remainder = {}
@@ -116,14 +84,6 @@ def naive_normal_form(f: FreeElement, basis, order: MonomialOrder) -> FreeElemen
     return FreeElement(field, f.nvars, f.rank, remainder)
 
 
-ORDERS = [
-    MonomialOrder(),
-    MonomialOrder(elim_split=1),
-    MonomialOrder(module="position-blocks", block_split=1),
-    MonomialOrder(module="position-blocks", block_split=2, elim_split=1),
-]
-
-
 @st.composite
 def problems(draw):
     field = draw(st.sampled_from([GF(7), QQ]))
@@ -140,17 +100,16 @@ def problems(draw):
 
     gens = draw(st.lists(vectors(3), min_size=1, max_size=3))
     f = draw(vectors(6))
-    order = draw(st.sampled_from(ORDERS))
-    return gens, f, order
+    return gens, f
 
 
 @given(problems())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_normal_form_matches_naive_division_on_a_reduced_basis(problem):
-    gens, f, order = problem
-    gb = groebner_basis(gens, order)
+    gens, f = problem
+    gb = groebner_basis(gens)
     field, nvars = f.field, f.nvars
-    key = functools.cmp_to_key(term_cmp(order))
+    key = functools.cmp_to_key(term_cmp)
     leads = [sorted(g.terms, key=key)[0] for g in gb]
     # sorted by descending lead term
     assert leads == sorted(leads, key=key)
@@ -171,7 +130,7 @@ def test_normal_form_matches_naive_division_on_a_reduced_basis(problem):
         assert gb.normal_form(gi.scaled(up_i) - gj.scaled(up_j)).is_zero()
     for g in gens:
         assert gb.normal_form(g).is_zero()
-    assert gb.normal_form(f) == naive_normal_form(f, list(gb), order)
+    assert gb.normal_form(f) == naive_normal_form(f, list(gb))
 
 
 def test_buchberger_reduces_no_pair_twice(monkeypatch):
@@ -182,7 +141,6 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
         polynomial_to_element(parse_polynomial(text, names, QQ))
         for text in ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
     ]
-    key = MonomialOrder().term_sort_key()
     reduced = []
     real = groebner._reduce_full
 
@@ -192,10 +150,10 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
         return real(field, terms, *rest)
 
     monkeypatch.setattr(groebner, "_reduce_full", recording)
-    groebner._buchberger(QQ, 3, 1, [g.terms for g in gens], key)
+    groebner._buchberger(QQ, 3, 1, [g.terms for g in gens])
     monic = set()
     for terms in reduced:
-        inv = QQ.inv(terms[min(terms, key=key)])
+        inv = QQ.inv(terms[min(terms, key=term_key)])
         monic.add(frozenset((t, c * inv) for t, c in terms.items()))
     assert reduced
     assert len(monic) == len(reduced)
@@ -204,17 +162,16 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
 @given(problems())
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_completion_fed_one_generator_at_a_time_autoreduces_to_the_basis(problem):
-    gens, f, order = problem
+    gens, f = problem
     field, nvars, rank = f.field, f.nvars, f.rank
-    key = order.term_sort_key()
-    state = groebner.Completion(field, nvars, rank, key, "Groebner completion")
+    state = groebner.Completion(field, nvars, rank, "Groebner completion")
     for g in gens:
         state.add(g.terms)
         state.complete()
         # a Groebner basis of what was added so far: g reduces to zero
         assert state.reduce(g.terms) == {}
     where = ("autoreduction of Groebner completion", nvars, rank, len(gens))
-    reduced = groebner._autoreduce(field, state.basis, state.leads, key, where)
-    expected = groebner_basis(gens, order)
+    reduced = groebner._autoreduce(field, state.basis, state.leads, where)
+    expected = groebner_basis(gens)
     assert [FreeElement(field, nvars, rank, terms) for terms in reduced] == list(expected)
     assert state.reduce(f.terms) == expected.normal_form(f).terms

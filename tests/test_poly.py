@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from torsionlab.errors import DimensionError, InputError
 from torsionlab.fields import GF, QQ, FieldSpec
-from torsionlab.orders import MonomialOrder
+from torsionlab.orders import ORDER_DESCRIPTION, mono_key, term_key
 from torsionlab.poly import FreeElement, Polynomial
 from torsionlab.syntax import (
     format_polynomial,
@@ -113,41 +113,19 @@ class TestHomogeneity:
 class TestOrders:
     # a sort key lists terms largest first: the larger term has the smaller key
     def test_degrevlex_on_standard_monomials(self):
-        key = MonomialOrder().mono_sort_key()
         x, y, z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-        assert key(x) < key(y) < key(z)
+        assert mono_key(x) < mono_key(y) < mono_key(z)
         # x*z^2 < y^3: same degree, and the higher power of z loses
-        assert key((1, 0, 2)) > key((0, 3, 0))
+        assert mono_key((1, 0, 2)) > mono_key((0, 3, 0))
 
     def test_position_over_term_dominates(self):
-        key = MonomialOrder().term_sort_key()
-        assert key((0, (0, 0, 0))) < key((1, (5, 5, 5)))
-
-    def test_elimination_split(self):
-        key = MonomialOrder(elim_split=1).mono_sort_key()
-        # any power of x beats any monomial in the remaining variables
-        assert key((1, 0, 0)) < key((0, 9, 9))
-
-    def test_position_blocks(self):
-        key = MonomialOrder(module="position-blocks", block_split=1).term_sort_key()
-        # the first block beats the second whatever the monomial
-        assert key((0, (0, 0, 0))) < key((1, (5, 5, 5)))
-        # inside a block the monomial decides before the position
-        assert key((2, (1, 0, 0))) < key((1, (0, 1, 0)))
+        assert term_key((0, (0, 0, 0))) < term_key((1, (5, 5, 5)))
 
     def test_descriptions_are_stable_cache_keys(self):
-        # describe() is part of every cache key: changing it orphans caches
-        assert MonomialOrder().describe() == {
+        # the description is part of every cache key: changing it orphans caches
+        assert ORDER_DESCRIPTION == {
             "kind": "degrevlex",
             "module": "position-over-term",
-        }
-        assert MonomialOrder(
-            elim_split=2, module="position-blocks", block_split=3
-        ).describe() == {
-            "kind": "degrevlex",
-            "module": "position-blocks",
-            "elim_split": 2,
-            "block_split": 3,
         }
 
 
