@@ -2,7 +2,9 @@
 
 Rational coefficients are ``fractions.Fraction``; coefficients over F_p are
 plain ints in ``[0, p)`` so that the modular arithmetic stays in machine
-words for p below 2^31.
+words for p below 2^31.  Inside the Groebner kernel a rational vector is
+kept as a content-free integer vector instead (see ``groebner``), and
+becomes ``Fraction``s again where it leaves the kernel.
 """
 
 from __future__ import annotations

@@ -7,11 +7,24 @@ identical reduced bases, element for element.
 
 Internally vectors are the term dicts of ``FreeElement``; the public
 surface wraps them back into value objects.
+
+Over GF(p) the kernel keeps monic vectors of ints mod p.  Over QQ it keeps
+content-free integer vectors (primitive, with a positive lead coefficient)
+and never divides: a reduction step scales the work vector by the
+reducer's lead coefficient over a gcd, and an S-polynomial crosses the two
+lead coefficients the same way.  Each intermediate vector is a nonzero
+rational multiple of the one monic arithmetic would give, so every lead,
+every zero remainder and every kept element is the same.  ``Fraction``
+coefficients appear only at the boundary: the monic elements of a
+``GroebnerBasis``, its ``normal_form`` and ``Completion.reduce``.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from . import cache
@@ -47,15 +60,37 @@ def _monic(field: FieldSpec, terms: TermDict, lead: Term) -> TermDict:
     return {t: mul(c, inv) for t, c in terms.items()}
 
 
+def _primitive(terms: TermDict, pivot: Term) -> Tuple[TermDict, Fraction]:
+    """Over QQ: the primitive integer vector v whose coefficient at ``pivot``
+    is positive, and the rational u with ``terms == u * v``.  ``terms``
+    holds ints or ``Fraction``s."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    ints = {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
+    content = gcd(*ints.values())
+    if ints[pivot] < 0:
+        content = -content
+    if content != 1:
+        ints = {t: c // content for t, c in ints.items()}
+    return ints, Fraction(content, den)
+
+
 def _reduce_full(
     field: FieldSpec,
     terms: TermDict,
     by_position: Dict[int, List[int]],
     leads: Sequence[Term],
+    lcs: Sequence[int],
     tails: Sequence[TermDict],
     where: Tuple[str, int, int, int],
-) -> TermDict:
+) -> Tuple[TermDict, int]:
     """Fully reduce ``terms``: no term of the result is divisible by a lead.
+
+    Returns ``(R, s)``; the remainder is R / s.  Element i is
+    ``lcs[i] * leads[i] + tails[i]``.  Over GF(p) every ``lcs[i]`` is 1 and
+    s is 1.  Over QQ ``terms``, ``lcs`` and ``tails`` hold ints with
+    positive ``lcs``: to cancel a term c by a lead a, the work vector is
+    first multiplied by a/h, h = gcd(a, c), and s is the product of these
+    factors, so the routine never divides.
 
     Each lead comes from a heap of ``(term_key, term)`` kept beside
     ``work``: a term is pushed when it enters ``work``, and an entry whose
@@ -72,6 +107,7 @@ def _reduce_full(
     heap = [(term_key(t), t) for t in work]
     heapq.heapify(heap)
     remainder: TermDict = {}
+    scale = 1
     while heap:
         t = heapq.heappop(heap)[1]
         c = work.pop(t, None)
@@ -88,8 +124,18 @@ def _reduce_full(
         if reducer < 0:
             remainder[t] = c
             continue
+        a = lcs[reducer]
+        if a != 1:
+            h = gcd(a, c)
+            c //= h
+            m = a // h
+            if m != 1:
+                scale *= m
+                for k in work:
+                    work[k] *= m
+                for k in remainder:
+                    remainder[k] *= m
         shift = mono_sub(mono, leads[reducer][1])
-        # basis elements are monic, so the cofactor is just c
         for (gp, gm), gc in tails[reducer].items():
             tm = mono_mul(gm, shift)
             if sum(tm) > cap:
@@ -106,14 +152,41 @@ def _reduce_full(
                 work[tt] = v
             else:
                 del work[tt]
-    return remainder
+    return remainder, scale
+
+
+def _reduce_exact(
+    field: FieldSpec,
+    terms: TermDict,
+    by_position: Dict[int, List[int]],
+    leads: Sequence[Term],
+    lcs: Sequence[int],
+    tails: Sequence[TermDict],
+    where: Tuple[str, int, int, int],
+) -> TermDict:
+    """The remainder of ``terms`` with field coefficients, as field
+    coefficients: over QQ the input is cleared to a primitive integer
+    vector first and the remainder comes back as ``Fraction``s."""
+    if field.characteristic:
+        return _reduce_full(field, terms, by_position, leads, lcs, tails, where)[0]
+    if not terms:
+        return {}
+    # the sign of a vector to reduce does not matter: any term may pivot
+    ints, unit = _primitive(terms, next(iter(terms)))
+    remainder, scale = _reduce_full(
+        field, ints, by_position, leads, lcs, tails, where
+    )
+    unit /= scale
+    return {t: c * unit for t, c in remainder.items()}
 
 
 class GroebnerBasis:
     """A reduced Groebner basis of a submodule of ``k[x]^rank``.
 
     Elements are monic, pairwise autoreduced, and sorted by descending lead
-    term, which makes the object canonical for its submodule.
+    term, which makes the object canonical for its submodule.  Over QQ
+    reduction runs on one integer copy of each element, d * g with d the
+    lcm of g's denominators.
     """
 
     def __init__(
@@ -129,13 +202,17 @@ class GroebnerBasis:
         self.elements: Tuple[FreeElement, ...] = tuple(elements)
         self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
         self._leads: List[Term] = []
+        self._lcs: List[int] = []
         self._tails: List[TermDict] = []
         self._by_position: Dict[int, List[int]] = {}
         for i, g in enumerate(self.elements):
             lt = _lead(g.terms)
             self._leads.append(lt)
-            tail = dict(g.terms)
-            del tail[lt]
+            if field.characteristic:
+                tail = dict(g.terms)
+            else:
+                tail = _primitive(g.terms, lt)[0]
+            self._lcs.append(tail.pop(lt))
             self._tails.append(tail)
             self._by_position.setdefault(lt[0], []).append(i)
 
@@ -145,11 +222,12 @@ class GroebnerBasis:
     def normal_form(self, f: FreeElement) -> FreeElement:
         if f.nvars != self.nvars or f.rank != self.rank or f.field != self.field:
             raise DimensionError("element does not match the basis ambient module")
-        reduced = _reduce_full(
+        reduced = _reduce_exact(
             self.field,
             f.terms,
             self._by_position,
             self._leads,
+            self._lcs,
             self._tails,
             self._where,
         )
@@ -172,13 +250,15 @@ def _spair_degree(lead_i: Term, lead_j: Term) -> int:
 class Completion:
     """Buchberger completion state over ``k[x]^rank``, kept between steps.
 
-    ``add`` puts a generator into the basis (made monic) and queues its
-    pairs, ``complete`` reduces queued S-pairs until none is left, and
-    ``reduce`` fully reduces a vector against the current basis.  After
-    ``complete`` the basis is a Groebner basis, not reduced, of everything
-    added, so ``reduce`` gives zero exactly on the members of its span.
-    ``complete`` uses the degree cap and the abort hook read when the state
-    was made; ``layer`` names the computation in a degree-cap error.
+    ``add`` puts a generator into the basis (made monic over GF(p), a
+    primitive integer vector over QQ) and queues its pairs, ``complete``
+    reduces queued S-pairs until none is left, and ``reduce`` fully reduces
+    a vector against the current basis.  After ``complete`` the basis is a
+    Groebner basis, not reduced, of everything added, so ``reduce`` gives
+    zero exactly on the members of its span.  ``lcs[i]`` is the lead
+    coefficient of ``basis[i]``.  ``complete`` uses the degree cap and the
+    abort hook read when the state was made; ``layer`` names the
+    computation in a degree-cap error.
     """
 
     def __init__(self, field: FieldSpec, nvars: int, rank: int, layer: str):
@@ -192,6 +272,7 @@ class Completion:
         self.hook = settings.abort_hook
         self.basis: List[TermDict] = []
         self.leads: List[Term] = []
+        self.lcs: List[int] = []
         self.tails: List[TermDict] = []
         self.by_position: Dict[int, List[int]] = {}
         self.pairs: List[Tuple[int, int, int]] = []
@@ -202,12 +283,15 @@ class Completion:
 
     def _push(self, terms: TermDict) -> None:
         lt = _lead(terms)
-        terms = _monic(self.field, terms, lt)
+        if self.field.characteristic:
+            terms = _monic(self.field, terms, lt)
+        else:
+            terms = _primitive(terms, lt)[0]
         j = len(self.basis)
         self.basis.append(terms)
         self.leads.append(lt)
         tail = dict(terms)
-        del tail[lt]
+        self.lcs.append(tail.pop(lt))
         self.tails.append(tail)
         positions = self.by_position.setdefault(lt[0], [])
         # each unordered pair once, as (i, j) with i < j: the position
@@ -223,12 +307,14 @@ class Completion:
         self._push(dict(terms))
 
     def reduce(self, terms: TermDict) -> TermDict:
-        """Full reduction of ``terms`` against the current basis."""
-        return _reduce_full(
+        """Full reduction of ``terms`` against the current basis, with
+        field coefficients."""
+        return _reduce_exact(
             self.field,
             terms,
             self.by_position,
             self.leads,
+            self.lcs,
             self.tails,
             self._where("reduction"),
         )
@@ -242,7 +328,7 @@ class Completion:
         cap = self.cap
         hook = self.hook
         rank = self.rank
-        basis, leads, tails = self.basis, self.leads, self.tails
+        basis, leads, lcs, tails = self.basis, self.leads, self.lcs, self.tails
         by_position, pairs, pending = self.by_position, self.pairs, self.pending
         where = self._where("S-polynomials")
         while pairs:
@@ -271,17 +357,24 @@ class Completion:
                 continue
             shift_i = mono_sub(lcm, li[1])
             shift_j = mono_sub(lcm, lj[1])
+            # (a_j/h) x^shift_i g_i - (a_i/h) x^shift_j g_j, h = gcd(a_i, a_j);
+            # every element is monic over GF(p)
+            if p:
+                ci = cj = 1
+            else:
+                h = gcd(lcs[i], lcs[j])
+                ci, cj = lcs[j] // h, lcs[i] // h
             spoly: TermDict = {}
             for (gp, gm), gc in basis[i].items():
                 t = (gp, mono_mul(gm, shift_i))
-                spoly[t] = gc
+                spoly[t] = ci * gc
             for (gp, gm), gc in basis[j].items():
                 t = (gp, mono_mul(gm, shift_j))
                 old = spoly.get(t)
                 if p:
                     v = ((old or 0) - gc) % p
                 else:
-                    v = (old if old is not None else 0) - gc
+                    v = (old if old is not None else 0) - cj * gc
                 if v:
                     spoly[t] = v
                 elif old is not None:
@@ -290,8 +383,8 @@ class Completion:
                 if sum(tm) > cap:
                     raise degree_cap_error(sum(tm), cap, where)
             remainder = _reduce_full(
-                self.field, spoly, by_position, leads, tails, where
-            )
+                self.field, spoly, by_position, leads, lcs, tails, where
+            )[0]
             if remainder:
                 self._push(remainder)
 
@@ -302,7 +395,8 @@ def _buchberger(
     rank: int,
     gens: Sequence[TermDict],
 ) -> Tuple[List[TermDict], List[Term]]:
-    """Completion of ``gens``.  Returns monic basis dicts and their lead terms."""
+    """Completion of ``gens``.  Returns the basis dicts (monic over GF(p),
+    primitive integer vectors over QQ) and their lead terms."""
     state = Completion(field, nvars, rank, "Groebner completion")
     for g in gens:
         if g:
@@ -317,7 +411,9 @@ def _autoreduce(
     leads: List[Term],
     where: Tuple[str, int, int, int],
 ) -> List[TermDict]:
-    """Drop redundant leads, then tail-reduce to the canonical reduced basis."""
+    """Drop redundant leads, then tail-reduce to the canonical reduced
+    basis, whose elements are monic with field coefficients.  ``basis`` is
+    a ``Completion``'s: lead coefficients are read from it."""
     # smallest lead first, so a lead is dropped when a kept lead divides it
     order_idx = sorted(
         range(len(basis)), key=lambda i: term_key(leads[i]), reverse=True
@@ -332,21 +428,31 @@ def _autoreduce(
             keep.append(i)
     kept_leads = [leads[i] for i in keep]
     by_position: Dict[int, List[int]] = {}
+    lcs: List[int] = []
     tails: List[TermDict] = []
     for i, lt in enumerate(kept_leads):
         by_position.setdefault(lt[0], []).append(i)
         tail = dict(basis[keep[i]])
-        del tail[lt]
+        lcs.append(tail.pop(lt))
         tails.append(tail)
     kept: List[TermDict] = []
     for i, lt in enumerate(kept_leads):
         # every term of tail i, and every term its reduction produces, is
         # smaller than lead i, and a multiple of lead i in the same position
         # never is: element i is never picked to reduce its own tail
-        tails[i] = _reduce_full(
-            field, tails[i], by_position, kept_leads, tails, where
+        tail, scale = _reduce_full(
+            field, tails[i], by_position, kept_leads, lcs, tails, where
         )
-        kept.append({**tails[i], lt: field.one})
+        if field.characteristic:
+            tails[i] = tail
+            kept.append({**tail, lt: field.one})
+            continue
+        # element i is now (scale * lcs[i]) * lead + tail; keep it primitive
+        lc = scale * lcs[i]
+        content = gcd(lc, *tail.values())
+        lcs[i] = lc // content
+        tails[i] = {t: c // content for t, c in tail.items()}
+        kept.append({**{t: Fraction(c, lc) for t, c in tail.items()}, lt: field.one})
     # kept leads ascend; the reduced basis lists them largest first
     return kept[::-1]
 

@@ -19,6 +19,7 @@ would take hours fails at once with a typed error instead.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -79,7 +80,24 @@ def degree_cap_error(
     """The error for a term over the cap; ``where`` is the layer, and the
     number of variables, the rank and the number of generators it works on."""
     layer, nvars, rank, ngens = where
+    try:
+        degree = f"term degree {total_degree}"
+    except ValueError:
+        # str() refuses an int of more than sys.get_int_max_str_digits()
+        # digits, so such a degree is shown by its digit count
+        degree = f"a term degree of {_digit_count(total_degree)} digits"
     return ResourceLimitError(
-        f"term degree {total_degree} exceeds the degree cap {cap} in the {layer} "
+        f"{degree} exceeds the degree cap {cap} in the {layer} "
         f"({nvars} variables, rank {rank}, generators: {ngens})"
     )
+
+
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of the positive int ``n``, without
+    ``str``; the float estimate is corrected exactly."""
+    digits = int(math.log10(n)) + 1
+    if 10 ** (digits - 1) > n:
+        digits -= 1
+    elif 10**digits <= n:
+        digits += 1
+    return digits

@@ -293,10 +293,11 @@ class FreeElement:
         rank = rank if rank is not None else len(components)
         terms: Dict[Term, Coefficient] = {}
         for pos, comp in enumerate(components):
-            if comp.field != field or comp.nvars != nvars:
+            if (comp.field is not field and comp.field != field) or comp.nvars != nvars:
                 raise DimensionError("components live in different rings")
-            for m, c in comp.terms.items():
-                terms[(pos, m)] = c
+            if comp.terms:
+                for m, c in comp.terms.items():
+                    terms[(pos, m)] = c
         return cls(field, nvars, rank, terms, _normalized=True)
 
     def component(self, pos: int) -> Polynomial:

@@ -95,12 +95,19 @@ class RingContext:
         )
 
     def normal_form_vector(self, vec: FreeElement) -> FreeElement:
-        """``vec`` with every component in normal form mod I."""
+        """``vec`` with every component in normal form mod I.  Only the
+        nonzero components are reduced: a zero one already is."""
         if not self.ideal_generators or vec.is_zero():
             return vec
-        return FreeElement.from_components(
-            [self.normal_form_poly(c) for c in vec.components()], rank=vec.rank
-        )
+        buckets: Dict[int, Dict[Tuple[int, ...], object]] = {}
+        for (pos, mono), c in vec.terms.items():
+            buckets.setdefault(pos, {})[mono] = c
+        terms: TermDict = {}
+        for pos in sorted(buckets):
+            comp = Polynomial(self.field, self.nvars, buckets[pos], _normalized=True)
+            for mono, c in self.normal_form_poly(comp).terms.items():
+                terms[(pos, mono)] = c
+        return FreeElement(self.field, self.nvars, vec.rank, terms, _normalized=True)
 
     def is_zero_in_ring(self, f: Polynomial) -> bool:
         return self.normal_form_poly(f).is_zero()

@@ -7,13 +7,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torsionlab import groebner
+from torsionlab import cache, groebner
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis
+from torsionlab.limits import run_scope
 from torsionlab.orders import mono_key, term_key
 from torsionlab.poly import FreeElement, Polynomial, polynomial_to_element
 from torsionlab.syntax import parse_polynomial
@@ -84,14 +88,27 @@ def naive_normal_form(f: FreeElement, basis) -> FreeElement:
     return FreeElement(field, f.nvars, f.rank, remainder)
 
 
+# over QQ: small integers, which cancel, and fractions with numerators up
+# to 10^12 and denominators up to 10^6, so the integer kernel has to clear
+# denominators, remove contents and handle negative lead coefficients
+RATIONALS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12).filter(bool),
+        st.integers(1, 10**6),
+    ),
+)
+
+
 @st.composite
-def problems(draw):
-    field = draw(st.sampled_from([GF(7), QQ]))
+def problems(draw, fields):
+    field = draw(st.sampled_from(fields))
     nvars = draw(st.integers(2, 3))
     rank = draw(st.integers(1, 3))
     mono = st.tuples(*[st.integers(0, 2)] * nvars)
     term = st.tuples(st.integers(0, rank - 1), mono)
-    coeff = st.integers(-3, 3).filter(bool)
+    coeff = RATIONALS if field == QQ else st.integers(-3, 3).filter(bool)
 
     def vectors(max_size):
         return st.dictionaries(term, coeff, min_size=1, max_size=max_size).map(
@@ -103,7 +120,7 @@ def problems(draw):
     return gens, f
 
 
-@given(problems())
+@given(problems([GF(7), QQ]))
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_normal_form_matches_naive_division_on_a_reduced_basis(problem):
     gens, f = problem
@@ -159,7 +176,7 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
     assert len(monic) == len(reduced)
 
 
-@given(problems())
+@given(problems([GF(7), QQ]))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_completion_fed_one_generator_at_a_time_autoreduces_to_the_basis(problem):
     gens, f = problem
@@ -175,3 +192,95 @@ def test_completion_fed_one_generator_at_a_time_autoreduces_to_the_basis(problem
     expected = groebner_basis(gens)
     assert [FreeElement(field, nvars, rank, terms) for terms in reduced] == list(expected)
     assert state.reduce(f.terms) == expected.normal_form(f).terms
+
+
+def monic_elements(field, nvars, rank, leads, lcs, tails):
+    """The monic vectors ``(lcs[i] * leads[i] + tails[i]) / lcs[i]``."""
+    out = []
+    for lead, lc, tail in zip(leads, lcs, tails):
+        terms = {t: Fraction(c, lc) for t, c in tail.items()}
+        terms[lead] = Fraction(1)
+        out.append(FreeElement(field, nvars, rank, terms))
+    return out
+
+
+def is_primitive_integer_vector(terms, lead) -> bool:
+    values = list(terms.values())
+    return (
+        all(type(c) is int for c in values)
+        and gcd(*values) == 1
+        and terms[lead] > 0
+    )
+
+
+@given(problems([QQ]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_qq_completion_keeps_primitive_integer_multiples_of_the_monic_vectors(problem):
+    gens, f = problem
+    field, nvars, rank = QQ, f.nvars, f.rank
+    real = groebner._reduce_full
+    calls = []
+
+    def checked(field_, terms, by_position, leads, lcs, tails, where):
+        remainder, scale = real(field_, terms, by_position, leads, lcs, tails, where)
+        # integers in and out, and R / s is what division by the monic
+        # elements, reducer for reducer, leaves
+        assert all(type(c) is int for c in terms.values())
+        assert all(type(a) is int and a > 0 for a in lcs)
+        assert all(type(c) is int for c in remainder.values())
+        assert type(scale) is int and scale > 0
+        basis = monic_elements(field, nvars, rank, leads, lcs, tails)
+        expected = naive_normal_form(FreeElement(field, nvars, rank, terms), basis)
+        assert {t: Fraction(c, scale) for t, c in remainder.items()} == expected.terms
+        calls.append(1)
+        return remainder, scale
+
+    with mock.patch.object(groebner, "_reduce_full", checked):
+        state = groebner.Completion(field, nvars, rank, "Groebner completion")
+        for g in gens:
+            state.add(g.terms)
+            state.complete()
+        state.reduce(f.terms)
+        where = ("autoreduction of Groebner completion", nvars, rank, len(gens))
+        reduced = groebner._autoreduce(field, state.basis, state.leads, where)
+    assert calls
+    for g, lead, lc in zip(state.basis, state.leads, state.lcs):
+        assert is_primitive_integer_vector(g, lead)
+        assert g[lead] == lc
+    # a generator joins as the primitive multiple of itself
+    first = gens[0].terms
+    lead = min(first, key=term_key)
+    assert {t: Fraction(c, state.lcs[0]) for t, c in state.basis[0].items()} == {
+        t: c / first[lead] for t, c in first.items()
+    }
+    assert [FreeElement(field, nvars, rank, t) for t in reduced] == list(
+        groebner_basis(gens)
+    )
+
+
+def test_qq_coefficients_leave_the_kernel_as_fractions(tmp_path):
+    names = ("x", "y", "z")
+    gens = [
+        polynomial_to_element(parse_polynomial(text, names, QQ))
+        for text in ("3/2*x^2 - 5*y*z", "-7*y^2 + 2/9*x*z", "z^2 - 4/3*x*y")
+    ]
+    f = polynomial_to_element(parse_polynomial("x^3*y - 1/5*z^4 + 2*x", names, QQ))
+
+    def all_fractions(terms):
+        return all(type(c) is Fraction for c in terms.values())
+
+    with run_scope(cache=cache.open_cache(str(tmp_path))) as scope:
+        cold = groebner_basis(gens)
+        warm = groebner_basis(gens)
+    assert (scope.cache.misses, scope.cache.hits) == (1, 1)
+    assert list(warm) == list(cold)
+    for gb in (cold, warm):
+        assert all(all_fractions(g.terms) for g in gb)
+        remainder = gb.normal_form(f)
+        assert remainder and all_fractions(remainder.terms)
+    state = groebner.Completion(QQ, 3, 1, "Groebner completion")
+    for g in gens:
+        state.add(g.terms)
+    state.complete()
+    remainder = state.reduce(f.terms)
+    assert remainder == cold.normal_form(f).terms and all_fractions(remainder)

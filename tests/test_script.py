@@ -302,3 +302,20 @@ class TestCli:
         argv += ["--cache", str(cache_dir)]
         self.assert_input_error(argv, capsys, "degree cap must be positive")
         assert not cache_dir.exists()
+
+    def test_run_degree_too_long_to_print_exit_three(self, tmp_path, capsys):
+        # 2^15000 has 4516 digits, over what str() converts
+        script = tmp_path / "huge.tl"
+        script.write_text(
+            "ring R = GF(2)[x,y] / (x*y) with minimal_primes [(x),(y)] reduced;\n"
+            "module M = coker [[x]] over R;\n"
+            "print torsion_free(F(M, e=15000));\n"
+        )
+        from torsionlab.cli import main
+
+        assert main(["run", str(script)]) == 3
+        captured = capsys.readouterr()
+        out = captured.out
+        assert "[error] ResourceLimitError: a term degree of 4516 digits " in out
+        assert "exceeds the degree cap 64" in out
+        assert "Traceback" not in captured.out + captured.err
