@@ -35,7 +35,13 @@ from .homology import (
     pd,
     tor,
 )
-from .limits import checked_degree_cap, current, run_scope
+from .limits import (
+    check_power_size,
+    checked_degree_cap,
+    checked_integer,
+    current,
+    run_scope,
+)
 from .modules import (
     FPModule,
     ModuleElement,
@@ -297,13 +303,16 @@ class _Engine:
             right = self.eval_value(expr.right)
             if isinstance(left, int) and isinstance(right, int):
                 if expr.op == "+":
-                    return left + right
+                    return checked_integer(left + right)
                 if expr.op == "-":
-                    return left - right
+                    return checked_integer(left - right)
                 if expr.op == "*":
-                    return left * right
+                    return checked_integer(left * right)
                 if expr.op == "^":
-                    return left ** right
+                    if right < 0:
+                        raise InputError("an integer power needs a nonnegative exponent")
+                    check_power_size(left, right)
+                    return checked_integer(left**right)
             raise InputError(f"operator {expr.op!r} needs integer operands here")
         if isinstance(expr, Call):
             return self.eval_call(expr)

@@ -30,7 +30,7 @@ from .modules import (
     rank_info,
     tensor,
 )
-from .poly import FreeElement, Polynomial, polynomial_to_element
+from .poly import FreeElement, Polynomial, lifted_ideal, polynomial_to_element
 from .rings import RingContext, make_ring
 from .torsion import torsion_split
 
@@ -142,10 +142,7 @@ def restrict_scalars(module: FPModule, e: int) -> FPModule:
 
     alphas = list(iter_product(range(q), repeat=n))
     alpha_index = {a: k for k, a in enumerate(alphas)}
-    spanning = list(module.relations)
-    for g in ring.ideal_generators:
-        for j in range(m):
-            spanning.append(FreeElement.unit(field, n, m, j).scaled(g))
+    spanning = [*module.relations, *lifted_ideal(ring.ideal_generators, m)]
     relation_cols: List[FreeElement] = []
     for u in spanning:
         for beta in alphas:

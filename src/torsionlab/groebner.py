@@ -8,15 +8,21 @@ identical reduced bases, element for element.
 Internally vectors are the term dicts of ``FreeElement``; the public
 surface wraps them back into value objects.
 
-Over GF(p) the kernel keeps monic vectors of ints mod p.  Over QQ it keeps
-content-free integer vectors (primitive, with a positive lead coefficient)
-and never divides: a reduction step scales the work vector by the
-reducer's lead coefficient over a gcd, and an S-polynomial crosses the two
-lead coefficients the same way.  Each intermediate vector is a nonzero
-rational multiple of the one monic arithmetic would give, so every lead,
-every zero remainder and every kept element is the same.  ``Fraction``
-coefficients appear only at the boundary: the monic elements of a
-``GroebnerBasis``, its ``normal_form`` and ``Completion.reduce``.
+One class, ``_Divisors``, holds every set of divisors the kernel reduces
+by: the elements of a ``GroebnerBasis``, the growing basis of a
+``Completion`` and the kept set of ``_autoreduce``.  It stores element i as
+its lead term, lead coefficient and tail, indexes the leads by position,
+and owns the one search for a reducer of a term and the two reductions.
+``_normalized`` is the one place that picks an element's scalar multiple:
+monic vectors of ints mod p over GF(p), and over QQ content-free integer
+vectors (primitive, with a positive lead coefficient).  Over QQ the kernel
+never divides: a reduction step scales the work vector by the reducer's
+lead coefficient over a gcd, and an S-polynomial crosses the two lead
+coefficients the same way.  Each intermediate vector is a nonzero rational
+multiple of the one monic arithmetic would give, so every lead, every zero
+remainder and every kept element is the same.  ``Fraction`` coefficients
+appear only at the boundary: the monic elements of a ``GroebnerBasis``,
+its ``normal_form`` and ``Completion.reduce``.
 """
 
 from __future__ import annotations
@@ -51,15 +57,6 @@ def _lead(terms: TermDict) -> Term:
     return min(terms, key=term_key)
 
 
-def _monic(field: FieldSpec, terms: TermDict, lead: Term) -> TermDict:
-    lc = terms[lead]
-    if lc == field.one:
-        return terms
-    inv = field.inv(lc)
-    mul = field.mul
-    return {t: mul(c, inv) for t, c in terms.items()}
-
-
 def _primitive(terms: TermDict, pivot: Term) -> Tuple[TermDict, Fraction]:
     """Over QQ: the primitive integer vector v whose coefficient at ``pivot``
     is positive, and the rational u with ``terms == u * v``.  ``terms``
@@ -74,113 +71,137 @@ def _primitive(terms: TermDict, pivot: Term) -> Tuple[TermDict, Fraction]:
     return ints, Fraction(content, den)
 
 
-def _reduce_full(
-    field: FieldSpec,
-    terms: TermDict,
-    by_position: Dict[int, List[int]],
-    leads: Sequence[Term],
-    lcs: Sequence[int],
-    tails: Sequence[TermDict],
-    where: Tuple[str, int, int, int],
-) -> Tuple[TermDict, int]:
-    """Fully reduce ``terms``: no term of the result is divisible by a lead.
+def _normalized(field: FieldSpec, terms: TermDict, lead: Term) -> TermDict:
+    """The kernel's multiple of the nonzero vector ``terms``: monic over
+    GF(p), the primitive integer vector with a positive lead over QQ."""
+    if not field.characteristic:
+        return _primitive(terms, lead)[0]
+    lc = terms[lead]
+    if lc == field.one:
+        return terms
+    inv = field.inv(lc)
+    return {t: field.mul(c, inv) for t, c in terms.items()}
 
-    Returns ``(R, s)``; the remainder is R / s.  Element i is
-    ``lcs[i] * leads[i] + tails[i]``.  Over GF(p) every ``lcs[i]`` is 1 and
-    s is 1.  Over QQ ``terms``, ``lcs`` and ``tails`` hold ints with
-    positive ``lcs``: to cancel a term c by a lead a, the work vector is
-    first multiplied by a/h, h = gcd(a, c), and s is the product of these
-    factors, so the routine never divides.
 
-    Each lead comes from a heap of ``(term_key, term)`` kept beside
-    ``work``: a term is pushed when it enters ``work``, and an entry whose
-    term has cancelled since is skipped.  Every term a reduction step adds is smaller
-    than the lead it removes, so terms leave ``work`` largest first and a
-    popped lead never comes back.  ``where`` names the layer and its input
-    shape for a degree-cap error.
-    """
-    p = field.characteristic
-    settings = current()
-    cap = settings.degree_cap
-    hook = settings.abort_hook
-    work = dict(terms)
-    heap = [(term_key(t), t) for t in work]
-    heapq.heapify(heap)
-    remainder: TermDict = {}
-    scale = 1
-    while heap:
-        t = heapq.heappop(heap)[1]
-        c = work.pop(t, None)
-        if c is None:
-            continue
-        if hook is not None and hook():
-            raise AbortedError("computation cancelled")
-        pos, mono = t
-        reducer = -1
-        for i in by_position.get(pos, ()):
+class _Divisors:
+    """The kernel's divisor set: element i is ``lcs[i] * leads[i] +
+    tails[i]``, a vector in ``_normalized`` form, and ``by_position`` lists
+    the elements leading at each position, in the order they were added."""
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.leads: List[Term] = []
+        self.lcs: List[int] = []
+        self.tails: List[TermDict] = []
+        self.by_position: Dict[int, List[int]] = {}
+
+    def _append(self, terms: TermDict, lead: Term) -> None:
+        """Add the normalized vector ``terms`` with lead term ``lead``."""
+        tail = dict(terms)
+        self.lcs.append(tail.pop(lead))
+        self.tails.append(tail)
+        self.by_position.setdefault(lead[0], []).append(len(self.leads))
+        self.leads.append(lead)
+
+    def reducer(self, term: Term) -> int:
+        """The first element whose lead divides ``term``, or -1 when
+        ``term`` lies outside the initial module of the set."""
+        pos, mono = term
+        leads = self.leads
+        for i in self.by_position.get(pos, ()):
             if mono_divides(leads[i][1], mono):
-                reducer = i
-                break
-        if reducer < 0:
-            remainder[t] = c
-            continue
-        a = lcs[reducer]
-        if a != 1:
-            h = gcd(a, c)
-            c //= h
-            m = a // h
-            if m != 1:
-                scale *= m
-                for k in work:
-                    work[k] *= m
-                for k in remainder:
-                    remainder[k] *= m
-        shift = mono_sub(mono, leads[reducer][1])
-        for (gp, gm), gc in tails[reducer].items():
-            tm = mono_mul(gm, shift)
-            if sum(tm) > cap:
-                raise degree_cap_error(sum(tm), cap, where)
-            tt = (gp, tm)
-            old = work.get(tt)
-            if old is None:
-                # a product of nonzero field elements is nonzero
-                work[tt] = -c * gc % p if p else -c * gc
-                heapq.heappush(heap, (term_key(tt), tt))
+                return i
+        return -1
+
+    def _reduce_full(
+        self, terms: TermDict, where: Tuple[str, int, int, int]
+    ) -> Tuple[TermDict, int]:
+        """Fully reduce ``terms``: no term of the result is divisible by a lead.
+
+        Returns ``(R, s)``; the remainder is R / s.  Over GF(p) every
+        lead coefficient is 1 and s is 1.  Over QQ ``terms``, ``lcs`` and
+        ``tails`` hold ints with positive ``lcs``: to cancel a term c by a
+        lead a, the work vector is first multiplied by a/h, h = gcd(a, c),
+        and s is the product of these factors, so the routine never divides.
+
+        Each lead comes from a heap of ``(term_key, term)`` kept beside
+        ``work``: a term is pushed when it enters ``work``, and an entry
+        whose term has cancelled since is skipped.  Every term a reduction
+        step adds is smaller than the lead it removes, so terms leave
+        ``work`` largest first and a popped lead never comes back.
+        ``where`` names the layer and its input shape for a degree-cap
+        error.
+        """
+        p = self.field.characteristic
+        leads, lcs, tails = self.leads, self.lcs, self.tails
+        reducer_of = self.reducer
+        settings = current()
+        cap = settings.degree_cap
+        hook = settings.abort_hook
+        work = dict(terms)
+        heap = [(term_key(t), t) for t in work]
+        heapq.heapify(heap)
+        remainder: TermDict = {}
+        scale = 1
+        while heap:
+            t = heapq.heappop(heap)[1]
+            c = work.pop(t, None)
+            if c is None:
                 continue
-            v = (old - c * gc) % p if p else old - c * gc
-            if v:
-                work[tt] = v
-            else:
-                del work[tt]
-    return remainder, scale
+            if hook is not None and hook():
+                raise AbortedError("computation cancelled")
+            reducer = reducer_of(t)
+            if reducer < 0:
+                remainder[t] = c
+                continue
+            a = lcs[reducer]
+            if a != 1:
+                h = gcd(a, c)
+                c //= h
+                m = a // h
+                if m != 1:
+                    scale *= m
+                    for k in work:
+                        work[k] *= m
+                    for k in remainder:
+                        remainder[k] *= m
+            shift = mono_sub(t[1], leads[reducer][1])
+            for (gp, gm), gc in tails[reducer].items():
+                tm = mono_mul(gm, shift)
+                if sum(tm) > cap:
+                    raise degree_cap_error(sum(tm), cap, where)
+                tt = (gp, tm)
+                old = work.get(tt)
+                if old is None:
+                    # a product of nonzero field elements is nonzero
+                    work[tt] = -c * gc % p if p else -c * gc
+                    heapq.heappush(heap, (term_key(tt), tt))
+                    continue
+                v = (old - c * gc) % p if p else old - c * gc
+                if v:
+                    work[tt] = v
+                else:
+                    del work[tt]
+        return remainder, scale
+
+    def _reduce_exact(
+        self, terms: TermDict, where: Tuple[str, int, int, int]
+    ) -> TermDict:
+        """The remainder of ``terms`` with field coefficients, as field
+        coefficients: over QQ the input is cleared to a primitive integer
+        vector first and the remainder comes back as ``Fraction``s."""
+        if self.field.characteristic:
+            return self._reduce_full(terms, where)[0]
+        if not terms:
+            return {}
+        # the sign of a vector to reduce does not matter: any term may pivot
+        ints, unit = _primitive(terms, next(iter(terms)))
+        remainder, scale = self._reduce_full(ints, where)
+        unit /= scale
+        return {t: c * unit for t, c in remainder.items()}
 
 
-def _reduce_exact(
-    field: FieldSpec,
-    terms: TermDict,
-    by_position: Dict[int, List[int]],
-    leads: Sequence[Term],
-    lcs: Sequence[int],
-    tails: Sequence[TermDict],
-    where: Tuple[str, int, int, int],
-) -> TermDict:
-    """The remainder of ``terms`` with field coefficients, as field
-    coefficients: over QQ the input is cleared to a primitive integer
-    vector first and the remainder comes back as ``Fraction``s."""
-    if field.characteristic:
-        return _reduce_full(field, terms, by_position, leads, lcs, tails, where)[0]
-    if not terms:
-        return {}
-    # the sign of a vector to reduce does not matter: any term may pivot
-    ints, unit = _primitive(terms, next(iter(terms)))
-    remainder, scale = _reduce_full(
-        field, ints, by_position, leads, lcs, tails, where
-    )
-    unit /= scale
-    return {t: c * unit for t, c in remainder.items()}
-
-
-class GroebnerBasis:
+class GroebnerBasis(_Divisors):
     """A reduced Groebner basis of a submodule of ``k[x]^rank``.
 
     Elements are monic, pairwise autoreduced, and sorted by descending lead
@@ -196,41 +217,22 @@ class GroebnerBasis:
         rank: int,
         elements: Sequence[FreeElement],
     ):
-        self.field = field
+        super().__init__(field)
         self.nvars = nvars
         self.rank = rank
         self.elements: Tuple[FreeElement, ...] = tuple(elements)
         self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
-        self._leads: List[Term] = []
-        self._lcs: List[int] = []
-        self._tails: List[TermDict] = []
-        self._by_position: Dict[int, List[int]] = {}
-        for i, g in enumerate(self.elements):
+        for g in self.elements:
             lt = _lead(g.terms)
-            self._leads.append(lt)
-            if field.characteristic:
-                tail = dict(g.terms)
-            else:
-                tail = _primitive(g.terms, lt)[0]
-            self._lcs.append(tail.pop(lt))
-            self._tails.append(tail)
-            self._by_position.setdefault(lt[0], []).append(i)
+            self._append(_normalized(field, g.terms, lt), lt)
 
     def lead_terms(self) -> List[Term]:
-        return list(self._leads)
+        return list(self.leads)
 
     def normal_form(self, f: FreeElement) -> FreeElement:
         if f.nvars != self.nvars or f.rank != self.rank or f.field != self.field:
             raise DimensionError("element does not match the basis ambient module")
-        reduced = _reduce_exact(
-            self.field,
-            f.terms,
-            self._by_position,
-            self._leads,
-            self._lcs,
-            self._tails,
-            self._where,
-        )
+        reduced = self._reduce_exact(f.terms, self._where)
         return FreeElement(self.field, self.nvars, self.rank, reduced, _normalized=True)
 
     def contains(self, f: FreeElement) -> bool:
@@ -243,26 +245,21 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _spair_degree(lead_i: Term, lead_j: Term) -> int:
-    return sum(mono_lcm(lead_i[1], lead_j[1]))
-
-
-class Completion:
+class Completion(_Divisors):
     """Buchberger completion state over ``k[x]^rank``, kept between steps.
 
-    ``add`` puts a generator into the basis (made monic over GF(p), a
-    primitive integer vector over QQ) and queues its pairs, ``complete``
-    reduces queued S-pairs until none is left, and ``reduce`` fully reduces
-    a vector against the current basis.  After ``complete`` the basis is a
-    Groebner basis, not reduced, of everything added, so ``reduce`` gives
-    zero exactly on the members of its span.  ``lcs[i]`` is the lead
-    coefficient of ``basis[i]``.  ``complete`` uses the degree cap and the
-    abort hook read when the state was made; ``layer`` names the
-    computation in a degree-cap error.
+    ``add`` puts a generator into the basis (in ``_normalized`` form) and
+    queues its pairs, ``complete`` reduces queued S-pairs until none is
+    left, and ``reduce`` fully reduces a vector against the current basis.
+    After ``complete`` the basis is a Groebner basis, not reduced, of
+    everything added, so ``reduce`` gives zero exactly on the members of its
+    span.  ``basis[i]`` is element i as one vector.  ``complete`` uses the
+    degree cap and the abort hook read when the state was made; ``layer``
+    names the computation in a degree-cap error.
     """
 
     def __init__(self, field: FieldSpec, nvars: int, rank: int, layer: str):
-        self.field = field
+        super().__init__(field)
         self.nvars = nvars
         self.rank = rank
         self.layer = layer
@@ -271,10 +268,6 @@ class Completion:
         self.cap = settings.degree_cap
         self.hook = settings.abort_hook
         self.basis: List[TermDict] = []
-        self.leads: List[Term] = []
-        self.lcs: List[int] = []
-        self.tails: List[TermDict] = []
-        self.by_position: Dict[int, List[int]] = {}
         self.pairs: List[Tuple[int, int, int]] = []
         self.pending = set()
 
@@ -283,23 +276,15 @@ class Completion:
 
     def _push(self, terms: TermDict) -> None:
         lt = _lead(terms)
-        if self.field.characteristic:
-            terms = _monic(self.field, terms, lt)
-        else:
-            terms = _primitive(terms, lt)[0]
+        terms = _normalized(self.field, terms, lt)
         j = len(self.basis)
-        self.basis.append(terms)
-        self.leads.append(lt)
-        tail = dict(terms)
-        self.lcs.append(tail.pop(lt))
-        self.tails.append(tail)
-        positions = self.by_position.setdefault(lt[0], [])
         # each unordered pair once, as (i, j) with i < j: the position
         # lists are ascending
-        for i in positions:
-            heapq.heappush(self.pairs, (_spair_degree(self.leads[i], lt), i, j))
+        for i in self.by_position.get(lt[0], ()):
+            heapq.heappush(self.pairs, (sum(mono_lcm(self.leads[i][1], lt[1])), i, j))
             self.pending.add((i, j))
-        positions.append(j)
+        self.basis.append(terms)
+        self._append(terms, lt)
 
     def add(self, terms: TermDict) -> None:
         """Add a nonzero generator; its pairs wait for ``complete``."""
@@ -309,15 +294,7 @@ class Completion:
     def reduce(self, terms: TermDict) -> TermDict:
         """Full reduction of ``terms`` against the current basis, with
         field coefficients."""
-        return _reduce_exact(
-            self.field,
-            terms,
-            self.by_position,
-            self.leads,
-            self.lcs,
-            self.tails,
-            self._where("reduction"),
-        )
+        return self._reduce_exact(terms, self._where("reduction"))
 
     def complete(self) -> None:
         """Reduce queued S-pairs, adding each nonzero remainder, until the
@@ -328,7 +305,7 @@ class Completion:
         cap = self.cap
         hook = self.hook
         rank = self.rank
-        basis, leads, lcs, tails = self.basis, self.leads, self.lcs, self.tails
+        basis, leads, lcs = self.basis, self.leads, self.lcs
         by_position, pairs, pending = self.by_position, self.pairs, self.pending
         where = self._where("S-polynomials")
         while pairs:
@@ -382,9 +359,7 @@ class Completion:
             for _, tm in spoly:
                 if sum(tm) > cap:
                     raise degree_cap_error(sum(tm), cap, where)
-            remainder = _reduce_full(
-                self.field, spoly, by_position, leads, lcs, tails, where
-            )[0]
+            remainder = self._reduce_full(spoly, where)[0]
             if remainder:
                 self._push(remainder)
 
@@ -413,48 +388,31 @@ def _autoreduce(
 ) -> List[TermDict]:
     """Drop redundant leads, then tail-reduce to the canonical reduced
     basis, whose elements are monic with field coefficients.  ``basis`` is
-    a ``Completion``'s: lead coefficients are read from it."""
+    a ``Completion``'s: its vectors are in ``_normalized`` form."""
     # smallest lead first, so a lead is dropped when a kept lead divides it
-    order_idx = sorted(
-        range(len(basis)), key=lambda i: term_key(leads[i]), reverse=True
-    )
-    keep: List[int] = []
-    for i in order_idx:
-        li = leads[i]
-        redundant = any(
-            leads[j][0] == li[0] and mono_divides(leads[j][1], li[1]) for j in keep
-        )
-        if not redundant:
-            keep.append(i)
-    kept_leads = [leads[i] for i in keep]
-    by_position: Dict[int, List[int]] = {}
-    lcs: List[int] = []
-    tails: List[TermDict] = []
-    for i, lt in enumerate(kept_leads):
-        by_position.setdefault(lt[0], []).append(i)
-        tail = dict(basis[keep[i]])
-        lcs.append(tail.pop(lt))
-        tails.append(tail)
-    kept: List[TermDict] = []
-    for i, lt in enumerate(kept_leads):
+    kept = _Divisors(field)
+    for i in sorted(range(len(basis)), key=lambda i: term_key(leads[i]), reverse=True):
+        if kept.reducer(leads[i]) < 0:
+            kept._append(basis[i], leads[i])
+    lcs, tails = kept.lcs, kept.tails
+    out: List[TermDict] = []
+    for i, lt in enumerate(kept.leads):
         # every term of tail i, and every term its reduction produces, is
         # smaller than lead i, and a multiple of lead i in the same position
         # never is: element i is never picked to reduce its own tail
-        tail, scale = _reduce_full(
-            field, tails[i], by_position, kept_leads, lcs, tails, where
-        )
+        tail, scale = kept._reduce_full(tails[i], where)
         if field.characteristic:
             tails[i] = tail
-            kept.append({**tail, lt: field.one})
+            out.append({**tail, lt: field.one})
             continue
         # element i is now (scale * lcs[i]) * lead + tail; keep it primitive
         lc = scale * lcs[i]
         content = gcd(lc, *tail.values())
         lcs[i] = lc // content
         tails[i] = {t: c // content for t, c in tail.items()}
-        kept.append({**{t: Fraction(c, lc) for t, c in tail.items()}, lt: field.one})
+        out.append({**{t: Fraction(c, lc) for t, c in tail.items()}, lt: field.one})
     # kept leads ascend; the reduced basis lists them largest first
-    return kept[::-1]
+    return out[::-1]
 
 
 def groebner_basis(gens: Sequence[FreeElement]) -> GroebnerBasis:

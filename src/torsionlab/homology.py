@@ -24,7 +24,7 @@ from .modules import (
     relations_among,
     tensor,
 )
-from .poly import FreeElement, Polynomial
+from .poly import FreeElement, Polynomial, lifted_ideal
 from .rings import RingContext
 
 PD_INFINITE = float("inf")
@@ -247,12 +247,7 @@ def koszul_depth(
             raise InputError("depth sequence must be homogeneous")
         seq.append(nf)
     d = len(seq)
-    quotient_rels = list(module.relations)
-    for f in seq:
-        for i in range(module.ngens):
-            quotient_rels.append(
-                FreeElement.unit(ring.field, ring.nvars, module.ngens, i).scaled(f)
-            )
+    quotient_rels = [*module.relations, *lifted_ideal(seq, module.ngens)]
     m_mod_jm = FPModule(ring, quotient_rels, module.ngens, module.gen_degrees)
     if m_mod_jm.nu() == 0:
         raise InputError("the sequence generates the unit ideal on M: JM = M")

@@ -15,6 +15,8 @@ when it raises.
 ``GENERATOR_CAP`` bounds the generators of a module the engine builds in
 one step (a tensor product, a restriction of scalars), so an input that
 would take hours fails at once with a typed error instead.
+``INTEGER_BIT_CAP`` bounds the integers a script writes or computes, far
+below the length at which ``str()`` refuses an int.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ if TYPE_CHECKING:
 
 DEFAULT_DEGREE_CAP = 64
 GENERATOR_CAP = 4096
+INTEGER_BIT_CAP = 4096
 
 AbortHook = Callable[[], bool]
 
@@ -90,6 +93,25 @@ def degree_cap_error(
         f"{degree} exceeds the degree cap {cap} in the {layer} "
         f"({nvars} variables, rank {rank}, generators: {ngens})"
     )
+
+
+def checked_integer(value: int) -> int:
+    """``value``, or ``ResourceLimitError`` past ``INTEGER_BIT_CAP`` bits."""
+    if value.bit_length() > INTEGER_BIT_CAP:
+        raise _integer_cap_error()
+    return value
+
+
+def check_power_size(base: int, exponent: int) -> None:
+    """Refuse |base|^exponent, exponent >= 0, before it is computed: it has
+    at least (bit_length - 1) * exponent + 1 bits, and less than twice as
+    many when that is within ``INTEGER_BIT_CAP``."""
+    if (abs(base).bit_length() - 1) * exponent >= INTEGER_BIT_CAP:
+        raise _integer_cap_error()
+
+
+def _integer_cap_error() -> ResourceLimitError:
+    return ResourceLimitError(f"an integer exceeds the bound of {INTEGER_BIT_CAP} bits")
 
 
 def _digit_count(n: int) -> int:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis
 from .limits import GENERATOR_CAP
-from .poly import FreeElement, Polynomial
+from .poly import FreeElement, Polynomial, mono_mul
 from .rings import Ideal, RingContext
 from .syntax import format_vector
 
@@ -244,9 +244,7 @@ class FPModule:
 
     def hilbert_function(self, degree: int) -> int:
         """Dimension over k of the homogeneous piece of the given degree."""
-        leads_by_pos: Dict[int, List] = {}
-        for pos, mono in self.cover_basis().lead_terms():
-            leads_by_pos.setdefault(pos, []).append(mono)
+        basis = self.cover_basis()
         total = 0
         for i in range(self.ngens):
             want = degree - self.gen_degrees[i]
@@ -255,10 +253,7 @@ class FPModule:
             for mono in _monomials_of_weighted_degree(
                 self.ring.nvars, self.ring.grading, want
             ):
-                if not any(
-                    all(a <= b for a, b in zip(lead, mono))
-                    for lead in leads_by_pos.get(i, ())
-                ):
+                if basis.reducer((i, mono)) < 0:
                     total += 1
         return total
 
@@ -351,12 +346,18 @@ class ModuleMap:
                     )
 
     def push_coords(self, coords: FreeElement) -> FreeElement:
-        ring = self.source.ring
-        out = FreeElement.zero(ring.field, ring.nvars, self.target.ngens)
-        for column, comp in zip(self.columns, coords.components()):
-            if not comp.is_zero():
-                out = out + column.scaled(comp)
-        return out
+        """The image of the source vector ``coords``, summed in one term dict."""
+        field = self.source.ring.field
+        out: Dict[Tuple[int, tuple], object] = {}
+        for (pos, mono), c in coords.terms.items():
+            for (tp, tm), tc in self.columns[pos].terms.items():
+                t = (tp, mono_mul(tm, mono))
+                v = field.add(out.get(t, field.zero), field.mul(c, tc))
+                if v:
+                    out[t] = v
+                else:
+                    out.pop(t, None)
+        return FreeElement(field, coords.nvars, self.target.ngens, out, _normalized=True)
 
 
 # ---------------------------------------------------------------------------

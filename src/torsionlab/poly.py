@@ -13,6 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionError, InputError
 from .fields import Coefficient, FieldSpec
+from .limits import check_power_size, current, degree_cap_error
 
 Mono = Tuple[int, ...]
 Term = Tuple[int, Mono]
@@ -185,8 +186,18 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "Polynomial":
+        """The n-th power; refused before any multiplication when its degree
+        passes the degree cap, or, for a constant over QQ, when its numerator
+        or denominator passes ``INTEGER_BIT_CAP`` bits."""
         if n < 0:
             raise InputError("negative polynomial power")
+        degree = n * self.degree()
+        cap = current().degree_cap
+        if degree > cap:
+            raise degree_cap_error(degree, cap, ("polynomial power", self.nvars, 1, 1))
+        if degree == 0 and not self.field.characteristic:
+            c = self.constant_value()
+            check_power_size(max(abs(c.numerator), c.denominator), n)
         result = Polynomial.constant(self.field, self.nvars, 1)
         base = self
         while n:
@@ -486,3 +497,16 @@ def element_to_polynomial(f: FreeElement) -> Polynomial:
     if f.rank != 1:
         raise DimensionError("only rank-1 elements convert to polynomials")
     return f.component(0)
+
+
+def lifted_ideal(gens: Sequence[Polynomial], rank: int) -> List[FreeElement]:
+    """The vectors g * e_j spanning J * k[x]^rank, J = (gens): every g in
+    order, and for each g the positions j in order."""
+    return [
+        FreeElement(
+            g.field, g.nvars, rank, {(j, m): c for m, c in g.terms.items()},
+            _normalized=True,
+        )
+        for g in gens
+        for j in range(rank)
+    ]

@@ -25,7 +25,7 @@ from .poly import (
     FreeElement,
     Polynomial,
     element_to_polynomial,
-    mono_divides,
+    lifted_ideal,
     polynomial_to_element,
 )
 from .syntax import format_polynomial, format_vector, parse_polynomial, parse_vector
@@ -120,7 +120,7 @@ class RingContext:
 
     def ideal_block(self, rank: int) -> List[FreeElement]:
         """The lift I * e_j of the defining ideal into k[x]^rank."""
-        return _lift(self.ideal_basis, rank)
+        return lifted_ideal(self.ideal_basis_polys(), rank)
 
     def submodule_basis(
         self, columns: Sequence[FreeElement], rank: int
@@ -248,16 +248,12 @@ class RingContext:
                 raise DimensionError("column does not match the ambient module")
         prime = self.prime_basis(index)
         state = Completion(self.field, self.nvars, rank, "rank-at-prime completion")
-        for vec in (*columns, *_lift(prime, rank)):
+        prime_polys = [element_to_polynomial(g) for g in prime]
+        for vec in (*columns, *lifted_ideal(prime_polys, rank)):
             if not vec.is_zero():
                 state.add(vec.terms)
         state.complete()
-        prime_leads = [mono for _, mono in prime.lead_terms()]
-        pivots = {
-            pos
-            for pos, mono in state.leads
-            if not any(mono_divides(lead, mono) for lead in prime_leads)
-        }
+        pivots = {pos for pos, mono in state.leads if prime.reducer((0, mono)) < 0}
         return len(pivots)
 
     def is_nonzerodivisor(self, f: Polynomial) -> bool:
@@ -322,16 +318,6 @@ class RingContext:
 
     def __repr__(self) -> str:
         return f"RingContext({self.descriptor()})"
-
-
-def _lift(basis: GroebnerBasis, rank: int) -> List[FreeElement]:
-    """The lift J * e_j into k[x]^rank of the ideal J with this basis."""
-    block: List[FreeElement] = []
-    for g in basis:
-        gp = element_to_polynomial(g)
-        for j in range(rank):
-            block.append(FreeElement.unit(gp.field, gp.nvars, rank, j).scaled(gp))
-    return block
 
 
 def make_ring(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .errors import ScriptParseError
-from .syntax import TokenStream, tokenize
+from .syntax import TokenStream, denominator_literal, int_literal, tokenize
 
 # ---------------------------------------------------------------------------
 # expression AST
@@ -225,7 +225,7 @@ class _Parser:
                 f"expected an integer, found {tok.text!r}", tok.line, tok.column
             )
         self.stream.next()
-        return sign * int(tok.text)
+        return sign * int_literal(tok)
 
     def parse_ring(self) -> RingStmt:
         line = self.stream.peek().line
@@ -498,8 +498,8 @@ class _Parser:
             ):
                 self.stream.next()
                 den = self.stream.next()
-                return RationalLit(int(tok.text), int(den.text))
-            return IntLit(int(tok.text))
+                return RationalLit(int_literal(tok), denominator_literal(den))
+            return IntLit(int_literal(tok))
         if tok.kind == "name":
             self.stream.next()
             if self.stream.peek().text == "(":

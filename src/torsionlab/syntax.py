@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import ScriptParseError
 from .fields import FieldSpec
+from .limits import INTEGER_BIT_CAP
 from .orders import mono_key
 from .poly import FreeElement, Polynomial
 
@@ -61,6 +62,26 @@ def tokenize(text: str) -> List[Token]:
         pos = m.end()
     tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def int_literal(tok: Token) -> int:
+    """The value of an ``int`` token; a parse error past ``INTEGER_BIT_CAP``
+    bits.  d significant digits make more than 3 * (d - 1) bits, so a long
+    literal is refused before ``int()`` reads it."""
+    if 3 * (len(tok.text.lstrip("0")) - 1) < INTEGER_BIT_CAP:
+        value = int(tok.text)
+        if value.bit_length() <= INTEGER_BIT_CAP:
+            return value
+    raise ScriptParseError(
+        f"integer literal longer than {INTEGER_BIT_CAP} bits", tok.line, tok.column
+    )
+
+
+def denominator_literal(tok: Token) -> int:
+    value = int_literal(tok)
+    if not value:
+        raise ScriptParseError("zero denominator", tok.line, tok.column)
+    return value
 
 
 class TokenStream:
@@ -134,7 +155,7 @@ def parse_polynomial_tokens(
             if tok.kind != "int":
                 raise stream.error("exponent must be a nonnegative integer")
             stream.next()
-            return base ** int(tok.text)
+            return base ** int_literal(tok)
         return base
 
     def parse_atom() -> Polynomial:
@@ -146,16 +167,10 @@ def parse_polynomial_tokens(
             return inner
         if tok.kind == "int":
             stream.next()
-            value = Fraction(int(tok.text))
-            if stream.peek().text == "/":
-                save = stream.index
+            value = Fraction(int_literal(tok))
+            if stream.peek().text == "/" and stream.tokens[stream.index + 1].kind == "int":
                 stream.next()
-                den = stream.peek()
-                if den.kind == "int":
-                    stream.next()
-                    value = Fraction(int(tok.text), int(den.text))
-                else:
-                    stream.index = save
+                value /= denominator_literal(stream.next())
             return Polynomial.constant(field, nvars, value)
         if tok.kind == "name":
             if tok.text not in index:

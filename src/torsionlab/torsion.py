@@ -33,7 +33,7 @@ from .modules import (
     tensor_coords,
     tensor_power,
 )
-from .poly import FreeElement, Polynomial
+from .poly import FreeElement, Polynomial, lifted_ideal
 from .randgen import random_nonfree_module
 from .rings import Ideal, RingContext, is_regular_sequence, make_ring
 
@@ -146,13 +146,8 @@ def element_outside_max_ideal_multiple(
 ) -> bool:
     """True when the class is nonzero in M / mM (graded Nakayama witness)."""
     ring = module.ring
-    extra = list(module.relations)
-    for v in range(ring.nvars):
-        xv = ring.variable(v)
-        for i in range(module.ngens):
-            extra.append(
-                FreeElement.unit(ring.field, ring.nvars, module.ngens, i).scaled(xv)
-            )
+    variables = [ring.variable(v) for v in range(ring.nvars)]
+    extra = [*module.relations, *lifted_ideal(variables, module.ngens)]
     basis = ring.submodule_basis(extra, module.ngens)
     return not basis.normal_form(coords).is_zero()
 
@@ -570,10 +565,7 @@ def verify_maximal_ideal_carrier(module: FPModule) -> Certificate:
 def maximal_ideal_module(ring: RingContext) -> FPModule:
     """The irrelevant maximal ideal as a module: generated by the variables,
     presented by their syzygies over R."""
-    columns = [
-        FreeElement.unit(ring.field, ring.nvars, 1, 0).scaled(ring.variable(i))
-        for i in range(ring.nvars)
-    ]
+    columns = lifted_ideal([ring.variable(i) for i in range(ring.nvars)], 1)
     syzygies = ring.syzygies(columns, 1)
     return FPModule(ring, syzygies, ring.nvars, tuple(ring.grading))
 

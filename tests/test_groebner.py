@@ -139,11 +139,13 @@ class TestGroebnerBasis:
         # reducing x^4 by x^2 - y^2 passes through x^2*y^2 to y^4
         gens = [qq_poly("x^3 - y^2"), qq_poly("x*y^2 - 1")]
         basis = ideal_groebner_basis([qq_poly("x^2 - y^2")])
+        # made outside the capped scope: under a cap of 3 the power x^4 is refused
+        x4 = as_elems(qq_poly("x^4"))[0]
         with run_scope(degree_cap=3):
             with pytest.raises(ResourceLimitError, match="degree 4 exceeds the degree cap 3"):
                 ideal_groebner_basis(gens)
-            with pytest.raises(ResourceLimitError, match="degree 4 exceeds the degree cap 3"):
-                basis.normal_form(as_elems(qq_poly("x^4"))[0])
+            with pytest.raises(ResourceLimitError, match="degree 4 exceeds the degree cap 3 in the reduction"):
+                basis.normal_form(x4)
         assert len(ideal_groebner_basis(gens).elements) > 2
         assert format_polynomial(
             element_to_polynomial(basis.normal_form(as_elems(qq_poly("x^4"))[0])), XY
@@ -155,11 +157,12 @@ class TestGroebnerBasis:
             FreeElement.from_components([qq_poly("x*y^2 - 1"), qq_poly("0")]),
         ]
         basis = ideal_groebner_basis([qq_poly("x^2 - y^2")])
+        x4 = as_elems(qq_poly("x^4"))[0]
         with run_scope(degree_cap=3):
             with pytest.raises(ResourceLimitError) as completion:
                 groebner_basis(gens)
             with pytest.raises(ResourceLimitError) as reduction:
-                basis.normal_form(as_elems(qq_poly("x^4"))[0])
+                basis.normal_form(x4)
         assert str(completion.value) == (
             "term degree 4 exceeds the degree cap 3 in the S-polynomials of "
             "Groebner completion (2 variables, rank 2, generators: 2)"

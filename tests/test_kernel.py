@@ -150,6 +150,37 @@ def test_normal_form_matches_naive_division_on_a_reduced_basis(problem):
     assert gb.normal_form(f) == naive_normal_form(f, list(gb))
 
 
+@given(problems([GF(7), QQ]))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_reducer_is_the_first_element_whose_lead_divides_the_term(problem):
+    gens, f = problem
+    field, nvars, rank = f.field, f.nvars, f.rank
+    state = groebner.Completion(field, nvars, rank, "Groebner completion")
+    for g in gens:
+        state.add(g.terms)
+    state.complete()
+    key = functools.cmp_to_key(term_cmp)
+    # the terms of f and every multiple of a lead up to degree 2 above it
+    shifts = list(itertools.product(range(3), repeat=nvars))
+    gb = groebner_basis(gens)
+    for divisors, elements in ((gb, [g.terms for g in gb]), (state, state.basis)):
+        leads = [sorted(g, key=key)[0] for g in elements]
+        terms = set(f.terms)
+        terms.update(
+            (p, tuple(a + b for a, b in zip(m, shift)))
+            for p, m in leads
+            for shift in shifts
+        )
+        terms.update((p, m) for p in range(rank) for m in shifts)
+        for t in terms:
+            dividing = [
+                i
+                for i, (lp, lm) in enumerate(leads)
+                if lp == t[0] and all(a <= b for a, b in zip(lm, t[1]))
+            ]
+            assert divisors.reducer(t) == (dividing[0] if dividing else -1)
+
+
 def test_buchberger_reduces_no_pair_twice(monkeypatch):
     # the twisted cubic: its S-polynomials are distinct up to sign, and the
     # S-polynomials of (i, j) and (j, i) differ only by sign
@@ -159,14 +190,14 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
         for text in ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
     ]
     reduced = []
-    real = groebner._reduce_full
+    real = groebner._Divisors._reduce_full
 
-    def recording(field, terms, *rest):
+    def recording(self, terms, where):
         if terms:
             reduced.append(dict(terms))
-        return real(field, terms, *rest)
+        return real(self, terms, where)
 
-    monkeypatch.setattr(groebner, "_reduce_full", recording)
+    monkeypatch.setattr(groebner._Divisors, "_reduce_full", recording)
     groebner._buchberger(QQ, 3, 1, [g.terms for g in gens])
     monic = set()
     for terms in reduced:
@@ -218,11 +249,12 @@ def is_primitive_integer_vector(terms, lead) -> bool:
 def test_qq_completion_keeps_primitive_integer_multiples_of_the_monic_vectors(problem):
     gens, f = problem
     field, nvars, rank = QQ, f.nvars, f.rank
-    real = groebner._reduce_full
+    real = groebner._Divisors._reduce_full
     calls = []
 
-    def checked(field_, terms, by_position, leads, lcs, tails, where):
-        remainder, scale = real(field_, terms, by_position, leads, lcs, tails, where)
+    def checked(self, terms, where):
+        remainder, scale = real(self, terms, where)
+        leads, lcs, tails = self.leads, self.lcs, self.tails
         # integers in and out, and R / s is what division by the monic
         # elements, reducer for reducer, leaves
         assert all(type(c) is int for c in terms.values())
@@ -235,7 +267,7 @@ def test_qq_completion_keeps_primitive_integer_multiples_of_the_monic_vectors(pr
         calls.append(1)
         return remainder, scale
 
-    with mock.patch.object(groebner, "_reduce_full", checked):
+    with mock.patch.object(groebner._Divisors, "_reduce_full", checked):
         state = groebner.Completion(field, nvars, rank, "Groebner completion")
         for g in gens:
             state.add(g.terms)

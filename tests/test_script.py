@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import operator
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsionlab.engine import run_source
 from torsionlab.errors import ScriptParseError
+from torsionlab.fields import QQ
+from torsionlab.limits import INTEGER_BIT_CAP
 from torsionlab.script import format_script, parse_script
+from torsionlab.syntax import parse_polynomial
 
 
 NODE_HEADER = (
@@ -319,3 +325,199 @@ class TestCli:
         assert "[error] ResourceLimitError: a term degree of 4516 digits " in out
         assert "exceeds the degree cap 64" in out
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestNumericLiteralsAndArithmetic:
+    def run_cli(self, tmp_path, capsys, text, *options):
+        from torsionlab.cli import main
+
+        script = tmp_path / "numbers.tl"
+        script.write_text(text)
+        code = main(["run", str(script), *options])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        return code, captured
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("ring R = QQ[x,y];\nmodule M = coker [[1/0*x]] over R;\n", "2:22"),
+            ("print 3/0;\n", "1:9"),
+            ("print " + "7" * 5000 + ";\n", "1:7"),
+            ("ring R = QQ[x,y];\nmodule M = coker [[" + "7" * 5000 + "*x]] over R;\n", "2:20"),
+            ("ring R = QQ[x,y];\nmodule M = coker [[x^" + "9" * 5000 + "]] over R;\n", "2:22"),
+        ],
+    )
+    def test_malformed_literal_is_a_positioned_parse_error(
+        self, tmp_path, capsys, text, position
+    ):
+        code, captured = self.run_cli(tmp_path, capsys, text)
+        assert code == 3
+        assert f"numbers.tl:{position}: " in captured.err
+
+    def test_parse_polynomial_refuses_a_zero_denominator(self):
+        with pytest.raises(ScriptParseError) as err:
+            parse_polynomial("x + 1/0*y", ("x", "y"), QQ)
+        assert (err.value.line, err.value.column) == (1, 7)
+        with pytest.raises(ScriptParseError, match="longer than 4096 bits"):
+            parse_polynomial("2" * 5000, ("x", "y"), QQ)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("print 2^-1;\n", "InputError: an integer power needs a nonnegative"),
+            ("print 10^5000;\n", "ResourceLimitError: an integer exceeds the bound of 4096"),
+            ("print 2^4096;\n", "ResourceLimitError: an integer exceeds the bound of 4096"),
+            ("let a = 2^4095;\nprint a + a;\n", "ResourceLimitError: an integer exceeds"),
+            (
+                "ring R = QQ[x,y];\nmodule M = coker [[(x+y)^(10^30)]] over R;\n",
+                "ResourceLimitError: term degree 1000000000000000000000000000000 "
+                "exceeds the degree cap 64 in the polynomial power",
+            ),
+            (
+                "ring R = QQ[x,y];\nmodule M = coker [[3^5000*x]] over R;\n",
+                "ResourceLimitError: an integer exceeds the bound of 4096",
+            ),
+        ],
+    )
+    def test_unbounded_arithmetic_is_a_typed_error(self, tmp_path, capsys, text, error):
+        code, captured = self.run_cli(tmp_path, capsys, text)
+        assert code == 3
+        assert f"[error] {error}" in captured.out
+
+    def test_integer_arithmetic_is_exact_up_to_the_bound(self, tmp_path, capsys):
+        text = "print 2^4095;\nprint 7^0 - 3*4;\nprint 0^0;\n"
+        code, captured = self.run_cli(tmp_path, capsys, text)
+        assert code == 0
+        assert captured.out.splitlines() == [f"[ok] {2**4095}", "[ok] -11", "[ok] 1"]
+
+    def test_a_power_past_the_degree_cap_needs_a_higher_cap(self, tmp_path, capsys):
+        text = "ring R = QQ[x,y];\nmodule M = coker [[x^100]] over R;\n"
+        code, captured = self.run_cli(tmp_path, capsys, text)
+        assert code == 3
+        assert "term degree 100 exceeds the degree cap 64 in the polynomial power" in (
+            captured.out
+        )
+        code, captured = self.run_cli(tmp_path, capsys, text, "--degree-cap", "128")
+        assert code == 0
+        assert "[ok] coker(1x1) over QQ[x,y]" in captured.out
+
+
+class Refused(Exception):
+    """The error a statement must end with, by its type name."""
+
+
+def bounded(value: int) -> int:
+    if value.bit_length() > INTEGER_BIT_CAP:
+        raise Refused("ResourceLimitError")
+    return value
+
+
+INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@st.composite
+def int_expressions(draw, depth, powers):
+    """``(text, reference)``: script text of an integer expression, fully
+    parenthesized, and a thunk giving its exact value or raising
+    ``Refused``.  A power's exponent is a literal and its base holds no
+    power, so every value stays small enough to compute."""
+    kinds = ["literal"] + (["neg", "op"] if depth else []) + (["pow"] if powers else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "literal":
+        n = draw(st.one_of(st.integers(0, 40), st.integers(0, 10**40)))
+        return str(n), lambda: n
+    if kind == "neg":
+        text, ref = draw(int_expressions(depth - 1, powers))
+        return f"-({text})", lambda: -ref()
+    if kind == "op":
+        op = draw(st.sampled_from(sorted(INT_OPS)))
+        left, lref = draw(int_expressions(depth - 1, powers))
+        right, rref = draw(int_expressions(depth - 1, powers))
+        # the left operand is evaluated first, so its error wins
+        return f"({left}) {op} ({right})", lambda: bounded(INT_OPS[op](lref(), rref()))
+    base, bref = draw(int_expressions(min(depth, 1), False))
+    exponent = draw(st.one_of(st.integers(-3, 40), st.integers(-3, 2500)))
+
+    def power():
+        b = bref()
+        if exponent < 0:
+            raise Refused("InputError")
+        return bounded(b**exponent)
+
+    return f"({base})^({exponent})", power
+
+
+@st.composite
+def poly_expressions(draw, depth):
+    """Script text of a polynomial in x and y: literals (rational ones with
+    a denominator that may be zero), sums, products and powers whose
+    exponent may be negative or pass the default degree cap."""
+    kind = draw(st.sampled_from(["literal", "var"] + (["op", "pow"] if depth else [])))
+    if kind == "literal":
+        n = draw(st.integers(0, 10**6))
+        return draw(st.sampled_from([str(n), f"{n}/{draw(st.integers(0, 4))}"]))
+    if kind == "var":
+        return draw(st.sampled_from("xy"))
+    if kind == "op":
+        op = draw(st.sampled_from("+-*"))
+        return f"({draw(poly_expressions(depth - 1))}) {op} ({draw(poly_expressions(depth - 1))})"
+    base = draw(poly_expressions(min(depth - 1, 1)))
+    exponent = draw(st.one_of(st.integers(-2, 80), st.integers(0, 3000)))
+    return f"({base})^({exponent})"
+
+
+TYPED_ERRORS = ("InputError", "ResourceLimitError", "DimensionError")
+
+
+class TestArithmeticFuzz:
+    @given(
+        st.lists(
+            st.one_of(
+                int_expressions(2, True).map(lambda pair: ("int", pair)),
+                st.tuples(st.integers(0, 99), st.integers(0, 3)).map(
+                    lambda fraction: ("rational", fraction)
+                ),
+                st.tuples(st.sampled_from(["QQ", "GF(7)"]), poly_expressions(3)).map(
+                    lambda pair: ("poly", pair)
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(
+        max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_every_statement_is_exact_or_a_typed_error(self, statements):
+        for kind, payload in statements:
+            if kind == "int":
+                text, ref = payload
+                source = f"print {text};\n"
+            elif kind == "rational":
+                num, den = payload
+                source = f"print {num}/{den};\n"
+            else:
+                field, text = payload
+                source = f"ring R = {field}[x,y];\nmodule M = coker [[{text}]] over R;\n"
+            try:
+                report = run_source(source)
+            except ScriptParseError:
+                # a zero denominator is refused where it is written
+                assert kind != "int" and "/0" in source
+                continue
+            for result in report.results:
+                assert result.status in ("ok", "pass", "inapplicable", "error")
+                if result.status == "error":
+                    assert result.error.split(":")[0] in TYPED_ERRORS
+            last = report.results[-1]
+            if kind == "int":
+                try:
+                    expected = ("ok", str(ref()))
+                except Refused as refused:
+                    expected = ("error", refused.args[0])
+                got = last.summary if last.status == "ok" else last.error.split(":")[0]
+                assert (last.status, got) == expected
+            elif kind == "rational":
+                assert den != 0
+                assert (last.status, last.summary) == ("ok", str(Fraction(num, den)))
