@@ -1,14 +1,18 @@
 """Content-addressed on-disk cache for Groebner computations.
 
-``groebner_basis`` caches the reduced bases it computes, which covers most
-expensive computations in the engine.  The incremental completions behind
+``groebner_basis`` caches the reduced bases it computes (request op
+``"groebner"``), and ``syzygy_generators`` caches the syzygies it reads
+off the completion of a graph (request op ``"syzygies"``, whose generators
+are the graph's): together they cover most expensive computations in the
+engine.  The op is part of the request, so a graph's reduced basis and its
+syzygies are different entries.  The incremental completions behind
 ``RingContext.minimal_subset`` are not cached: their intermediate bases are
 not reduced, so not canonical, and a warm rerun recomputes them.  That is
 cheaper than caching a reduced basis of the span per kept vector: on the
 seed-0 certify benchmark script, the 115 calls take about 0.25 s on a warm
 rerun, and looking those bases up instead takes about 0.7 s (2-CPU Xeon).
 Entries are JSON files named by the SHA-256 of a canonical request payload
-(field, ambient module, order, generators, engine version), whose text
+(op, field, ambient module, order, generators, engine version), whose text
 ``groebner_request`` builds once per call for the lookup and the store.
 Writes go through a temp file plus atomic rename under an advisory lock on
 the directory's one ``.lock`` file, so concurrent processes sharing a cache
@@ -164,16 +168,19 @@ def groebner_request(
     nvars: int,
     rank: int,
     gens: Sequence[FreeElement],
+    op: str = "groebner",
 ) -> Optional[Request]:
-    """The request for the reduced basis of ``gens``, or None when the run
-    uses no cache.  The generators are sorted by their own canonical text,
-    which sorts them as their ``json.dumps`` text does: the two differ only
-    by a space after each comma and colon."""
+    """The request for computation ``op`` on ``gens`` in rank ``rank``, or
+    None when the run uses no cache: ``"groebner"`` for the reduced basis of
+    ``gens``, ``"syzygies"`` for the syzygies read off the graph ``gens``.
+    The generators are sorted by their own canonical text, which sorts them
+    as their ``json.dumps`` text does: the two differ only by a space after
+    each comma and colon."""
     active = current().cache
     if active is None:
         return None
     payload = {
-        "op": "groebner",
+        "op": op,
         "engine": ENGINE_VERSION,
         "characteristic": field.characteristic,
         "nvars": nvars,

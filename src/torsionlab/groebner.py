@@ -369,10 +369,12 @@ def _buchberger(
     nvars: int,
     rank: int,
     gens: Sequence[TermDict],
+    layer: str,
 ) -> Tuple[List[TermDict], List[Term]]:
     """Completion of ``gens``.  Returns the basis dicts (monic over GF(p),
-    primitive integer vectors over QQ) and their lead terms."""
-    state = Completion(field, nvars, rank, "Groebner completion")
+    primitive integer vectors over QQ) and their lead terms; ``layer``
+    names the computation in a degree-cap error."""
+    state = Completion(field, nvars, rank, layer)
     for g in gens:
         if g:
             state.add(g)
@@ -431,7 +433,9 @@ def groebner_basis(gens: Sequence[FreeElement]) -> GroebnerBasis:
     cached = cache.lookup_groebner(request, field, nvars, rank)
     if cached is not None:
         return GroebnerBasis(field, nvars, rank, cached)
-    basis, leads = _buchberger(field, nvars, rank, [g.terms for g in live])
+    basis, leads = _buchberger(
+        field, nvars, rank, [g.terms for g in live], "Groebner completion"
+    )
     where = ("autoreduction of Groebner completion", nvars, rank, len(live))
     reduced = _autoreduce(field, basis, leads, where)
     elements = [
@@ -453,10 +457,14 @@ def syzygy_generators(
 
     With an empty ``lift`` this is the kernel of the map defined by the
     columns.  The lift slot is how quotient rings feed in ``I * e_j``.
-    Computed by a basis of the graph of the map under position over
-    term: augmented vectors
-    ``columns[i] (+) e_i`` are completed, and the basis elements supported
-    purely in the tag block are the syzygies.
+    The graph of the map, the augmented vectors ``columns[i] (+) e_i`` and
+    the lift vectors in rank ``rank + s``, is completed under position over
+    term, where the column block comes first.  So an element whose lead
+    lies in the tag block has every term there, and only other such
+    elements can divide its lead or reduce its tail: autoreducing those
+    elements alone gives the tag-only elements of the reduced basis of the
+    graph, in its order.  They are the syzygies, shifted down to rank s,
+    and only they are reduced and cached (request op ``"syzygies"``).
     """
     if not columns:
         return []
@@ -470,14 +478,28 @@ def syzygy_generators(
         vec = col.embedded(total) + FreeElement.unit(field, nvars, total, rank + i)
         aug.append(vec)
     for extra in lift:
-        if extra.rank != rank:
+        if extra.field != field or extra.nvars != nvars or extra.rank != rank:
             raise DimensionError("lift vectors live in a different module")
-        aug.append(extra.embedded(total))
-    gb = groebner_basis(aug)
-    out: List[FreeElement] = []
-    for g in gb:
-        if all(pos >= rank for pos, _ in g.terms):
-            out.append(g.restricted(range(rank, total)))
+        if not extra.is_zero():
+            aug.append(extra.embedded(total))
+    request = cache.groebner_request(field, nvars, total, aug, op="syzygies")
+    cached = cache.lookup_groebner(request, field, nvars, s)
+    if cached is not None:
+        return cached
+    basis, leads = _buchberger(field, nvars, total, [g.terms for g in aug], "syzygies")
+    tags = [i for i, lt in enumerate(leads) if lt[0] >= rank]
+    where = ("autoreduction of syzygies", nvars, total, len(aug))
+    reduced = _autoreduce(
+        field, [basis[i] for i in tags], [leads[i] for i in tags], where
+    )
+    out = [
+        FreeElement(
+            field, nvars, s, {(pos - rank, m): c for (pos, m), c in terms.items()},
+            _normalized=True,
+        )
+        for terms in reduced
+    ]
+    cache.store_groebner(request, out)
     return out
 
 

@@ -13,7 +13,9 @@ values) instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -335,6 +337,7 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.columns: Tuple[FreeElement, ...] = tuple(columns)
+        self._integer_columns: Optional[Tuple[List[Dict], int]] = None
         if check:
             basis = target.cover_basis()
             for rel in source.relations:
@@ -346,18 +349,49 @@ class ModuleMap:
                     )
 
     def push_coords(self, coords: FreeElement) -> FreeElement:
-        """The image of the source vector ``coords``, summed in one term dict."""
+        """The image of the source vector ``coords``, summed in one term dict.
+
+        Over GF(p) the sums are ints reduced mod p.  Over QQ they are ints
+        too: the columns are cleared to one common denominator once per map
+        and ``coords`` once per call, so each sum is a fixed integer multiple
+        of the image coefficient, zero exactly when that is, and one
+        ``Fraction`` is made per output term.  A term enters the dict when
+        its sum turns nonzero and leaves it when the sum cancels."""
         field = self.source.ring.field
-        out: Dict[Tuple[int, tuple], object] = {}
-        for (pos, mono), c in coords.terms.items():
-            for (tp, tm), tc in self.columns[pos].terms.items():
+        p = field.characteristic
+        if p:
+            columns = [col.terms for col in self.columns]
+            terms = coords.terms
+        else:
+            if self._integer_columns is None:
+                self._integer_columns = _cleared([col.terms for col in self.columns])
+            columns, den = self._integer_columns
+            (terms,), coords_den = _cleared([coords.terms])
+        out: Dict[Tuple[int, tuple], int] = {}
+        for (pos, mono), c in terms.items():
+            for (tp, tm), tc in columns[pos].items():
                 t = (tp, mono_mul(tm, mono))
-                v = field.add(out.get(t, field.zero), field.mul(c, tc))
+                old = out.get(t, 0)
+                v = (old + c * tc) % p if p else old + c * tc
                 if v:
                     out[t] = v
                 else:
                     out.pop(t, None)
+        if not p:
+            den *= coords_den
+            out = {t: Fraction(v, den) for t, v in out.items()}
         return FreeElement(field, coords.nvars, self.target.ngens, out, _normalized=True)
+
+
+def _cleared(vectors: Sequence[Dict]) -> Tuple[List[Dict], int]:
+    """Rational term dicts as int dicts over one common denominator d:
+    vector i is ``ints[i] / d``.  Keys keep their order."""
+    den = math.lcm(*(c.denominator for terms in vectors for c in terms.values()))
+    ints = [
+        {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
+        for terms in vectors
+    ]
+    return ints, den
 
 
 # ---------------------------------------------------------------------------

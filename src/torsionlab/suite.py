@@ -441,10 +441,12 @@ def criterion_10_regularity_probe(seed: int = 0) -> CriterionResult:
     )
 
 
-def _dense_kernel_oracle(rows, nvars: int, degree_bound: int, p: int):
+def dense_kernel_oracle(rows, nvars: int, degree_bound: int, p: int):
     """Exact nullspace of A over F_p truncated in degree: solve for vector
     entries supported on all monomials of degree <= bound.  Plain linear
-    algebra, independent of the Groebner engine."""
+    algebra, independent of the Groebner engine.  ``rows`` are the rows of
+    A as lists of polynomials; the result is a basis of the truncated
+    kernel, each vector a list of one polynomial per column of A."""
     monos = [
         m
         for m in iter_product(range(degree_bound + 1), repeat=nvars)
@@ -532,7 +534,7 @@ def criterion_11_syzygy_oracle(seed: int = 0) -> CriterionResult:
                         False,
                         f"instance {instance}: A*S != 0",
                     )
-        oracle = _dense_kernel_oracle(rows, 2, degree_bound, 5)
+        oracle = dense_kernel_oracle(rows, 2, degree_bound, 5)
         syz_elems = [FreeElement.from_components(c, rank=ncols) for c in columns]
         if syz_elems:
             basis = groebner_basis(syz_elems)

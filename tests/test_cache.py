@@ -14,7 +14,7 @@ from torsionlab import cache, limits
 from torsionlab.engine import ExecConfig, run_source
 from torsionlab.errors import AbortedError
 from torsionlab.fields import GF, QQ
-from torsionlab.groebner import groebner_basis, ideal_groebner_basis
+from torsionlab.groebner import groebner_basis, ideal_groebner_basis, syzygy_generators
 from torsionlab.limits import current, run_scope
 from torsionlab.poly import FreeElement
 from torsionlab.syntax import parse_polynomial
@@ -74,7 +74,7 @@ class TestCacheStore:
         canonical = json.dumps(body["request"], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == entries[0][:-5]
 
-    @pytest.mark.parametrize("case", ["GF(7) ideal", "QQ rank 2"])
+    @pytest.mark.parametrize("case", ["GF(7) ideal", "QQ rank 2", "QQ syzygies"])
     def test_entries_match_the_payload_encoding_byte_for_byte(self, tmp_path, case):
         if case == "GF(7) ideal":
             field, rank = GF(7), 1
@@ -89,19 +89,35 @@ class TestCacheStore:
             )
             for row in texts
         ]
-        with cache_in(tmp_path) as settings:
-            basis = groebner_basis(gens)
-            again = groebner_basis(list(reversed(gens)))
+        if case == "QQ syzygies":
+            # the request names the graph gens[i] (+) e_i in rank 2 + 3, and
+            # the result holds the syzygies in rank 3
+            op, total = "syzygies", rank + len(gens)
+            requested = [
+                g.embedded(total) + FreeElement.unit(field, 3, total, rank + i)
+                for i, g in enumerate(gens)
+            ]
+            with cache_in(tmp_path) as settings:
+                result = syzygy_generators(gens)
+                again = syzygy_generators(gens)
+            assert result and all(g.rank == len(gens) for g in result)
+        else:
+            op, total, requested = "groebner", rank, gens
+            with cache_in(tmp_path) as settings:
+                result = list(groebner_basis(gens))
+                again = groebner_basis(list(reversed(gens)))
         # the entry as written by encoding the request payload with json.dumps
         payload = {
-            "op": "groebner",
+            "op": op,
             "engine": cache.ENGINE_VERSION,
             "characteristic": field.characteristic,
             "nvars": 3,
-            "rank": rank,
+            "rank": total,
             # the one term order; changing this text orphans every cache
             "order": {"kind": "degrevlex", "module": "position-over-term"},
-            "generators": sorted((cache.encode_element(g) for g in gens), key=json.dumps),
+            "generators": sorted(
+                (cache.encode_element(g) for g in requested), key=json.dumps
+            ),
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         name = hashlib.sha256(canonical.encode("utf-8")).hexdigest() + ".json"
@@ -109,7 +125,7 @@ class TestCacheStore:
             {
                 "format": cache.CACHE_FORMAT,
                 "request": payload,
-                "result": {"elements": [cache.encode_element(g) for g in basis]},
+                "result": {"elements": [cache.encode_element(g) for g in result]},
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -118,7 +134,33 @@ class TestCacheStore:
         assert (tmp_path / name).read_text(encoding="utf-8") == body
         # and the entry is found again
         assert settings.cache.hits == 1
-        assert [g.terms for g in again] == [g.terms for g in basis]
+        assert [g.terms for g in again] == [g.terms for g in result]
+
+    def test_syzygy_and_graph_basis_entries_stay_apart(self, tmp_path):
+        columns = [
+            FreeElement.from_components([parse_polynomial(t, ("x", "y"), QQ)])
+            for t in ("x", "y", "x + y")
+        ]
+        graph = [
+            col.embedded(4) + FreeElement.unit(QQ, 2, 4, 1 + i)
+            for i, col in enumerate(columns)
+        ]
+        with cache_in(tmp_path) as settings:
+            cold = syzygy_generators(columns)
+            basis = groebner_basis(graph)
+            warm = syzygy_generators(columns)
+        entries = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+        ops = sorted(
+            json.loads((tmp_path / f).read_text(encoding="utf-8"))["request"]["op"]
+            for f in entries
+        )
+        # one request text apart from its op, so two entries, and neither is
+        # read in place of the other
+        assert ops == ["groebner", "syzygies"]
+        assert (settings.cache.hits, settings.cache.misses) == (1, 2)
+        assert [(g.rank, g.terms) for g in warm] == [(g.rank, g.terms) for g in cold]
+        # the graph basis also holds the elements leading in the column block
+        assert len(basis) > len(cold)
 
     def test_one_lock_file_per_directory(self, tmp_path):
         ideals = [[parse_polynomial(f"x^{n} - y", ("x", "y"), QQ)] for n in range(1, 6)]

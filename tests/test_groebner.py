@@ -9,15 +9,22 @@ import pytest
 
 from torsionlab.errors import DimensionError, ResourceLimitError
 from torsionlab.fields import GF, QQ
-from torsionlab.groebner import groebner_basis, ideal_groebner_basis, syzygy_matrix
+from torsionlab.groebner import (
+    groebner_basis,
+    ideal_groebner_basis,
+    syzygy_generators,
+    syzygy_matrix,
+)
 from torsionlab.limits import run_scope
 from torsionlab.orders import term_key
 from torsionlab.poly import (
     FreeElement,
     Polynomial,
     element_to_polynomial,
+    lifted_ideal,
     polynomial_to_element,
 )
+from torsionlab.suite import dense_kernel_oracle
 from torsionlab.syntax import format_polynomial, parse_polynomial
 
 XY = ("x", "y")
@@ -163,6 +170,9 @@ class TestGroebnerBasis:
                 groebner_basis(gens)
             with pytest.raises(ResourceLimitError) as reduction:
                 basis.normal_form(x4)
+            # the graph of (x^3 - y^2, x*y^2 - 1) has the same S-pair
+            with pytest.raises(ResourceLimitError) as syzygies:
+                syzygy_generators(as_elems(qq_poly("x^3 - y^2"), qq_poly("x*y^2 - 1")))
         assert str(completion.value) == (
             "term degree 4 exceeds the degree cap 3 in the S-polynomials of "
             "Groebner completion (2 variables, rank 2, generators: 2)"
@@ -170,6 +180,10 @@ class TestGroebnerBasis:
         assert str(reduction.value) == (
             "term degree 4 exceeds the degree cap 3 in the reduction of "
             "normal_form (2 variables, rank 1, generators: 1)"
+        )
+        assert str(syzygies.value) == (
+            "term degree 4 exceeds the degree cap 3 in the S-polynomials of "
+            "syzygies (2 variables, rank 3, generators: 2)"
         )
 
 
@@ -210,6 +224,79 @@ class TestSyzygies:
                 assert acc.is_zero()
 
 
+    @pytest.mark.parametrize(
+        "lift",
+        [
+            FreeElement.unit(QQ, 2, 2, 0),
+            FreeElement.unit(GF(5), 2, 1, 0),
+            FreeElement.unit(QQ, 3, 1, 0),
+        ],
+        ids=["rank", "field", "nvars"],
+    )
+    def test_lift_outside_the_columns_module_is_rejected(self, lift):
+        columns = as_elems(qq_poly("x"), qq_poly("y"))
+        with pytest.raises(DimensionError, match="lift vectors"):
+            syzygy_generators(columns, lift=[lift])
+
+
+def graph_syzygies(columns, lift=()):
+    """The syzygies by definition: the elements of the reduced basis of the
+    whole graph ``columns[i] (+) e_i`` plus the lift that lie wholly in the
+    tag block, restricted to it."""
+    field, nvars, rank = columns[0].field, columns[0].nvars, columns[0].rank
+    total = rank + len(columns)
+    aug = [
+        col.embedded(total) + FreeElement.unit(field, nvars, total, rank + i)
+        for i, col in enumerate(columns)
+    ]
+    aug += [extra.embedded(total) for extra in lift if not extra.is_zero()]
+    return [
+        g.restricted(range(rank, total))
+        for g in groebner_basis(aug)
+        if all(pos >= rank for pos, _ in g.terms)
+    ]
+
+
+def random_coefficient(rng: random.Random, field):
+    if field.characteristic:
+        return rng.randint(1, field.characteristic - 1)
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5, 7]), rng.choice([1, 1, 2, 3, 10]))
+
+
+def random_vector(rng: random.Random, field, nvars: int, rank: int) -> FreeElement:
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[(rng.randrange(rank), mono)] = random_coefficient(rng, field)
+    return FreeElement(field, nvars, rank, terms)
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_syzygies_are_the_tag_block_of_the_reduced_graph_basis(field, seed):
+    """Autoreducing only the tag-lead elements of the graph's completion
+    gives the definition's vectors, term for term and in its order: over
+    both fields, in ranks 1 to 3, and with a quotient ring's lift I * R^rank
+    on every other seed."""
+    rng = random.Random(7100 + seed)
+    nvars = rng.randint(2, 3)
+    rank = rng.randint(1, 3)
+    columns = [random_vector(rng, field, nvars, rank) for _ in range(rng.randint(1, 4))]
+    lift = []
+    if seed % 2:
+        ideal = [
+            Polynomial(field, nvars, {m: c for (_, m), c in v.terms.items()})
+            for v in (random_vector(rng, field, nvars, 1) for _ in range(rng.randint(1, 2)))
+        ]
+        lift = lifted_ideal(ideal, rank)
+    got = syzygy_generators(columns, lift)
+    expected = graph_syzygies(columns, lift)
+    assert [g.rank for g in got] == [len(columns)] * len(got)
+    assert [list(g.terms.items()) for g in got] == [
+        list(g.terms.items()) for g in expected
+    ]
+
+
 def random_poly(rng: random.Random, field, nvars: int, max_degree: int) -> Polynomial:
     terms = {}
     for _ in range(rng.randint(0, 4)):
@@ -218,79 +305,6 @@ def random_poly(rng: random.Random, field, nvars: int, max_degree: int) -> Polyn
             continue
         terms[mono] = rng.randint(0, field.characteristic - 1)
     return Polynomial(field, nvars, terms)
-
-
-def dense_kernel_oracle(rows, nvars: int, degree_bound: int, p: int):
-    """Solve A*v = 0 by exact linear algebra over F_p, truncated in degree.
-
-    Unknowns are the coefficients of each component of v on all monomials of
-    degree <= degree_bound.  Independent of the Groebner machinery.
-    """
-    from itertools import product
-
-    monos = [
-        m
-        for m in product(range(degree_bound + 1), repeat=nvars)
-        if sum(m) <= degree_bound
-    ]
-    mono_index = {m: i for i, m in enumerate(monos)}
-    ncols_matrix = len(rows[0])
-    nunknowns = ncols_matrix * len(monos)
-    equations = {}
-    for ri, row in enumerate(rows):
-        for ci, entry in enumerate(row):
-            for em, ec in entry.terms.items():
-                for mi, m in enumerate(monos):
-                    target = tuple(a + b for a, b in zip(em, m))
-                    eq_key = (ri, target)
-                    vec = equations.setdefault(eq_key, [0] * nunknowns)
-                    vec[ci * len(monos) + mi] = (
-                        vec[ci * len(monos) + mi] + ec
-                    ) % p
-    matrix = list(equations.values())
-    # Gaussian elimination over F_p for the nullspace
-    pivots = {}
-    rcount = 0
-    for col in range(nunknowns):
-        pivot_row = None
-        for r in range(rcount, len(matrix)):
-            if matrix[r][col] % p:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        matrix[rcount], matrix[pivot_row] = matrix[pivot_row], matrix[rcount]
-        inv = pow(matrix[rcount][col], -1, p)
-        matrix[rcount] = [(v * inv) % p for v in matrix[rcount]]
-        for r in range(len(matrix)):
-            if r != rcount and matrix[r][col] % p:
-                factor = matrix[r][col]
-                matrix[r] = [
-                    (a - factor * b) % p for a, b in zip(matrix[r], matrix[rcount])
-                ]
-        pivots[col] = rcount
-        rcount += 1
-    free_cols = [c for c in range(nunknowns) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [0] * nunknowns
-        v[fc] = 1
-        for col, r in pivots.items():
-            v[col] = (-matrix[r][fc]) % p
-        basis.append(v)
-    field = GF(p)
-    out = []
-    for v in basis:
-        comps = []
-        for ci in range(ncols_matrix):
-            terms = {}
-            for mi, m in enumerate(monos):
-                c = v[ci * len(monos) + mi] % p
-                if c:
-                    terms[m] = c
-            comps.append(Polynomial(field, nvars, terms))
-        out.append(comps)
-    return out
 
 
 class TestDivisionProperties:

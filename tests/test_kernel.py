@@ -198,7 +198,7 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
         return real(self, terms, where)
 
     monkeypatch.setattr(groebner._Divisors, "_reduce_full", recording)
-    groebner._buchberger(QQ, 3, 1, [g.terms for g in gens])
+    groebner._buchberger(QQ, 3, 1, [g.terms for g in gens], "Groebner completion")
     monic = set()
     for terms in reduced:
         inv = QQ.inv(terms[min(terms, key=term_key)])

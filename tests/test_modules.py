@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -253,6 +254,54 @@ class TestKernel:
             assert free.element_is_zero(image)
         inner_kernel, _ = kernel_of_map(inclusion)
         assert inner_kernel.is_zero()
+
+
+def plain_push(phi, coords):
+    """The image of ``coords`` summed with field arithmetic, one product at
+    a time: a term enters when its sum turns nonzero, leaves when it
+    cancels."""
+    field = phi.source.ring.field
+    out = {}
+    for (pos, mono), c in coords.terms.items():
+        for (tp, tm), tc in phi.columns[pos].terms.items():
+            t = (tp, tuple(a + b for a, b in zip(tm, mono)))
+            v = field.add(out.get(t, field.zero), field.mul(c, tc))
+            if v:
+                out[t] = v
+            else:
+                out.pop(t, None)
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=str)
+@pytest.mark.parametrize("seed", range(8))
+def test_push_coords_matches_the_field_arithmetic_sum(field, seed):
+    rng = random.Random(8300 + seed)
+    ring = make_ring(field, ("x", "y"), reduced=True)
+    nsource, ntarget = rng.randint(1, 4), rng.randint(1, 3)
+    # few monomials and coefficients, so that sums cancel and terms re-enter
+    monos = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    values = [1, -1, 2, 3]
+    if not field.characteristic:
+        values = [1, -1, Fraction(1, 2), Fraction(-2, 3)]
+
+    def vector(rank):
+        terms = {
+            (rng.randrange(rank), rng.choice(monos)): rng.choice(values)
+            for _ in range(rng.randint(1, 6))
+        }
+        return FreeElement(field, 2, rank, terms)
+
+    columns = [vector(ntarget) for _ in range(nsource)]
+    phi = ModuleMap(
+        FPModule.free(ring, nsource), FPModule.free(ring, ntarget), columns, check=False
+    )
+    for _ in range(6):
+        coords = vector(nsource)
+        image = phi.push_coords(coords)
+        assert image.rank == ntarget
+        assert list(image.terms.items()) == list(plain_push(phi, coords).items())
+        assert all(type(c) is type(field.one) for c in image.terms.values())
 
 
 class TestDual:
