@@ -5,7 +5,7 @@ behaviour is layered on top by ``rings`` (lifting the defining ideal into
 the generating set).  The engine is deterministic: identical inputs yield
 identical reduced bases, element for element.
 
-Internally vectors are the term dicts of ``FreeElement``; the public
+Vectors enter and leave as the term dicts of ``FreeElement``; the public
 surface wraps them back into value objects.
 
 One class, ``_Divisors``, holds every set of divisors the kernel reduces
@@ -23,6 +23,35 @@ multiple of the one monic arithmetic would give, so every lead, every zero
 remainder and every kept element is the same.  ``Fraction`` coefficients
 appear only at the boundary: the monic elements of a ``GroebnerBasis``,
 its ``normal_form`` and ``Completion.reduce``.
+
+Inside the kernel a module term ``(pos, e)`` is one int (``_Layout``; the
+packed exponent vectors of Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998).  From the
+most significant end it holds the position, then ``top - deg e``, then the
+exponents with the last variable highest, each in a field of ``bits`` bits
+whose highest bit is a guard bit, zero in every code.  So:
+
+- a smaller int is exactly a larger term in position over term with
+  degrevlex, so a heap of bare ints pops the lead first and ``min`` of a
+  vector's terms is its lead;
+- multiplying a term by x^s is one addition: for a lead l dividing t,
+  ``g + (t - l)`` is the code of g * x^(t - l), as long as that product
+  has degree at most ``top`` (no field overflows or borrows);
+- l divides t at the same position exactly when ``((t | G) - l) & G ==
+  G``, G the guard bits of the exponent fields: the guard bit of a field
+  survives the subtraction when t's exponent is at least l's.
+
+The degree cap keeps every product within ``top``: a reduction step
+compares the degree of its multiplier plus the reducer's largest tail
+degree with the cap before forming any sum, and only when that passes the
+cap does a slow path walk the tail in dict order to raise the error.  An
+S-polynomial whose products may pass the cap is built in a layout widened
+to hold them, and its first term over the cap, in dict order, raises.  A
+layout holds degrees up to ``top`` >= max(degree cap, input degrees); a
+later call with a higher cap or a higher input degree re-encodes the
+divisor set in a wider layout (``_fit``), because a ``GroebnerBasis``
+outlives a ``run_scope``.  Terms are decoded where they leave the kernel:
+remainders, reduced bases and ``lead_terms``.
 """
 
 from __future__ import annotations
@@ -31,33 +60,91 @@ import heapq
 import math
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache
 from .errors import AbortedError, DimensionError
 from .fields import FieldSpec
 from .limits import current, degree_cap_error
-from .orders import term_key
 from .poly import (
     FreeElement,
     Polynomial,
-    mono_coprime,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_sub,
     polynomial_to_element,
 )
 
 Term = Tuple[int, Tuple[int, ...]]
 TermDict = Dict[Term, object]
+Packed = Dict[int, object]
 
 
-def _lead(terms: TermDict) -> Term:
-    return min(terms, key=term_key)
+class _Layout:
+    """The packing of the module terms of ``nvars`` variables into ints,
+    for total degrees up to ``top`` >= ``bound`` (see the module
+    docstring)."""
+
+    __slots__ = (
+        "nvars", "bits", "top", "mask", "shifts", "weights", "ones", "guards",
+        "values", "dshift", "pshift", "sumshift",
+    )
+
+    def __init__(self, nvars: int, bound: int):
+        bits = (bound + 1).bit_length() + 1
+        self.nvars = nvars
+        self.bits = bits
+        self.top = (1 << (bits - 1)) - 1
+        self.mask = (1 << bits) - 1
+        # exponent e[k] sits at bit bits * k
+        self.shifts = tuple(bits * k for k in range(nvars))
+        self.weights = tuple(1 << s for s in self.shifts)
+        self.ones = sum(self.weights)
+        self.guards = self.ones << (bits - 1)
+        self.values = self.guards - self.ones
+        self.dshift = bits * nvars
+        self.pshift = self.dshift + bits
+        # multiplying the exponent fields by ``ones`` sums them into the
+        # field of the last variable; the sum of two degrees fits a field
+        self.sumshift = bits * max(nvars - 1, 0)
+
+    def encode(self, term: Term) -> int:
+        pos, e = term
+        return (
+            (pos << self.pshift)
+            + ((self.top - sum(e)) << self.dshift)
+            + sum(map(mul, e, self.weights))
+        )
+
+    def decode(self, code: int) -> Term:
+        mask = self.mask
+        return code >> self.pshift, tuple([(code >> s) & mask for s in self.shifts])
+
+    def degree(self, code: int) -> int:
+        return self.top - ((code >> self.dshift) & self.mask)
+
+    def pack(self, terms: TermDict) -> Packed:
+        encode = self.encode
+        return {encode(t): c for t, c in terms.items()}
+
+    def unpack(self, terms: Packed) -> TermDict:
+        decode = self.decode
+        return {decode(t): c for t, c in terms.items()}
+
+    def lcm(self, a: int, b: int) -> Tuple[int, int]:
+        """The exponent fields of the lcm of the monomials of codes a and
+        b, and its degree, which may pass ``top``."""
+        guards = self.guards
+        # guard bit set in the fields where a's exponent is at least b's
+        ge = ((a | guards) - b) & guards
+        keep = ge - (ge >> (self.bits - 1))
+        e = (a & keep) | (b & (self.values ^ keep))
+        return e, ((e * self.ones) >> self.sumshift) & self.mask
 
 
-def _primitive(terms: TermDict, pivot: Term) -> Tuple[TermDict, Fraction]:
+def _max_degree(terms: TermDict) -> int:
+    return max([sum(m) for _, m in terms], default=0)
+
+
+def _primitive(terms: Dict, pivot) -> Tuple[Dict, Fraction]:
     """Over QQ: the primitive integer vector v whose coefficient at ``pivot``
     is positive, and the rational u with ``terms == u * v``.  ``terms``
     holds ints or ``Fraction``s."""
@@ -71,7 +158,7 @@ def _primitive(terms: TermDict, pivot: Term) -> Tuple[TermDict, Fraction]:
     return ints, Fraction(content, den)
 
 
-def _normalized(field: FieldSpec, terms: TermDict, lead: Term) -> TermDict:
+def _normalized(field: FieldSpec, terms: Packed, lead: int) -> Packed:
     """The kernel's multiple of the nonzero vector ``terms``: monic over
     GF(p), the primitive integer vector with a positive lead over QQ."""
     if not field.characteristic:
@@ -83,40 +170,106 @@ def _normalized(field: FieldSpec, terms: TermDict, lead: Term) -> TermDict:
     return {t: field.mul(c, inv) for t, c in terms.items()}
 
 
+def _s_polynomial(first: Iterable, second: Iterable, ci, cj, p: int) -> Dict:
+    """``ci * first - cj * second`` for two shifted tails given as (term,
+    coefficient) pairs; its terms are in the order they first appear."""
+    spoly = {t: ci * c for t, c in first}
+    for t, c in second:
+        old = spoly.get(t)
+        v = (old or 0) - cj * c
+        if p:
+            v %= p
+        if v:
+            spoly[t] = v
+        elif old is not None:
+            del spoly[t]
+    return spoly
+
+
 class _Divisors:
     """The kernel's divisor set: element i is ``lcs[i] * leads[i] +
-    tails[i]``, a vector in ``_normalized`` form, and ``by_position`` lists
-    the elements leading at each position, in the order they were added."""
+    tails[i]``, a vector in ``_normalized`` form with packed terms, and
+    ``by_position`` lists the elements leading at each position, in the
+    order they were added.  ``rises[i]`` is the largest degree of a term
+    of ``tails[i]`` minus the degree of ``leads[i]``: a multiple of the
+    element by x^s has no term above deg s + ``rises[i]`` + deg lead."""
 
-    def __init__(self, field: FieldSpec):
+    def __init__(self, field: FieldSpec, nvars: int):
         self.field = field
-        self.leads: List[Term] = []
+        self.nvars = nvars
+        self.layout: Optional[_Layout] = None
+        self.leads: List[int] = []
         self.lcs: List[int] = []
-        self.tails: List[TermDict] = []
+        self.tails: List[Packed] = []
+        self.rises: List[int] = []
         self.by_position: Dict[int, List[int]] = {}
 
-    def _append(self, terms: TermDict, lead: Term) -> None:
-        """Add the normalized vector ``terms`` with lead term ``lead``."""
-        tail = dict(terms)
-        self.lcs.append(tail.pop(lead))
-        self.tails.append(tail)
-        self.by_position.setdefault(lead[0], []).append(len(self.leads))
+    def _fit(self, bound: int) -> None:
+        """Make the layout hold degrees up to ``bound``, re-encoding the
+        elements when it has to widen."""
+        old = self.layout
+        if old is not None and bound <= old.top:
+            return
+        new = _Layout(self.nvars, bound)
+        if old is not None:
+            decode, encode = old.decode, new.encode
+            self.leads = [encode(decode(t)) for t in self.leads]
+            self.tails = [
+                {encode(decode(t)): c for t, c in tail.items()} for tail in self.tails
+            ]
+        self.layout = new
+
+    def _ready(self, bound: int) -> None:
+        """Bring the elements into a layout that holds degree ``bound``."""
+        self._fit(bound)
+
+    def _pack(self, terms: TermDict, cap: int) -> Packed:
+        """``terms`` packed, the layout first made to hold them and ``cap``."""
+        self._ready(max(cap, _max_degree(terms)))
+        return self.layout.pack(terms)
+
+    def _rise(self, lead: int, tail: Packed) -> int:
+        # a smaller degree field is a larger degree
+        dshift, mask = self.layout.dshift, self.layout.mask
+        low = min([(t >> dshift) & mask for t in tail], default=self.layout.top)
+        return ((lead >> dshift) & mask) - low
+
+    def _append(self, lead: int, lc, tail: Packed) -> None:
+        """Add the element ``lc * lead + tail``."""
+        self.by_position.setdefault(lead >> self.layout.pshift, []).append(
+            len(self.leads)
+        )
         self.leads.append(lead)
+        self.lcs.append(lc)
+        self.tails.append(tail)
+        self.rises.append(self._rise(lead, tail))
+
+    def lead_terms(self) -> List[Term]:
+        self._ready(0)
+        decode = self.layout.decode
+        return [decode(t) for t in self.leads]
 
     def reducer(self, term: Term) -> int:
         """The first element whose lead divides ``term``, or -1 when
         ``term`` lies outside the initial module of the set."""
-        pos, mono = term
+        self._ready(sum(term[1]))
+        return self._find(self.layout.encode(term))
+
+    def _find(self, t: int) -> int:
+        """``reducer`` of the packed term ``t``."""
+        guards = self.layout.guards
+        marked = t | guards
         leads = self.leads
-        for i in self.by_position.get(pos, ()):
-            if mono_divides(leads[i][1], mono):
+        for i in self.by_position.get(t >> self.layout.pshift, ()):
+            if (marked - leads[i]) & guards == guards:
                 return i
         return -1
 
     def _reduce_full(
-        self, terms: TermDict, where: Tuple[str, int, int, int]
-    ) -> Tuple[TermDict, int]:
-        """Fully reduce ``terms``: no term of the result is divisible by a lead.
+        self, terms: Packed, where: Tuple[str, int, int, int]
+    ) -> Tuple[Packed, int]:
+        """Fully reduce the packed vector ``terms``: no term of the result
+        is divisible by a lead.  The layout must hold the degree cap.
 
         Returns ``(R, s)``; the remainder is R / s.  Over GF(p) every
         lead coefficient is 1 and s is 1.  Over QQ ``terms``, ``lcs`` and
@@ -124,7 +277,7 @@ class _Divisors:
         lead a, the work vector is first multiplied by a/h, h = gcd(a, c),
         and s is the product of these factors, so the routine never divides.
 
-        Each lead comes from a heap of ``(term_key, term)`` kept beside
+        Each lead comes from a heap of the packed terms kept beside
         ``work``: a term is pushed when it enters ``work``, and an entry
         whose term has cancelled since is skipped.  Every term a reduction
         step adds is smaller than the lead it removes, so terms leave
@@ -133,24 +286,27 @@ class _Divisors:
         error.
         """
         p = self.field.characteristic
-        leads, lcs, tails = self.leads, self.lcs, self.tails
-        reducer_of = self.reducer
+        leads, lcs, tails, rises = self.leads, self.lcs, self.tails, self.rises
+        find = self._find
+        layout = self.layout
+        top, mask, dshift = layout.top, layout.mask, layout.dshift
         settings = current()
         cap = settings.degree_cap
         hook = settings.abort_hook
         work = dict(terms)
-        heap = [(term_key(t), t) for t in work]
+        heap = list(work)
         heapq.heapify(heap)
-        remainder: TermDict = {}
+        heappop, heappush = heapq.heappop, heapq.heappush
+        remainder: Packed = {}
         scale = 1
         while heap:
-            t = heapq.heappop(heap)[1]
+            t = heappop(heap)
             c = work.pop(t, None)
             if c is None:
                 continue
             if hook is not None and hook():
                 raise AbortedError("computation cancelled")
-            reducer = reducer_of(t)
+            reducer = find(t)
             if reducer < 0:
                 remainder[t] = c
                 continue
@@ -165,17 +321,17 @@ class _Divisors:
                         work[k] *= m
                     for k in remainder:
                         remainder[k] *= m
-            shift = mono_sub(t[1], leads[reducer][1])
-            for (gp, gm), gc in tails[reducer].items():
-                tm = mono_mul(gm, shift)
-                if sum(tm) > cap:
-                    raise degree_cap_error(sum(tm), cap, where)
-                tt = (gp, tm)
+            # deg t + the reducer's rise bounds every product's degree
+            if top - ((t >> dshift) & mask) + rises[reducer] > cap:
+                self._check_cap(t, reducer, cap, where)
+            shift = t - leads[reducer]
+            for g, gc in tails[reducer].items():
+                tt = g + shift
                 old = work.get(tt)
                 if old is None:
                     # a product of nonzero field elements is nonzero
                     work[tt] = -c * gc % p if p else -c * gc
-                    heapq.heappush(heap, (term_key(tt), tt))
+                    heappush(heap, tt)
                     continue
                 v = (old - c * gc) % p if p else old - c * gc
                 if v:
@@ -184,21 +340,32 @@ class _Divisors:
                     del work[tt]
         return remainder, scale
 
+    def _check_cap(self, t: int, reducer: int, cap: int, where) -> None:
+        """Raise the degree-cap error for the first term of the reducer's
+        tail, in dict order, whose product with x^(t - lead) passes the cap."""
+        degree = self.layout.degree
+        shift = degree(t) - degree(self.leads[reducer])
+        for g in self.tails[reducer]:
+            if degree(g) + shift > cap:
+                raise degree_cap_error(degree(g) + shift, cap, where)
+
     def _reduce_exact(
         self, terms: TermDict, where: Tuple[str, int, int, int]
     ) -> TermDict:
         """The remainder of ``terms`` with field coefficients, as field
         coefficients: over QQ the input is cleared to a primitive integer
         vector first and the remainder comes back as ``Fraction``s."""
+        packed = self._pack(terms, current().degree_cap)
         if self.field.characteristic:
-            return self._reduce_full(terms, where)[0]
-        if not terms:
+            return self.layout.unpack(self._reduce_full(packed, where)[0])
+        if not packed:
             return {}
         # the sign of a vector to reduce does not matter: any term may pivot
-        ints, unit = _primitive(terms, next(iter(terms)))
+        ints, unit = _primitive(packed, next(iter(packed)))
         remainder, scale = self._reduce_full(ints, where)
         unit /= scale
-        return {t: c * unit for t, c in remainder.items()}
+        decode = self.layout.decode
+        return {decode(t): c * unit for t, c in remainder.items()}
 
 
 class GroebnerBasis(_Divisors):
@@ -207,7 +374,7 @@ class GroebnerBasis(_Divisors):
     Elements are monic, pairwise autoreduced, and sorted by descending lead
     term, which makes the object canonical for its submodule.  Over QQ
     reduction runs on one integer copy of each element, d * g with d the
-    lcm of g's denominators.
+    lcm of g's denominators.  The divisor set is packed on first use.
     """
 
     def __init__(
@@ -217,17 +384,22 @@ class GroebnerBasis(_Divisors):
         rank: int,
         elements: Sequence[FreeElement],
     ):
-        super().__init__(field)
-        self.nvars = nvars
+        super().__init__(field, nvars)
         self.rank = rank
         self.elements: Tuple[FreeElement, ...] = tuple(elements)
         self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
-        for g in self.elements:
-            lt = _lead(g.terms)
-            self._append(_normalized(field, g.terms, lt), lt)
 
-    def lead_terms(self) -> List[Term]:
-        return list(self.leads)
+    def _ready(self, bound: int) -> None:
+        if self.layout is not None:
+            self._fit(bound)
+            return
+        top = max([_max_degree(g.terms) for g in self.elements], default=0)
+        self._fit(max(bound, top, current().degree_cap))
+        for g in self.elements:
+            terms = self.layout.pack(g.terms)
+            lead = min(terms)
+            terms = _normalized(self.field, terms, lead)
+            self._append(lead, terms.pop(lead), terms)
 
     def normal_form(self, f: FreeElement) -> FreeElement:
         if f.nvars != self.nvars or f.rank != self.rank or f.field != self.field:
@@ -253,43 +425,42 @@ class Completion(_Divisors):
     left, and ``reduce`` fully reduces a vector against the current basis.
     After ``complete`` the basis is a Groebner basis, not reduced, of
     everything added, so ``reduce`` gives zero exactly on the members of its
-    span.  ``basis[i]`` is element i as one vector.  ``complete`` uses the
-    degree cap and the abort hook read when the state was made; ``layer``
-    names the computation in a degree-cap error.
+    span.  ``complete`` uses the degree cap and the abort hook read when the
+    state was made; ``layer`` names the computation in a degree-cap error.
     """
 
     def __init__(self, field: FieldSpec, nvars: int, rank: int, layer: str):
-        super().__init__(field)
-        self.nvars = nvars
+        super().__init__(field, nvars)
         self.rank = rank
         self.layer = layer
         self.ngens = 0
         settings = current()
         self.cap = settings.degree_cap
         self.hook = settings.abort_hook
-        self.basis: List[TermDict] = []
+        self._fit(self.cap)
         self.pairs: List[Tuple[int, int, int]] = []
         self.pending = set()
 
     def _where(self, step: str) -> Tuple[str, int, int, int]:
         return (f"{step} of {self.layer}", self.nvars, self.rank, self.ngens)
 
-    def _push(self, terms: TermDict) -> None:
-        lt = _lead(terms)
+    def _push(self, terms: Packed) -> None:
+        """Add the nonzero packed vector ``terms``, which it takes over."""
+        lt = min(terms)
         terms = _normalized(self.field, terms, lt)
-        j = len(self.basis)
+        j = len(self.leads)
+        lcm, leads = self.layout.lcm, self.leads
         # each unordered pair once, as (i, j) with i < j: the position
         # lists are ascending
-        for i in self.by_position.get(lt[0], ()):
-            heapq.heappush(self.pairs, (sum(mono_lcm(self.leads[i][1], lt[1])), i, j))
+        for i in self.by_position.get(lt >> self.layout.pshift, ()):
+            heapq.heappush(self.pairs, (lcm(leads[i], lt)[1], i, j))
             self.pending.add((i, j))
-        self.basis.append(terms)
-        self._append(terms, lt)
+        self._append(lt, terms.pop(lt), terms)
 
     def add(self, terms: TermDict) -> None:
         """Add a nonzero generator; its pairs wait for ``complete``."""
         self.ngens += 1
-        self._push(dict(terms))
+        self._push(self._pack(terms, self.cap))
 
     def reduce(self, terms: TermDict) -> TermDict:
         """Full reduction of ``terms`` against the current basis, with
@@ -301,11 +472,15 @@ class Completion(_Divisors):
         queue is empty."""
         if not self.pairs:
             return
+        self._fit(current().degree_cap)
         p = self.field.characteristic
         cap = self.cap
         hook = self.hook
         rank = self.rank
-        basis, leads, lcs = self.basis, self.leads, self.lcs
+        layout = self.layout
+        guards, top = layout.guards, layout.top
+        dshift, pshift = layout.dshift, layout.pshift
+        leads, lcs, tails, rises = self.leads, self.lcs, self.tails, self.rises
         by_position, pairs, pending = self.by_position, self.pairs, self.pending
         where = self._where("S-polynomials")
         while pairs:
@@ -314,17 +489,18 @@ class Completion(_Divisors):
             _, i, j = heapq.heappop(pairs)
             pending.remove((i, j))
             li, lj = leads[i], leads[j]
+            e, degree = layout.lcm(li, lj)
             # Product criterion is only sound for rank-1 (ideal) inputs.
-            if rank == 1 and mono_coprime(li[1], lj[1]):
+            if rank == 1 and degree == layout.degree(li) + layout.degree(lj):
                 continue
-            lcm = mono_lcm(li[1], lj[1])
             # Chain criterion: a third element dividing the lcm whose pairs
             # with i and j were both already handled makes this pair redundant.
+            marked = e | guards
             skip = False
-            for k in by_position.get(li[0], ()):
+            for k in by_position[li >> pshift]:
                 if k == i or k == j:
                     continue
-                if mono_divides(leads[k][1], lcm):
+                if (marked - leads[k]) & guards == guards:
                     pik = (min(i, k), max(i, k))
                     pjk = (min(j, k), max(j, k))
                     if pik not in pending and pjk not in pending:
@@ -332,33 +508,37 @@ class Completion(_Divisors):
                         break
             if skip:
                 continue
-            shift_i = mono_sub(lcm, li[1])
-            shift_j = mono_sub(lcm, lj[1])
             # (a_j/h) x^shift_i g_i - (a_i/h) x^shift_j g_j, h = gcd(a_i, a_j);
-            # every element is monic over GF(p)
+            # every element is monic over GF(p), and the leads cancel
             if p:
                 ci = cj = 1
             else:
                 h = gcd(lcs[i], lcs[j])
                 ci, cj = lcs[j] // h, lcs[i] // h
-            spoly: TermDict = {}
-            for (gp, gm), gc in basis[i].items():
-                t = (gp, mono_mul(gm, shift_i))
-                spoly[t] = ci * gc
-            for (gp, gm), gc in basis[j].items():
-                t = (gp, mono_mul(gm, shift_j))
-                old = spoly.get(t)
-                if p:
-                    v = ((old or 0) - gc) % p
-                else:
-                    v = (old if old is not None else 0) - cj * gc
-                if v:
-                    spoly[t] = v
-                elif old is not None:
-                    del spoly[t]
-            for _, tm in spoly:
-                if sum(tm) > cap:
-                    raise degree_cap_error(sum(tm), cap, where)
+            rise = degree + max(rises[i], rises[j])
+            if rise > cap:
+                # a product may pass the cap: widen so every product fits,
+                # and raise on the first term over the cap in dict order
+                self._fit(rise)
+                layout = self.layout
+                guards, top = layout.guards, layout.top
+                dshift, pshift = layout.dshift, layout.pshift
+                leads, tails = self.leads, self.tails
+                li, lj = leads[i], leads[j]
+                e = layout.lcm(li, lj)[0]
+            # the lcm as a code; its degree field may be negative, but the
+            # differences are the codes of the two multipliers
+            lcm = ((li >> pshift) << pshift) + ((top - degree) << dshift) + e
+            si, sj = lcm - li, lcm - lj
+            spoly = _s_polynomial(
+                ((g + si, c) for g, c in tails[i].items()),
+                ((g + sj, c) for g, c in tails[j].items()),
+                ci, cj, p,
+            )
+            if rise > cap:
+                for t in spoly:
+                    if layout.degree(t) > cap:
+                        raise degree_cap_error(layout.degree(t), cap, where)
             remainder = self._reduce_full(spoly, where)[0]
             if remainder:
                 self._push(remainder)
@@ -370,39 +550,42 @@ def _buchberger(
     rank: int,
     gens: Sequence[TermDict],
     layer: str,
-) -> Tuple[List[TermDict], List[Term]]:
-    """Completion of ``gens``.  Returns the basis dicts (monic over GF(p),
-    primitive integer vectors over QQ) and their lead terms; ``layer``
-    names the computation in a degree-cap error."""
+) -> Completion:
+    """The completion of ``gens``: its divisor set is a Groebner basis of
+    them, not reduced; ``layer`` names the computation in a degree-cap
+    error."""
     state = Completion(field, nvars, rank, layer)
     for g in gens:
         if g:
             state.add(g)
     state.complete()
-    return state.basis, state.leads
+    return state
 
 
 def _autoreduce(
-    field: FieldSpec,
-    basis: List[TermDict],
-    leads: List[Term],
+    state: _Divisors,
+    indices: Iterable[int],
     where: Tuple[str, int, int, int],
-) -> List[TermDict]:
-    """Drop redundant leads, then tail-reduce to the canonical reduced
-    basis, whose elements are monic with field coefficients.  ``basis`` is
-    a ``Completion``'s: its vectors are in ``_normalized`` form."""
+) -> List[Packed]:
+    """Drop redundant leads among the elements ``indices`` of ``state``,
+    then tail-reduce them to the canonical reduced basis, whose elements
+    are monic with field coefficients and packed in ``state``'s layout."""
+    field = state.field
+    leads = state.leads
+    kept = _Divisors(field, state.nvars)
+    kept.layout = state.layout
     # smallest lead first, so a lead is dropped when a kept lead divides it
-    kept = _Divisors(field)
-    for i in sorted(range(len(basis)), key=lambda i: term_key(leads[i]), reverse=True):
-        if kept.reducer(leads[i]) < 0:
-            kept._append(basis[i], leads[i])
+    for i in sorted(indices, key=leads.__getitem__, reverse=True):
+        if kept._find(leads[i]) < 0:
+            kept._append(leads[i], state.lcs[i], state.tails[i])
     lcs, tails = kept.lcs, kept.tails
-    out: List[TermDict] = []
+    out: List[Packed] = []
     for i, lt in enumerate(kept.leads):
         # every term of tail i, and every term its reduction produces, is
         # smaller than lead i, and a multiple of lead i in the same position
         # never is: element i is never picked to reduce its own tail
         tail, scale = kept._reduce_full(tails[i], where)
+        kept.rises[i] = kept._rise(lt, tail)
         if field.characteristic:
             tails[i] = tail
             out.append({**tail, lt: field.one})
@@ -433,13 +616,14 @@ def groebner_basis(gens: Sequence[FreeElement]) -> GroebnerBasis:
     cached = cache.lookup_groebner(request, field, nvars, rank)
     if cached is not None:
         return GroebnerBasis(field, nvars, rank, cached)
-    basis, leads = _buchberger(
+    state = _buchberger(
         field, nvars, rank, [g.terms for g in live], "Groebner completion"
     )
     where = ("autoreduction of Groebner completion", nvars, rank, len(live))
-    reduced = _autoreduce(field, basis, leads, where)
+    unpack = state.layout.unpack
     elements = [
-        FreeElement(field, nvars, rank, terms, _normalized=True) for terms in reduced
+        FreeElement(field, nvars, rank, unpack(terms), _normalized=True)
+        for terms in _autoreduce(state, range(len(state.leads)), where)
     ]
     cache.store_groebner(request, elements)
     return GroebnerBasis(field, nvars, rank, elements)
@@ -486,18 +670,18 @@ def syzygy_generators(
     cached = cache.lookup_groebner(request, field, nvars, s)
     if cached is not None:
         return cached
-    basis, leads = _buchberger(field, nvars, total, [g.terms for g in aug], "syzygies")
-    tags = [i for i, lt in enumerate(leads) if lt[0] >= rank]
+    state = _buchberger(field, nvars, total, [g.terms for g in aug], "syzygies")
+    layout = state.layout
+    first_tag = rank << layout.pshift
+    tags = [i for i, lt in enumerate(state.leads) if lt >= first_tag]
     where = ("autoreduction of syzygies", nvars, total, len(aug))
-    reduced = _autoreduce(
-        field, [basis[i] for i in tags], [leads[i] for i in tags], where
-    )
+    decode = layout.decode
     out = [
         FreeElement(
-            field, nvars, s, {(pos - rank, m): c for (pos, m), c in terms.items()},
+            field, nvars, s, {decode(t - first_tag): c for t, c in terms.items()},
             _normalized=True,
         )
-        for terms in reduced
+        for terms in _autoreduce(state, tags, where)
     ]
     cache.store_groebner(request, out)
     return out

@@ -691,11 +691,16 @@ def dual_evaluation(module: FPModule) -> Tuple[List[FreeElement], Tuple[int, ...
 def transpose(vectors: Sequence[FreeElement], rank: int) -> List[FreeElement]:
     """The columns of the transpose of the matrix with the given nonempty
     list of columns in R^rank: one column of length len(vectors) per
-    position."""
-    entries = [vec.components() for vec in vectors]
+    position.  One pass buckets the terms by position; column i lists them
+    by vector, each vector's in its own order."""
+    field, nvars = vectors[0].field, vectors[0].nvars
+    buckets: List[Dict] = [{} for _ in range(rank)]
+    for j, vec in enumerate(vectors):
+        for (pos, mono), c in vec.terms.items():
+            buckets[pos][(j, mono)] = c
     return [
-        FreeElement.from_components([row[i] for row in entries], rank=len(vectors))
-        for i in range(rank)
+        FreeElement(field, nvars, len(vectors), terms, _normalized=True)
+        for terms in buckets
     ]
 
 

@@ -38,13 +38,6 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    for x, y in zip(a, b):
-        if x and y:
-            return False
-    return True
-
-
 def mono_degree(e: Mono, weights: Optional[Sequence[int]] = None) -> int:
     if weights is None:
         return sum(e)

@@ -253,7 +253,9 @@ class RingContext:
             if not vec.is_zero():
                 state.add(vec.terms)
         state.complete()
-        pivots = {pos for pos, mono in state.leads if prime.reducer((0, mono)) < 0}
+        pivots = {
+            pos for pos, mono in state.lead_terms() if prime.reducer((0, mono)) < 0
+        }
         return len(pivots)
 
     def is_nonzerodivisor(self, f: Polynomial) -> bool:

@@ -441,62 +441,120 @@ def criterion_10_regularity_probe(seed: int = 0) -> CriterionResult:
     )
 
 
-def dense_kernel_oracle(rows, nvars: int, degree_bound: int, p: int):
-    """Exact nullspace of A over F_p truncated in degree: solve for vector
-    entries supported on all monomials of degree <= bound.  Plain linear
-    algebra, independent of the Groebner engine.  ``rows`` are the rows of
-    A as lists of polynomials; the result is a basis of the truncated
-    kernel, each vector a list of one polynomial per column of A."""
-    monos = [
-        m
-        for m in iter_product(range(degree_bound + 1), repeat=nvars)
-        if sum(m) <= degree_bound
-    ]
-    width = len(rows[0])
-    nunknowns = width * len(monos)
-    equations = {}
-    for ri, row in enumerate(rows):
-        for ci, entry in enumerate(row):
-            for em, ec in entry.terms.items():
-                for mi, m in enumerate(monos):
-                    target = tuple(a + b for a, b in zip(em, m))
-                    vec = equations.setdefault((ri, target), [0] * nunknowns)
-                    vec[ci * len(monos) + mi] = (vec[ci * len(monos) + mi] + ec) % p
-    matrix = list(equations.values())
+def _axpy(row, f, pivot_row, p: int) -> list:
+    """``row - f * pivot_row`` entrywise, mod p when p is nonzero."""
+    if p:
+        return [(a - f * b) % p for a, b in zip(row, pivot_row)]
+    return [a - f * b for a, b in zip(row, pivot_row)]
+
+
+def _echelon(matrix: list, ncols: int, field) -> dict:
+    """Bring ``matrix`` (rows of coefficients) to reduced row echelon form
+    in place; returns {pivot column: row}."""
+    p = field.characteristic
     pivots = {}
     rank = 0
-    for col in range(nunknowns):
-        pivot_row = next(
-            (r for r in range(rank, len(matrix)) if matrix[r][col] % p), None
-        )
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot_row is None:
             continue
         matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        inv = pow(matrix[rank][col], -1, p)
-        matrix[rank] = [(v * inv) % p for v in matrix[rank]]
+        inv = field.inv(matrix[rank][col])
+        row = matrix[rank]
+        matrix[rank] = [v * inv % p for v in row] if p else [v * inv for v in row]
         for r in range(len(matrix)):
-            if r != rank and matrix[r][col] % p:
-                f = matrix[r][col]
-                matrix[r] = [(a - f * b) % p for a, b in zip(matrix[r], matrix[rank])]
+            if r != rank and matrix[r][col]:
+                matrix[r] = _axpy(matrix[r], matrix[r][col], matrix[rank], p)
         pivots[col] = rank
         rank += 1
-    field = GF(p)
+    return pivots
+
+
+def dense_kernel_oracle(rows, nvars: int, degree_bound: int, field, lift=()):
+    """Exact nullspace of A over ``field`` (GF(p), or QQ in ``Fraction``
+    arithmetic) truncated in degree: solve for vector entries supported on
+    all monomials of degree <= bound.  Plain linear algebra, independent of
+    the Groebner engine.  ``rows`` are the rows of A as lists of
+    polynomials; the result spans the truncated kernel, each vector a list
+    of one polynomial per column of A (without ``lift``, a basis of it).
+
+    ``lift`` holds columns L, one polynomial per row of A: the result then
+    spans the v of degree <= bound with A v = L w for some w.  The entries
+    of w are solved up to degree bound + deg A - (the lowest degree of a
+    nonzero entry of their column), which holds every such w when L is
+    f * e_j for a principal ideal (f), since then w = (A v) / f."""
+    p = field.characteristic
+
+    def monomials(bound):
+        return [
+            m for m in iter_product(range(bound + 1), repeat=nvars) if sum(m) <= bound
+        ]
+
+    monos = monomials(degree_bound)
+    top = max((e.degree() for row in rows for e in row if not e.is_zero()), default=0)
+    # one block of unknowns per column of A, then per lift column
+    blocks = [([row[ci] for row in rows], monos) for ci in range(len(rows[0]))]
+    for column in lift:
+        low = min(e.degree() for e in column if not e.is_zero())
+        blocks.append((column, monomials(max(degree_bound + top - low, 0))))
+    nunknowns = sum(len(block_monos) for _, block_monos in blocks)
+    equations = {}
+    offset = 0
+    for column, block_monos in blocks:
+        for ri, entry in enumerate(column):
+            for em, ec in entry.terms.items():
+                for mi, m in enumerate(block_monos):
+                    target = tuple(a + b for a, b in zip(em, m))
+                    vec = equations.setdefault((ri, target), [0] * nunknowns)
+                    vec[offset + mi] = field.add(vec[offset + mi], ec)
+        offset += len(block_monos)
+    matrix = list(equations.values())
+    pivots = _echelon(matrix, nunknowns, field)
+    width = len(rows[0]) * len(monos)
     basis = []
     for free_col in (c for c in range(nunknowns) if c not in pivots):
         v = [0] * nunknowns
-        v[free_col] = 1
+        v[free_col] = field.one
         for col, r in pivots.items():
-            v[col] = (-matrix[r][free_col]) % p
+            v[col] = field.neg(matrix[r][free_col])
+        if not any(v[:width]):
+            continue
         comps = []
-        for ci in range(width):
+        for ci in range(len(rows[0])):
             terms = {}
             for mi, m in enumerate(monos):
-                c = v[ci * len(monos) + mi] % p
+                c = v[ci * len(monos) + mi]
                 if c:
-                    terms[m] = c
+                    terms[m] = field.coerce(c)
             comps.append(Polynomial(field, nvars, terms, _normalized=True))
         basis.append(comps)
     return basis
+
+
+def in_oracle_span(column, oracle, field) -> bool:
+    """Membership of a polynomial vector in the ``field``-span of oracle
+    vectors."""
+    keys = set()
+    for basis_vec in oracle + [column]:
+        for ci, entry in enumerate(basis_vec):
+            keys.update((ci, m) for m in entry.terms)
+    keys = sorted(keys)
+    index = {k: i for i, k in enumerate(keys)}
+
+    def flatten(vec):
+        out = [0] * len(keys)
+        for ci, entry in enumerate(vec):
+            for m, c in entry.terms.items():
+                out[index[(ci, m)]] = c
+        return out
+
+    matrix = [flatten(v) for v in oracle]
+    pivots = _echelon(matrix, len(keys), field)
+    target = flatten(column)
+    for col, r in pivots.items():
+        if target[col]:
+            target = _axpy(target, target[col], matrix[r], field.characteristic)
+    return not any(target)
 
 
 def criterion_11_syzygy_oracle(seed: int = 0) -> CriterionResult:
@@ -534,7 +592,7 @@ def criterion_11_syzygy_oracle(seed: int = 0) -> CriterionResult:
                         False,
                         f"instance {instance}: A*S != 0",
                     )
-        oracle = dense_kernel_oracle(rows, 2, degree_bound, 5)
+        oracle = dense_kernel_oracle(rows, 2, degree_bound, field)
         syz_elems = [FreeElement.from_components(c, rank=ncols) for c in columns]
         if syz_elems:
             basis = groebner_basis(syz_elems)
@@ -554,7 +612,7 @@ def criterion_11_syzygy_oracle(seed: int = 0) -> CriterionResult:
         # low-degree syzygy columns must land inside the oracle span
         for col in columns:
             if max((e.degree() for e in col), default=-1) <= degree_bound:
-                if not _in_span_mod_p(col, oracle, 5, degree_bound):
+                if not in_oracle_span(col, oracle, field):
                     return CriterionResult(
                         "criterion-11-syzygy-oracle",
                         False,
@@ -566,44 +624,6 @@ def criterion_11_syzygy_oracle(seed: int = 0) -> CriterionResult:
         "50 random matrices: syzygies and the truncated oracle generate "
         "the same kernels",
     )
-
-
-def _in_span_mod_p(column, oracle, p: int, degree_bound: int) -> bool:
-    """Membership of a polynomial vector in the F_p-span of oracle vectors."""
-    keys = set()
-    vectors = []
-    for basis_vec in oracle + [column]:
-        for ci, entry in enumerate(basis_vec):
-            keys.update((ci, m) for m in entry.terms)
-    keys = sorted(keys)
-    index = {k: i for i, k in enumerate(keys)}
-
-    def flatten(vec):
-        out = [0] * len(keys)
-        for ci, entry in enumerate(vec):
-            for m, c in entry.terms.items():
-                out[index[(ci, m)]] = c % p
-        return out
-
-    matrix = [flatten(v) for v in oracle]
-    target = flatten(column)
-    rank = 0
-    for col in range(len(keys)):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] % p), None)
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = pow(matrix[rank][col], -1, p)
-        matrix[rank] = [(v * inv) % p for v in matrix[rank]]
-        if target[col] % p:
-            f = target[col]
-            target = [(a - f * b) % p for a, b in zip(target, matrix[rank])]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] % p:
-                f = matrix[r][col]
-                matrix[r] = [(a - f * b) % p for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
-    return not any(v % p for v in target)
 
 
 _DETERMINISM_SCRIPT = """

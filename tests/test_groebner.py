@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torsionlab.errors import DimensionError, ResourceLimitError
 from torsionlab.fields import GF, QQ
@@ -24,7 +26,7 @@ from torsionlab.poly import (
     lifted_ideal,
     polynomial_to_element,
 )
-from torsionlab.suite import dense_kernel_oracle
+from torsionlab.suite import dense_kernel_oracle, in_oracle_span
 from torsionlab.syntax import format_polynomial, parse_polynomial
 
 XY = ("x", "y")
@@ -356,7 +358,7 @@ def test_syzygies_match_linear_algebra_oracle(seed):
             for a, v in zip(row, col):
                 acc = acc + a * v
             assert acc.is_zero()
-    oracle = dense_kernel_oracle(rows, 2, 6, 5)
+    oracle = dense_kernel_oracle(rows, 2, 6, field)
     syz_elems = [FreeElement.from_components(c, rank=3) for c in cols]
     if syz_elems:
         gb = groebner_basis(syz_elems)
@@ -364,3 +366,63 @@ def test_syzygies_match_linear_algebra_oracle(seed):
             assert gb.contains(FreeElement.from_components(vec, rank=3))
     else:
         assert not oracle
+
+
+# principal ideals of the quotient rings whose lift I * R^rank the syzygies
+# are taken modulo: the node, a coordinate cross and a cusp
+QUOTIENTS = (None, "x^2 - y^2", "x*y", "y^2 - x^3")
+ORACLE_BOUND = 3
+
+
+@st.composite
+def syzygy_problems(draw):
+    field = draw(st.sampled_from([GF(7), QQ]))
+    rank = draw(st.integers(1, 2))
+    width = draw(st.integers(1, 3))
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda m: sum(m) <= 2)
+    coeff = (
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+        if field == QQ
+        else st.integers(0, 6)
+    )
+    entry = st.dictionaries(mono, coeff, max_size=2).map(
+        lambda terms: Polynomial(field, 2, terms)
+    )
+    row = st.lists(entry, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=rank, max_size=rank))
+    quotient = draw(st.sampled_from(QUOTIENTS))
+    return field, rows, quotient
+
+
+@given(syzygy_problems())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_syzygies_match_the_oracle_over_both_fields_and_modulo_a_lift(problem):
+    field, rows, quotient = problem
+    rank, width = len(rows), len(rows[0])
+    columns = [
+        FreeElement.from_components([row[j] for row in rows]) for j in range(width)
+    ]
+    f = parse_polynomial(quotient, XY, field) if quotient else None
+    lift = lifted_ideal([f], rank) if f else []
+    syz = syzygy_generators(columns, lift)
+    # each syzygy maps into the lift
+    target = groebner_basis(lift) if lift else None
+    for v in syz:
+        image = FreeElement.zero(field, 2, rank)
+        for j, comp in enumerate(v.components()):
+            image = image + columns[j].scaled(comp)
+        assert target.contains(image) if lift else image.is_zero()
+    oracle = dense_kernel_oracle(
+        rows, 2, ORACLE_BOUND, field, [vec.components() for vec in lift]
+    )
+    # the oracle lies in the syzygy module, and the syzygies of degree at
+    # most the bound lie in the oracle's span
+    if syz:
+        gb = groebner_basis(syz)
+        for vec in oracle:
+            assert gb.contains(FreeElement.from_components(vec, rank=width))
+    else:
+        assert not oracle
+    for v in syz:
+        if v.degree() <= ORACLE_BOUND:
+            assert in_oracle_span(v.components(), oracle, field)

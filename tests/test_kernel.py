@@ -11,15 +11,26 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsionlab import cache, groebner
+from torsionlab.engine import ExecConfig, run_source
+from torsionlab.errors import ResourceLimitError
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis
 from torsionlab.limits import run_scope
 from torsionlab.orders import mono_key, term_key
-from torsionlab.poly import FreeElement, Polynomial, polynomial_to_element
+from torsionlab.poly import (
+    FreeElement,
+    Polynomial,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    mono_sub,
+    polynomial_to_element,
+)
 from torsionlab.syntax import parse_polynomial
 
 
@@ -163,8 +174,15 @@ def test_reducer_is_the_first_element_whose_lead_divides_the_term(problem):
     # the terms of f and every multiple of a lead up to degree 2 above it
     shifts = list(itertools.product(range(3), repeat=nvars))
     gb = groebner_basis(gens)
-    for divisors, elements in ((gb, [g.terms for g in gb]), (state, state.basis)):
-        leads = [sorted(g, key=key)[0] for g in elements]
+    gb_leads = [sorted(g.terms, key=key)[0] for g in gb]
+    assert gb.lead_terms() == gb_leads
+    # each completion element's lead, worked out on its own from its terms
+    state_leads = [
+        sorted(state.layout.unpack({**tail, lead: lc}), key=key)[0]
+        for lead, lc, tail in zip(state.leads, state.lcs, state.tails)
+    ]
+    assert state.lead_terms() == state_leads
+    for divisors, leads in ((gb, gb_leads), (state, state_leads)):
         terms = set(f.terms)
         terms.update(
             (p, tuple(a + b for a, b in zip(m, shift)))
@@ -201,7 +219,8 @@ def test_buchberger_reduces_no_pair_twice(monkeypatch):
     groebner._buchberger(QQ, 3, 1, [g.terms for g in gens], "Groebner completion")
     monic = set()
     for terms in reduced:
-        inv = QQ.inv(terms[min(terms, key=term_key)])
+        # packed terms: the smallest int is the lead
+        inv = QQ.inv(terms[min(terms)])
         monic.add(frozenset((t, c * inv) for t, c in terms.items()))
     assert reduced
     assert len(monic) == len(reduced)
@@ -219,9 +238,11 @@ def test_completion_fed_one_generator_at_a_time_autoreduces_to_the_basis(problem
         # a Groebner basis of what was added so far: g reduces to zero
         assert state.reduce(g.terms) == {}
     where = ("autoreduction of Groebner completion", nvars, rank, len(gens))
-    reduced = groebner._autoreduce(field, state.basis, state.leads, where)
+    reduced = groebner._autoreduce(state, range(len(state.leads)), where)
     expected = groebner_basis(gens)
-    assert [FreeElement(field, nvars, rank, terms) for terms in reduced] == list(expected)
+    unpack = state.layout.unpack
+    elements = [FreeElement(field, nvars, rank, unpack(t)) for t in reduced]
+    assert elements == list(expected)
     assert state.reduce(f.terms) == expected.normal_form(f).terms
 
 
@@ -254,16 +275,19 @@ def test_qq_completion_keeps_primitive_integer_multiples_of_the_monic_vectors(pr
 
     def checked(self, terms, where):
         remainder, scale = real(self, terms, where)
-        leads, lcs, tails = self.leads, self.lcs, self.tails
+        lcs, unpack = self.lcs, self.layout.unpack
+        tails = [unpack(tail) for tail in self.tails]
         # integers in and out, and R / s is what division by the monic
         # elements, reducer for reducer, leaves
         assert all(type(c) is int for c in terms.values())
         assert all(type(a) is int and a > 0 for a in lcs)
         assert all(type(c) is int for c in remainder.values())
         assert type(scale) is int and scale > 0
-        basis = monic_elements(field, nvars, rank, leads, lcs, tails)
-        expected = naive_normal_form(FreeElement(field, nvars, rank, terms), basis)
-        assert {t: Fraction(c, scale) for t, c in remainder.items()} == expected.terms
+        basis = monic_elements(field, nvars, rank, self.lead_terms(), lcs, tails)
+        f = FreeElement(field, nvars, rank, unpack(terms))
+        expected = naive_normal_form(f, basis)
+        quotient = {t: Fraction(c, scale) for t, c in unpack(remainder).items()}
+        assert quotient == expected.terms
         calls.append(1)
         return remainder, scale
 
@@ -274,18 +298,22 @@ def test_qq_completion_keeps_primitive_integer_multiples_of_the_monic_vectors(pr
             state.complete()
         state.reduce(f.terms)
         where = ("autoreduction of Groebner completion", nvars, rank, len(gens))
-        reduced = groebner._autoreduce(field, state.basis, state.leads, where)
+        reduced = groebner._autoreduce(state, range(len(state.leads)), where)
     assert calls
-    for g, lead, lc in zip(state.basis, state.leads, state.lcs):
+    unpack = state.layout.unpack
+    elements = [
+        {**tail, lead: lc}
+        for lead, lc, tail in zip(state.leads, state.lcs, state.tails)
+    ]
+    for g, lead in zip(elements, state.leads):
         assert is_primitive_integer_vector(g, lead)
-        assert g[lead] == lc
     # a generator joins as the primitive multiple of itself
     first = gens[0].terms
     lead = min(first, key=term_key)
-    assert {t: Fraction(c, state.lcs[0]) for t, c in state.basis[0].items()} == {
+    assert {t: Fraction(c, state.lcs[0]) for t, c in unpack(elements[0]).items()} == {
         t: c / first[lead] for t, c in first.items()
     }
-    assert [FreeElement(field, nvars, rank, t) for t in reduced] == list(
+    assert [FreeElement(field, nvars, rank, unpack(t)) for t in reduced] == list(
         groebner_basis(gens)
     )
 
@@ -316,3 +344,203 @@ def test_qq_coefficients_leave_the_kernel_as_fractions(tmp_path):
     state.complete()
     remainder = state.reduce(f.terms)
     assert remainder == cold.normal_form(f).terms and all_fractions(remainder)
+
+
+# -- packed terms ------------------------------------------------------------
+
+
+@st.composite
+def layouts(draw):
+    nvars = draw(st.integers(1, 5))
+    bound = draw(st.sampled_from([1, 7, 64, 128, 300]))
+    return groebner._Layout(nvars, bound)
+
+
+def monomials(layout, max_degree=None):
+    """Exponent vectors of total degree at most ``max_degree`` (default the
+    layout's ``top``), as a random composition of a drawn degree."""
+    top = layout.top if max_degree is None else max_degree
+    n = layout.nvars
+
+    @st.composite
+    def draw_mono(draw):
+        degree = draw(st.integers(0, top))
+        cuts = draw(st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1))
+        bounds = [0, *sorted(cuts), degree]
+        return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+    return draw_mono()
+
+
+def terms_of(layout, max_degree=None):
+    return st.tuples(st.integers(0, 3), monomials(layout, max_degree))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_packing_round_trips_and_keeps_the_term_order(data):
+    layout = data.draw(layouts())
+    a = data.draw(terms_of(layout))
+    b = data.draw(terms_of(layout))
+    ca, cb = layout.encode(a), layout.encode(b)
+    assert layout.decode(ca) == a and layout.decode(cb) == b
+    assert layout.degree(ca) == sum(a[1])
+    # a smaller int is exactly a larger term
+    assert (ca < cb) == (term_key(a) < term_key(b))
+    assert (ca == cb) == (a == b)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_guard_test_divides_and_a_shift_sum_multiplies(data):
+    layout = data.draw(layouts())
+    lead = data.draw(terms_of(layout))
+    # t is a multiple of the lead about half the time
+    if data.draw(st.booleans()):
+        extra = data.draw(monomials(layout, layout.top - sum(lead[1])))
+        t = (lead[0], tuple(a + b for a, b in zip(lead[1], extra)))
+    else:
+        t = data.draw(terms_of(layout))
+    divisors = groebner._Divisors(GF(7), layout.nvars)
+    divisors.layout = layout
+    divisors._append(layout.encode(lead), 1, {})
+    divides = lead[0] == t[0] and mono_divides(lead[1], t[1])
+    assert (divisors._find(layout.encode(t)) == 0) == divides
+    ce, ct = layout.encode(lead), layout.encode(t)
+    # the lcm's exponent fields and degree, which may pass top
+    e, degree = layout.lcm(ce, ct)
+    lcm = mono_lcm(lead[1], t[1])
+    assert degree == sum(lcm)
+    assert [(e >> s) & layout.mask for s in layout.shifts] == list(lcm)
+    if not divides:
+        return
+    shift = mono_sub(t[1], lead[1])
+    # any tail term, in any position, whose product stays within top
+    g = data.draw(terms_of(layout, layout.top - sum(shift)))
+    assert layout.decode(layout.encode(g) + (ct - ce)) == (g[0], mono_mul(g[1], shift))
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_a_basis_widens_its_layout_for_a_higher_cap(field):
+    names = ("x", "y")
+    gens = [
+        polynomial_to_element(parse_polynomial(text, names, field))
+        for text in ("x^2 - 3*x*y", "y^3 - x + 2")
+    ]
+    gb = groebner_basis(gens)
+    small = polynomial_to_element(parse_polynomial("x^3*y + y^4", names, field))
+    assert gb.normal_form(small) == naive_normal_form(small, list(gb))
+    assert gb.layout.top < 200
+    with run_scope(degree_cap=300):
+        big = polynomial_to_element(
+            parse_polynomial("x^150*y^50 - 2*x^7*y^190 + x", names, field)
+        )
+        wide = gb.normal_form(big)
+        assert gb.layout.top >= 300
+        fresh = groebner.GroebnerBasis(field, 2, 1, gb.elements).normal_form(big)
+    assert wide == fresh
+    assert gb.normal_form(small) == naive_normal_form(small, list(gb))
+    # a term above every degree seen so far widens the layout again
+    leads = gb.lead_terms()
+    dividing = [i for i, lead in enumerate(leads) if mono_divides(lead[1], (400, 0))]
+    assert dividing and gb.reducer((0, (400, 0))) == dividing[0]
+    assert gb.layout.top >= 400
+
+
+def test_a_power_of_degree_100_runs_under_a_cap_of_128():
+    text = (
+        "ring R = QQ[x,y];\nmodule M = coker [[x^100]] over R;\n"
+        "print nu(M);\nprint torsion_free(M);\n"
+    )
+    report = run_source(text, ExecConfig(degree_cap=128))
+    assert [r.status for r in report.results] == ["ok"] * 4
+    assert [r.output for r in report.results[2:]] == ["1", "False"]
+
+
+# -- degree-cap errors ---------------------------------------------------------
+# The messages below are the ones the tuple-term kernel raised on the same
+# inputs.  Each vector is position over term: its lead sits in position 0
+# and its tail holds terms in position 1 of higher degree than the lead, so
+# the first tail term over the cap, in dict order, names the degree.
+
+
+def rank_two(field, terms):
+    return FreeElement(field, 2, 2, dict(terms))
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+@pytest.mark.parametrize(
+    "tail, degree",
+    [
+        ([((1, (0, 9)), 1), ((1, (10, 0)), 3)], 11),
+        ([((1, (10, 0)), 3), ((1, (0, 9)), 1)], 12),
+    ],
+)
+def test_a_reduction_step_names_the_first_tail_term_over_the_cap(field, tail, degree):
+    basis = groebner.GroebnerBasis(
+        field, 2, 2, [rank_two(field, [((0, (1, 0)), 1), *tail])]
+    )
+    f = rank_two(field, {(0, (3, 0)): 1})
+    with run_scope(degree_cap=10):
+        with pytest.raises(ResourceLimitError) as raised:
+            basis.normal_form(f)
+    assert str(raised.value) == (
+        f"term degree {degree} exceeds the degree cap 10 in the reduction of "
+        "normal_form (2 variables, rank 2, generators: 1)"
+    )
+
+
+# Under a cap of 10 the layout holds degrees up to 15, so the S-polynomials
+# below fit it.  Under a cap of 14 the layout also holds degrees up to 15,
+# and the terms of degree 17 are built in a widened layout.
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+@pytest.mark.parametrize(
+    "cap, first_terms, second_terms, first, degree",
+    [
+        (10, {(0, (2, 0)): 1, (1, (0, 10)): 2}, {(0, (0, 2)): 1, (1, (9, 0)): 5}, True, 12),
+        (10, {(0, (2, 0)): 1, (1, (0, 10)): 2}, {(0, (0, 2)): 1, (1, (9, 0)): 5}, False, 11),
+        (14, {(0, (3, 0)): 1, (1, (0, 14)): 2}, {(0, (0, 3)): 1, (1, (12, 0)): 5}, True, 17),
+        (14, {(0, (3, 0)): 1, (1, (0, 14)): 2}, {(0, (0, 3)): 1, (1, (12, 0)): 5}, False, 15),
+    ],
+)
+def test_an_s_polynomial_names_its_first_term_over_the_cap(
+    field, cap, first_terms, second_terms, first, degree
+):
+    assert groebner._Layout(2, cap).top == 15
+    g1 = rank_two(field, first_terms)
+    g2 = rank_two(field, second_terms)
+    with run_scope(degree_cap=cap):
+        with pytest.raises(ResourceLimitError) as raised:
+            groebner_basis([g1, g2] if first else [g2, g1])
+    assert str(raised.value) == (
+        f"term degree {degree} exceeds the degree cap {cap} in the S-polynomials of "
+        "Groebner completion (2 variables, rank 2, generators: 2)"
+    )
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+@pytest.mark.parametrize(
+    "cap, first_terms, second_terms, rest",
+    [
+        # y * h1 - x * h2: both shifted tails are x*y^10 e_1, of degree 11
+        (10, {(0, (1, 0)): 1, (1, (1, 9)): 1}, {(0, (0, 1)): 1, (1, (0, 10)): 1}, []),
+        # y^3 * h1 - x^3 * h2: both hold x^3*y^14 e_1, of degree 17, and
+        # x^4 e_1 is left
+        (
+            14,
+            {(0, (3, 0)): 1, (1, (3, 11)): 1},
+            {(0, (0, 3)): 1, (1, (0, 14)): 1, (1, (1, 0)): 1},
+            [{(1, (4, 0)): 1}],
+        ),
+    ],
+)
+def test_s_polynomial_terms_over_the_cap_that_cancel_raise_nothing(
+    field, cap, first_terms, second_terms, rest
+):
+    h1 = rank_two(field, first_terms)
+    h2 = rank_two(field, second_terms)
+    with run_scope(degree_cap=cap):
+        basis = groebner_basis([h1, h2])
+    assert list(basis) == [h1, h2, *[rank_two(field, terms) for terms in rest]]

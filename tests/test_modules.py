@@ -27,6 +27,7 @@ from torsionlab.modules import (
     rank_info,
     tensor,
     tensor_power,
+    transpose,
 )
 from torsionlab.poly import FreeElement
 from torsionlab.rings import Ideal, make_ring
@@ -403,3 +404,28 @@ class TestInference:
         rows = [[QQxy.poly("x + x^2")]]
         with pytest.raises(InputError):
             FPModule.from_rows(QQxy, rows)
+
+
+def test_transpose_keeps_each_columns_term_order():
+    rng = random.Random(12)
+    field = GF(5)
+    for _ in range(30):
+        rank = rng.randint(1, 4)
+        vectors = []
+        for _ in range(rng.randint(1, 4)):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                mono = (rng.randint(0, 2), rng.randint(0, 2))
+                terms[(rng.randrange(rank), mono)] = rng.randint(1, 4)
+            vectors.append(FreeElement(field, 2, rank, terms))
+        # the matrix's entries, read off the dense components
+        entries = [vec.components() for vec in vectors]
+        expected = [
+            FreeElement.from_components([row[i] for row in entries], rank=len(vectors))
+            for i in range(rank)
+        ]
+        columns = transpose(vectors, rank)
+        assert columns == expected
+        assert [list(c.terms.items()) for c in columns] == [
+            list(c.terms.items()) for c in expected
+        ]
