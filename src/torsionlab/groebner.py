@@ -425,8 +425,9 @@ class Completion(_Divisors):
     left, and ``reduce`` fully reduces a vector against the current basis.
     After ``complete`` the basis is a Groebner basis, not reduced, of
     everything added, so ``reduce`` gives zero exactly on the members of its
-    span.  ``complete`` uses the degree cap and the abort hook read when the
-    state was made; ``layer`` names the computation in a degree-cap error.
+    span.  ``add`` and ``complete`` read the degree cap and the abort hook
+    from ``current()`` when called; ``layer`` names the computation in a
+    degree-cap error.
     """
 
     def __init__(self, field: FieldSpec, nvars: int, rank: int, layer: str):
@@ -434,10 +435,7 @@ class Completion(_Divisors):
         self.rank = rank
         self.layer = layer
         self.ngens = 0
-        settings = current()
-        self.cap = settings.degree_cap
-        self.hook = settings.abort_hook
-        self._fit(self.cap)
+        self._fit(current().degree_cap)
         self.pairs: List[Tuple[int, int, int]] = []
         self.pending = set()
 
@@ -460,7 +458,7 @@ class Completion(_Divisors):
     def add(self, terms: TermDict) -> None:
         """Add a nonzero generator; its pairs wait for ``complete``."""
         self.ngens += 1
-        self._push(self._pack(terms, self.cap))
+        self._push(self._pack(terms, current().degree_cap))
 
     def reduce(self, terms: TermDict) -> TermDict:
         """Full reduction of ``terms`` against the current basis, with
@@ -472,10 +470,10 @@ class Completion(_Divisors):
         queue is empty."""
         if not self.pairs:
             return
-        self._fit(current().degree_cap)
+        settings = current()
+        cap, hook = settings.degree_cap, settings.abort_hook
+        self._fit(cap)
         p = self.field.characteristic
-        cap = self.cap
-        hook = self.hook
         rank = self.rank
         layout = self.layout
         guards, top = layout.guards, layout.top

@@ -399,52 +399,46 @@ def _cleared(vectors: Sequence[Dict]) -> Tuple[List[Dict], int]:
 
 
 def _minimalize(module: FPModule) -> MinimalPresentation:
+    """Eliminate unit entries by Gaussian moves on columns kept as row ->
+    nonzero entry dicts, pivoting on the first constant entry in
+    column-major order.  A move leaves the pivot row zero in every column,
+    so pivot rows are dropped once, at the end."""
     ring = module.ring
-    degrees = list(module.gen_degrees)
-    cols: List[List[Polynomial]] = [list(c.components()) for c in module.relations]
-
-    # eliminate unit entries (degree-zero constants) by Gaussian moves
+    field, nvars = ring.field, ring.nvars
+    zero = Polynomial.zero(field, nvars)
+    cols = [col.nonzero_components() for col in module.relations]
+    dropped = set()
     while True:
-        pivot = None
-        rank_now = len(degrees)
         for j, col in enumerate(cols):
-            for i in range(rank_now):
-                e = col[i]
-                if not e.is_zero() and e.is_constant():
-                    pivot = (i, j)
-                    break
-            if pivot:
+            units = [r for r, e in col.items() if e.is_constant()]
+            if units:
                 break
-        if pivot is None:
+        else:
             break
-        i, j = pivot
-        u = cols[j][i].constant_value()
-        inv_u = ring.field.inv(u)
-        pivot_col = cols[j]
-        for jj, col in enumerate(cols):
-            if jj == j:
-                continue
-            factor = col[i]
-            if factor.is_zero():
+        i = min(units)
+        pivot_col = cols.pop(j)
+        inv_u = field.inv(pivot_col.pop(i).constant_value())
+        for col in cols:
+            factor = col.pop(i, None)
+            if factor is None:
                 continue
             scale = factor * inv_u
-            for r in range(rank_now):
-                col[r] = ring.normal_form_poly(col[r] - scale * pivot_col[r])
-        keep = [r for r in range(rank_now) if r != i]
-        cols = [
-            [col[r] for r in keep] for jj, col in enumerate(cols) if jj != j
-        ]
-        degrees = [degrees[r] for r in keep]
+            for r, e in pivot_col.items():
+                col[r] = ring.normal_form_poly(col.get(r, zero) - scale * e)
+                if col[r].is_zero():
+                    del col[r]
+        dropped.add(i)
 
-    rank_now = len(degrees)
-    live_cols = [
-        FreeElement.from_components(col, rank=rank_now)
-        for col in cols
-        if any(not e.is_zero() for e in col)
-    ]
-    picked = _minimal_homogeneous_subset(ring, live_cols, rank_now, degrees)
-    minimal_module = FPModule(ring, picked, rank_now, degrees)
-    return MinimalPresentation(module=minimal_module, nu=rank_now, is_free=not picked)
+    kept = [r for r in range(module.ngens) if r not in dropped]
+    index = {r: k for k, r in enumerate(kept)}
+    live_cols = []
+    for col in filter(None, cols):
+        terms = {(index[r], m): c for r in sorted(col) for m, c in col[r].terms.items()}
+        live_cols.append(FreeElement(field, nvars, len(kept), terms, _normalized=True))
+    degrees = [module.gen_degrees[r] for r in kept]
+    picked = _minimal_homogeneous_subset(ring, live_cols, len(kept), degrees)
+    minimal_module = FPModule(ring, picked, len(kept), degrees)
+    return MinimalPresentation(module=minimal_module, nu=len(kept), is_free=not picked)
 
 
 def minimal_presentation(module: FPModule) -> Tuple[FPModule, int, bool]:
@@ -739,11 +733,8 @@ def presentation_ideal(module: FPModule) -> Tuple[Ideal, bool]:
         raise DegenerateError(
             "the presentation ideal is only defined for non-free modules"
         )
-    entries = []
-    for col in data.module.relations:
-        for comp in col.components():
-            if not comp.is_zero():
-                entries.append(comp)
+    relations = data.module.relations
+    entries = [c for col in relations for c in col.nonzero_components().values()]
     ideal = Ideal(module.ring, Ideal(module.ring, entries).minimal_generators())
     return ideal, ideal.contains_nonzerodivisor()
 

@@ -310,15 +310,22 @@ class FreeElement:
         }
         return Polynomial(self.field, self.nvars, out, _normalized=True)
 
-    def components(self) -> list:
-        """Every component in one pass; each keeps its terms' order."""
-        buckets: List[Dict[Mono, Coefficient]] = [{} for _ in range(self.rank)]
+    def nonzero_components(self) -> Dict[int, Polynomial]:
+        """The nonzero components by ascending position, from one pass over
+        the terms; each keeps its terms' order."""
+        buckets: Dict[int, Dict[Mono, Coefficient]] = {}
         for (pos, mono), c in self.terms.items():
-            buckets[pos][mono] = c
-        return [
-            Polynomial(self.field, self.nvars, terms, _normalized=True)
-            for terms in buckets
-        ]
+            buckets.setdefault(pos, {})[mono] = c
+        return {
+            pos: Polynomial(self.field, self.nvars, buckets[pos], _normalized=True)
+            for pos in sorted(buckets)
+        }
+
+    def components(self) -> list:
+        """Every component, the dense view of ``nonzero_components``."""
+        nonzero = self.nonzero_components()
+        zero = Polynomial.zero(self.field, self.nvars)
+        return [nonzero.get(pos, zero) for pos in range(self.rank)]
 
     def _check_compatible(self, other: "FreeElement") -> None:
         if (

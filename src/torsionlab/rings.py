@@ -99,12 +99,8 @@ class RingContext:
         nonzero components are reduced: a zero one already is."""
         if not self.ideal_generators or vec.is_zero():
             return vec
-        buckets: Dict[int, Dict[Tuple[int, ...], object]] = {}
-        for (pos, mono), c in vec.terms.items():
-            buckets.setdefault(pos, {})[mono] = c
         terms: TermDict = {}
-        for pos in sorted(buckets):
-            comp = Polynomial(self.field, self.nvars, buckets[pos], _normalized=True)
+        for pos, comp in vec.nonzero_components().items():
             for mono, c in self.normal_form_poly(comp).terms.items():
                 terms[(pos, mono)] = c
         return FreeElement(self.field, self.nvars, vec.rank, terms, _normalized=True)

@@ -262,5 +262,7 @@ def format_polynomial(p: Polynomial, names: Sequence[str]) -> str:
 
 
 def format_vector(f: FreeElement, names: Sequence[str]) -> str:
-    comps = [format_polynomial(c, names) for c in f.components()]
+    comps = ["0"] * f.rank
+    for pos, c in f.nonzero_components().items():
+        comps[pos] = format_polynomial(c, names)
     return "[" + ", ".join(comps) + "]"

@@ -22,6 +22,7 @@ from torsionlab.modules import (
 )
 from torsionlab.poly import FreeElement, Polynomial, polynomial_to_element
 from torsionlab.rings import Ideal, make_ring
+from torsionlab.suite import _echelon
 from torsionlab.syntax import format_vector, parse_polynomial
 from torsionlab.torsion import _matrix_spans_generically
 
@@ -320,3 +321,73 @@ class TestRankAtPrime:
             "pass",
         ]
         assert report.exit_code == 0
+
+
+PRESENTATION_RINGS = {
+    "GF(7)": lambda: make_ring(GF(7), ("x", "y")),
+    "QQ": lambda: make_ring(QQ, ("x", "y")),
+    "GF(5) node": node_ring,
+}
+
+
+@st.composite
+def presentations_with_units(draw, ring):
+    """1-4 generators of degree 0-2 and 1-5 homogeneous relation columns.
+    An entry whose degree is zero gets a drawn constant (a planted unit or
+    zero); a column may be a combination of two earlier columns of its
+    degree, so the constant entries can be dependent."""
+    ngens = draw(st.integers(1, 4))
+    degrees = draw(st.lists(st.integers(0, 2), min_size=ngens, max_size=ngens))
+    columns = []  # (degree, components)
+    for _ in range(draw(st.integers(1, 5))):
+        degree = draw(st.integers(min(degrees), max(degrees) + 2))
+        peers = [comps for d, comps in columns if d == degree]
+        if peers and draw(st.booleans()):
+            a, b = draw(st.sampled_from(peers)), draw(st.sampled_from(peers))
+            ca, cb = draw(st.sampled_from((1, 2, -1))), draw(st.sampled_from((0, 1, 3)))
+            columns.append((degree, [fa * ca + fb * cb for fa, fb in zip(a, b)]))
+            continue
+        comps = []
+        for gen_degree in degrees:
+            want = degree - gen_degree
+            terms = {}
+            monos = _monomials_of_weighted_degree(ring.nvars, ring.grading, want)
+            for mono in monos if want >= 0 else ():
+                c = draw(st.sampled_from((0, 1, 2, -1) if want == 0 else (0, 0, 1, -1)))
+                if c:
+                    terms[mono] = c
+            comps.append(Polynomial(ring.field, ring.nvars, terms))
+        columns.append((degree, comps))
+    relations = [FreeElement.from_components(comps, rank=ngens) for _, comps in columns]
+    return FPModule(ring, relations, ngens, degrees)
+
+
+class TestMinimalPresentationOracle:
+    """``FPModule.minimal`` against plain linear algebra over k, without
+    ``_minimalize``: nu(M) = dim_k M/mM is ngens minus the rank of the
+    matrix of constant entries (graded Nakayama)."""
+
+    @pytest.mark.parametrize("ring_name", sorted(PRESENTATION_RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_nu_entries_and_hilbert_values(self, ring_name, data):
+        ring = PRESENTATION_RINGS[ring_name]()
+        module = data.draw(presentations_with_units(ring), label="module")
+        one = (0,) * ring.nvars
+        constants = [
+            [col.terms.get((r, one), ring.field.zero) for col in module.relations]
+            for r in range(module.ngens)
+        ]
+        rank = len(_echelon(constants, len(module.relations), ring.field))
+        minimal = module.minimal()
+        assert minimal.nu == minimal.module.ngens == module.ngens - rank
+        # every entry of the minimal relations lies in m: no constant term
+        for col in minimal.module.relations:
+            assert all(any(mono) for _, mono in col.terms)
+        degrees = range(5)
+        hilbert = [module.hilbert_function(d) for d in degrees]
+        assert [minimal.module.hilbert_function(d) for d in degrees] == hilbert

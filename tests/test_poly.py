@@ -169,3 +169,50 @@ class TestSyntax:
     def test_parenthesised_input(self):
         p = parse_polynomial("(x + y)*(x - y)", NAMES, QQ)
         assert p == parse_polynomial("x^2 - y^2", NAMES, QQ)
+
+
+@st.composite
+def sparse_vectors(draw, field):
+    """Vectors of rank 1-6 whose terms come in no particular position
+    order, with every position in a drawn set left zero."""
+    rank = draw(st.integers(1, 6))
+    zero = draw(st.sets(st.integers(0, rank - 1), max_size=rank))
+    if field.characteristic:
+        coeffs = st.integers(0, field.characteristic - 1)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, rank - 1), monomials(max_exp=3)),
+            coeffs,
+            max_size=12,
+        )
+    )
+    kept = {t: c for t, c in terms.items() if t[0] not in zero}
+    return FreeElement(field, 3, rank, kept)
+
+
+class TestNonzeroComponents:
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=["GF(5)", "QQ"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_format_vector_is_the_dense_component_text(self, field, data):
+        v = data.draw(sparse_vectors(field))
+        dense = [format_polynomial(c, NAMES) for c in v.components()]
+        assert format_vector(v, NAMES) == "[" + ", ".join(dense) + "]"
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=["GF(5)", "QQ"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_holds_exactly_the_nonzero_components_in_term_order(self, field, data):
+        v = data.draw(sparse_vectors(field))
+        dense = v.components()
+        assert len(dense) == v.rank
+        nonzero = v.nonzero_components()
+        assert list(nonzero) == [pos for pos, c in enumerate(dense) if c]
+        for pos, comp in nonzero.items():
+            assert list(comp.terms.items()) == list(dense[pos].terms.items())
+            # the order of the vector's own terms at that position
+            assert list(comp.terms.items()) == [
+                (mono, c) for (p, mono), c in v.terms.items() if p == pos
+            ]

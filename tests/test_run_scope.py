@@ -8,8 +8,12 @@ import dataclasses
 import pytest
 
 from torsionlab import cache
-from torsionlab.errors import InputError
+from torsionlab.errors import InputError, ResourceLimitError
+from torsionlab.fields import GF
+from torsionlab.groebner import Completion
 from torsionlab.limits import DEFAULT_DEGREE_CAP, RunSettings, current, run_scope
+from torsionlab.poly import polynomial_to_element
+from torsionlab.syntax import parse_polynomial
 
 
 def hook():
@@ -67,3 +71,31 @@ class TestRunScope:
             with run_scope(trace_file="out.jsonl"):
                 pass  # pragma: no cover - never entered
         assert current() == RunSettings()
+
+
+def completion_of(texts):
+    """A ``Completion`` over GF(7)[x,y] with the given generators added
+    and its pairs queued."""
+    state = Completion(GF(7), 2, 1, "completion test")
+    for text in texts:
+        poly = parse_polynomial(text, ("x", "y"), GF(7))
+        state.add(polynomial_to_element(poly).terms)
+    return state
+
+
+class TestCompletionReadsTheCurrentScope:
+    GENS = ("x^2*y + y^3", "x^3 + y^3")
+
+    @pytest.mark.parametrize("made_under", [DEFAULT_DEGREE_CAP, 3])
+    def test_complete_uses_the_cap_of_its_own_scope(self, made_under):
+        # the S-polynomial x*y^3 - y^4 passes cap 3 at degree 4, wherever
+        # the state was made
+        with run_scope(degree_cap=made_under):
+            state = completion_of(self.GENS)
+        with run_scope(degree_cap=3):
+            with pytest.raises(ResourceLimitError) as info:
+                state.complete()
+        assert str(info.value) == (
+            "term degree 4 exceeds the degree cap 3 in the S-polynomials of "
+            "completion test (2 variables, rank 1, generators: 2)"
+        )

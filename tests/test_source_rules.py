@@ -10,13 +10,40 @@ import torsionlab
 PACKAGE = Path(torsionlab.__file__).parent
 
 
+def offending(rule, skip=()):
+    """``path:line`` of every node of the package source that breaks
+    ``rule``, in the modules not named in ``skip``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in skip:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if rule(node):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    return found
+
+
 def test_no_assert_statements():
     # python -O strips asserts, and a failing one escapes as a raw
     # AssertionError instead of a typed TorsionLabError
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
-    assert found == []
+    assert offending(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_no_global_or_nonlocal_statements():
+    # run-scoped settings live in limits.run_scope; a rebound module or
+    # closure variable would outlive the run that set it
+    assert offending(lambda node: isinstance(node, (ast.Global, ast.Nonlocal))) == []
+
+
+def is_context_var_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "ContextVar"
+
+
+def test_context_variables_only_in_limits():
+    # the run settings are the one context variable, held by limits.py
+    assert offending(is_context_var_call, skip=("limits.py",)) == []
