@@ -49,7 +49,6 @@ from .modules import (
     annihilator,
     dual_generators,
     kernel_of_map,
-    minimal_presentation,
     modules_equivalent,
     presentation_ideal,
     rank_info,

@@ -46,7 +46,6 @@ from .modules import (
     FPModule,
     ModuleElement,
     annihilator,
-    minimal_presentation,
     tensor,
     tensor_power,
 )
@@ -385,7 +384,7 @@ class _Engine:
             return self.eval_module(a).nu()
         if name == "minimal":
             (a,) = need(1)
-            return minimal_presentation(self.eval_module(a))[0]
+            return self.eval_module(a).minimal()
         if name == "tor":
             a, b, c = need(3)
             return tor(self.eval_module(a), self.eval_module(b), self.eval_int(c))

@@ -20,7 +20,7 @@ from .modules import (
     _minimal_homogeneous_subset,
     block_ambient,
     induced_columns,
-    present_subquotient,
+    present_submodule,
     relations_among,
     tensor,
 )
@@ -38,7 +38,6 @@ class FreeResolution:
     differentials: Tuple[Tuple[FreeElement, ...], ...]
     step_degrees: Tuple[Tuple[int, ...], ...]
     complete: bool
-    minimal: bool = True
 
     @property
     def betti(self) -> Tuple[int, ...]:
@@ -60,68 +59,45 @@ class FreeResolution:
         return "\n".join(lines)
 
 
-class _ResolutionState:
-    __slots__ = ("diffs", "degrees", "complete")
-
-    def __init__(self, diffs, degrees, complete):
-        self.diffs: List[Tuple[FreeElement, ...]] = diffs
-        self.degrees: List[Tuple[int, ...]] = degrees
-        self.complete = complete
-
-
-def _resolution_state(module: FPModule) -> _ResolutionState:
-    if module._resolution is None:
-        base = module.minimal().module
-        degrees = [tuple(base.gen_degrees)]
-        diffs: List[Tuple[FreeElement, ...]] = []
-        complete = False
-        if base.relations:
-            cols = tuple(base.relations)
-            diffs.append(cols)
-            degrees.append(
-                tuple(
-                    c.homogeneous_degree(module.ring.grading, base.gen_degrees)
-                    for c in cols
-                )
-            )
-        else:
-            complete = True
-        module._resolution = _ResolutionState(diffs, degrees, complete)
-    return module._resolution
-
-
-def _extend_resolution(module: FPModule, steps: int) -> _ResolutionState:
+def _extend_resolution(module: FPModule, steps: int) -> FreeResolution:
+    """The resolution kept on ``module``, extended until it has ``steps``
+    differentials or ends.  Its first differential is the relation matrix
+    of ``module.minimal()``; each later one is a minimal generating set of
+    the syzygies of the one before."""
     ring = module.ring
-    state = _resolution_state(module)
-    while not state.complete and len(state.diffs) < steps:
-        last_cols = state.diffs[-1]
-        ambient_rank = len(last_cols)
-        pos_degrees = state.degrees[len(state.diffs)]
-        syz = ring.syzygies(list(last_cols), last_cols[0].rank)
-        gens = _minimal_homogeneous_subset(ring, syz, ambient_rank, pos_degrees)
-        if not gens:
-            state.complete = True
-            break
-        state.diffs.append(tuple(gens))
-        state.degrees.append(
-            tuple(
-                g.homogeneous_degree(ring.grading, pos_degrees) for g in gens
-            )
+    res = module._resolution
+    if res is None:
+        base = module.minimal()
+        res = FreeResolution(module, (), (base.gen_degrees,), not base.relations)
+        if base.relations:
+            res.differentials = (base.relations,)
+            res.step_degrees += (base.relation_degrees(),)
+        module._resolution = res
+    while not res.complete and res.length < steps:
+        last = res.differentials[-1]
+        syz = ring.syzygies(list(last), last[0].rank)
+        gens, degrees = _minimal_homogeneous_subset(
+            ring, syz, len(last), res.step_degrees[-1]
         )
-    return state
+        if gens:
+            res.differentials += (tuple(gens),)
+            res.step_degrees += (degrees,)
+        else:
+            res.complete = True
+    return res
 
 
 def free_resolution(module: FPModule, bound: int) -> FreeResolution:
     """Minimal graded free resolution out to homological degree <= bound."""
     if bound < 0:
         raise InputError("resolution bound must be nonnegative")
-    state = _extend_resolution(module, bound)
-    take = min(bound, len(state.diffs))
+    res = _extend_resolution(module, bound)
+    take = min(bound, res.length)
     return FreeResolution(
         module=module,
-        differentials=tuple(state.diffs[:take]),
-        step_degrees=tuple(state.degrees[: take + 1]),
-        complete=state.complete and take == len(state.diffs),
+        differentials=res.differentials[:take],
+        step_degrees=res.step_degrees[: take + 1],
+        complete=res.complete and take == res.length,
     )
 
 
@@ -174,8 +150,8 @@ def complex_homology(
         outgoing = induced_columns(diffs[i - 1], n_module)
         cycles = relations_among(ring, outgoing, target_relations, target_rank)
     boundaries = induced_columns(diffs[i], n_module) if i < len(diffs) else []
-    module, _ = present_subquotient(ring, rank, degrees, cycles, boundaries, relations)
-    return module.minimal().module
+    module, _ = present_submodule(ring, rank, degrees, cycles, boundaries + relations)
+    return module.minimal()
 
 
 def tor(m_module: FPModule, n_module: FPModule, i: int) -> FPModule:
@@ -185,7 +161,7 @@ def tor(m_module: FPModule, n_module: FPModule, i: int) -> FPModule:
     if m_module.ring != n_module.ring:
         raise InputError("Tor needs modules over one ring")
     if i == 0:
-        return tensor(m_module.minimal().module, n_module).minimal().module
+        return tensor(m_module.minimal(), n_module).minimal()
     res = free_resolution(m_module, i + 1)
     return complex_homology(res.differentials, res.step_degrees, n_module, i)
 
@@ -258,7 +234,7 @@ def koszul_depth(
         [sum(seq_degrees[s] for s in S) for S in combinations(range(d), i)]
         for i in range(d + 1)
     ]
-    homologies: Dict[int, FPModule] = {0: m_mod_jm.minimal().module}
+    homologies: Dict[int, FPModule] = {0: m_mod_jm.minimal()}
     for i in range(1, d + 1):
         h = complex_homology(diffs, step_degrees, module, i)
         if h.nu() > 0:

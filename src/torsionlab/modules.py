@@ -93,13 +93,6 @@ def infer_generator_degrees(
     return tuple(d - shift for d in gen_deg)
 
 
-@dataclass
-class MinimalPresentation:
-    module: "FPModule"
-    nu: int
-    is_free: bool
-
-
 class FPModule:
     """A finitely presented graded module over a ring context."""
 
@@ -131,7 +124,7 @@ class FPModule:
             cleaned.append(vec)
         self.relations: Tuple[FreeElement, ...] = tuple(cleaned)
         self._cover_basis: Optional[GroebnerBasis] = None
-        self._minimal: Optional[MinimalPresentation] = None
+        self._minimal: Optional["FPModule"] = None
         self._dual: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
         self._tensor_powers: Dict[int, "FPModule"] = {}
         self._resolution = None  # filled by homology.free_resolution
@@ -213,16 +206,17 @@ class FPModule:
 
     # -- minimal presentation ---------------------------------------------
 
-    def minimal(self) -> MinimalPresentation:
+    def minimal(self) -> "FPModule":
+        """An isomorphic module whose relation matrix has all entries in m."""
         if self._minimal is None:
             self._minimal = _minimalize(self)
         return self._minimal
 
     def nu(self) -> int:
-        return self.minimal().nu
+        return self.minimal().ngens
 
     def is_free(self) -> bool:
-        return self.minimal().is_free
+        return not self.minimal().relations
 
     def is_zero(self) -> bool:
         return self.nu() == 0
@@ -247,16 +241,19 @@ class FPModule:
     def hilbert_function(self, degree: int) -> int:
         """Dimension over k of the homogeneous piece of the given degree."""
         basis = self.cover_basis()
+        monomials: Dict[int, List[tuple]] = {}
         total = 0
-        for i in range(self.ngens):
-            want = degree - self.gen_degrees[i]
+        for i, gen_degree in enumerate(self.gen_degrees):
+            want = degree - gen_degree
             if want < 0:
                 continue
-            for mono in _monomials_of_weighted_degree(
-                self.ring.nvars, self.ring.grading, want
-            ):
-                if basis.reducer((i, mono)) < 0:
-                    total += 1
+            if want not in monomials:
+                monomials[want] = list(
+                    _monomials_of_weighted_degree(
+                        self.ring.nvars, self.ring.grading, want
+                    )
+                )
+            total += sum(1 for mono in monomials[want] if basis.reducer((i, mono)) < 0)
         return total
 
     def descriptor(self) -> str:
@@ -321,11 +318,7 @@ class ModuleMap:
     """A map of FP modules given on generators; well-definedness is checked."""
 
     def __init__(
-        self,
-        source: FPModule,
-        target: FPModule,
-        columns: Sequence[FreeElement],
-        check: bool = True,
+        self, source: FPModule, target: FPModule, columns: Sequence[FreeElement]
     ):
         if source.ring != target.ring:
             raise DimensionError("source and target live over different rings")
@@ -338,15 +331,12 @@ class ModuleMap:
         self.target = target
         self.columns: Tuple[FreeElement, ...] = tuple(columns)
         self._integer_columns: Optional[Tuple[List[Dict], int]] = None
-        if check:
-            basis = target.cover_basis()
-            for rel in source.relations:
-                image = self.push_coords(rel)
-                if not basis.normal_form(image).is_zero():
-                    raise InputError(
-                        "map is not well defined: a source relation has "
-                        "nonzero image in the target"
-                    )
+        for rel in source.relations:
+            if not target.element_is_zero(self.push_coords(rel)):
+                raise InputError(
+                    "map is not well defined: a source relation has "
+                    "nonzero image in the target"
+                )
 
     def push_coords(self, coords: FreeElement) -> FreeElement:
         """The image of the source vector ``coords``, summed in one term dict.
@@ -398,7 +388,7 @@ def _cleared(vectors: Sequence[Dict]) -> Tuple[List[Dict], int]:
 # minimal presentations
 
 
-def _minimalize(module: FPModule) -> MinimalPresentation:
+def _minimalize(module: FPModule) -> FPModule:
     """Eliminate unit entries by Gaussian moves on columns kept as row ->
     nonzero entry dicts, pivoting on the first constant entry in
     column-major order.  A move leaves the pivot row zero in every column,
@@ -436,15 +426,8 @@ def _minimalize(module: FPModule) -> MinimalPresentation:
         terms = {(index[r], m): c for r in sorted(col) for m, c in col[r].terms.items()}
         live_cols.append(FreeElement(field, nvars, len(kept), terms, _normalized=True))
     degrees = [module.gen_degrees[r] for r in kept]
-    picked = _minimal_homogeneous_subset(ring, live_cols, len(kept), degrees)
-    minimal_module = FPModule(ring, picked, len(kept), degrees)
-    return MinimalPresentation(module=minimal_module, nu=len(kept), is_free=not picked)
-
-
-def minimal_presentation(module: FPModule) -> Tuple[FPModule, int, bool]:
-    """Isomorphic module whose relation matrix has all entries in m."""
-    data = module.minimal()
-    return data.module, data.nu, data.is_free
+    picked, _ = _minimal_homogeneous_subset(ring, live_cols, len(kept), degrees)
+    return FPModule(ring, picked, len(kept), degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +518,7 @@ def tensor_coords(
 
 
 # ---------------------------------------------------------------------------
-# kernels and subquotients
+# kernels and submodules
 
 
 def _minimal_homogeneous_subset(
@@ -544,9 +527,11 @@ def _minimal_homogeneous_subset(
     rank: int,
     position_degrees: Sequence[int],
     modulo: Sequence[FreeElement] = (),
-) -> List[FreeElement]:
+) -> Tuple[List[FreeElement], Tuple[int, ...]]:
     """Greedy minimal generating subset of <vectors> + <modulo>, over <modulo>,
-    trying vectors by degree, then by their text."""
+    trying vectors by degree, then by their text; returns the kept vectors
+    and their degrees for the given position degrees.  A kept vector that
+    is not homogeneous raises ``InputError``."""
 
     def sort_key(vec: FreeElement):
         deg = vec.homogeneous_degree(ring.grading, position_degrees)
@@ -554,7 +539,13 @@ def _minimal_homogeneous_subset(
             deg = vec.degree(ring.grading, position_degrees)
         return (deg, format_vector(vec, ring.variables))
 
-    return ring.minimal_subset(vectors, rank, sort_key, modulo)
+    picked = ring.minimal_subset(vectors, rank, sort_key, modulo)
+    degrees = tuple(
+        vec.homogeneous_degree(ring.grading, position_degrees) for vec in picked
+    )
+    if None in degrees:
+        raise InputError("minimal generators came out inhomogeneous")
+    return picked, degrees
 
 
 def relations_among(
@@ -570,6 +561,28 @@ def relations_among(
     return [head for head in heads if not head.is_zero()]
 
 
+def present_submodule(
+    ring: RingContext,
+    rank: int,
+    position_degrees: Sequence[int],
+    vectors: Sequence[FreeElement],
+    modulo: Sequence[FreeElement],
+) -> Tuple[FPModule, List[FreeElement]]:
+    """Present (<vectors> + <modulo>) / <modulo> inside R^rank / <modulo>.
+
+    Returns the module together with the vectors chosen as its minimal
+    generators; its relations are the relations among them modulo
+    <modulo>.
+    """
+    gens, degrees = _minimal_homogeneous_subset(
+        ring, vectors, rank, position_degrees, modulo
+    )
+    if not gens:
+        return FPModule.zero_module(ring), []
+    rel_cols = relations_among(ring, gens, modulo, rank)
+    return FPModule(ring, rel_cols, len(gens), degrees), gens
+
+
 def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
     """The kernel of a module map, with its inclusion into the source.
 
@@ -579,62 +592,19 @@ def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
     """
     source, target = phi.source, phi.target
     ring = source.ring
-    m = source.ngens
     heads = relations_among(ring, phi.columns, target.relations, target.ngens)
     candidates = [
         head
         for head in map(source.element_normal_form, heads)
         if not head.is_zero()
     ]
-    gens = _minimal_homogeneous_subset(
-        ring, candidates, m, source.gen_degrees, modulo=source.relations
+    kernel, gens = present_submodule(
+        ring, source.ngens, source.gen_degrees, candidates, source.relations
     )
-    target_basis = target.cover_basis()
     for g in gens:
-        if not target_basis.normal_form(phi.push_coords(g)).is_zero():
+        if not target.element_is_zero(phi.push_coords(g)):
             raise InputError("kernel generator does not map to zero")
-    gen_degrees = tuple(
-        g.homogeneous_degree(ring.grading, source.gen_degrees) for g in gens
-    )
-    if any(d is None for d in gen_degrees):
-        raise InputError("kernel generators came out inhomogeneous")
-    if not gens:
-        kernel = FPModule.zero_module(ring)
-        inclusion = ModuleMap(kernel, source, (), check=False)
-        return kernel, inclusion
-    rel_cols = relations_among(ring, gens, source.relations, m)
-    kernel = FPModule(ring, rel_cols, len(gens), gen_degrees)
-    inclusion = ModuleMap(kernel, source, gens, check=True)
-    return kernel, inclusion
-
-
-def present_subquotient(
-    ring: RingContext,
-    rank: int,
-    position_degrees: Sequence[int],
-    numerators: Sequence[FreeElement],
-    denominators: Sequence[FreeElement],
-    ambient_relations: Sequence[FreeElement],
-) -> Tuple[FPModule, List[FreeElement]]:
-    """Present (<num> + rel) / (<den> + rel) inside R^rank / rel.
-
-    Returns the module together with the numerator vectors chosen as its
-    generators.  Callers guarantee den + rel contains nothing outside
-    <num> + rel that they care about (homology use: den is the image,
-    num the kernel, den a subset of <num> + rel).
-    """
-    modulo = list(denominators) + list(ambient_relations)
-    gens = _minimal_homogeneous_subset(
-        ring, numerators, rank, position_degrees, modulo=modulo
-    )
-    if not gens:
-        return FPModule.zero_module(ring), []
-    rel_cols = relations_among(ring, gens, modulo, rank)
-    gen_degrees = tuple(
-        g.homogeneous_degree(ring.grading, position_degrees) for g in gens
-    )
-    module = FPModule(ring, rel_cols, len(gens), gen_degrees)
-    return module, gens
+    return kernel, ModuleMap(kernel, source, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -648,26 +618,18 @@ def dual_generators(module: FPModule) -> Tuple[List[FreeElement], List[int]]:
     m -> (phi_1(m), ..) is then a well-defined map M -> R^{nu*}.  Returns
     the rows and their degrees as functionals.
     """
-    if module._dual is not None:
-        rows, degs = module._dual
-        return list(rows), list(degs)
-    ring = module.ring
-    m = module.ngens
-    a = len(module.relations)
-    if m == 0:
-        module._dual = ((), ())
-        return [], []
-    if a == 0:
-        rows = [FreeElement.unit(ring.field, ring.nvars, m, i) for i in range(m)]
-        degs = [-d for d in module.gen_degrees]
-        module._dual = (tuple(rows), tuple(degs))
-        return rows, degs
-    syz = ring.syzygies(transpose(module.relations, m), a)
-    dual_pos_degrees = tuple(-d for d in module.gen_degrees)
-    rows = _minimal_homogeneous_subset(ring, syz, m, dual_pos_degrees)
-    degs = [r.homogeneous_degree(ring.grading, dual_pos_degrees) for r in rows]
-    module._dual = (tuple(rows), tuple(degs))
-    return rows, degs
+    if module._dual is None:
+        ring, m = module.ring, module.ngens
+        if module.relations:
+            syz = ring.syzygies(transpose(module.relations, m), len(module.relations))
+            dual_pos_degrees = tuple(-d for d in module.gen_degrees)
+            rows, degs = _minimal_homogeneous_subset(ring, syz, m, dual_pos_degrees)
+        else:
+            rows = [FreeElement.unit(ring.field, ring.nvars, m, i) for i in range(m)]
+            degs = tuple(-d for d in module.gen_degrees)
+        module._dual = (tuple(rows), degs)
+    rows, degs = module._dual
+    return list(rows), list(degs)
 
 
 def dual_evaluation(module: FPModule) -> Tuple[List[FreeElement], Tuple[int, ...]]:
@@ -709,7 +671,7 @@ def annihilator(module: FPModule, element: Optional[ModuleElement] = None) -> Id
             return Ideal(ring, [ring.one()])
         modulo, rank = module.relations, module.ngens
     else:
-        mm = module.minimal().module
+        mm = module.minimal()
         k = mm.ngens
         if k == 0:
             return Ideal(ring, [ring.one()])
@@ -728,12 +690,11 @@ def annihilator(module: FPModule, element: Optional[ModuleElement] = None) -> Id
 def presentation_ideal(module: FPModule) -> Tuple[Ideal, bool]:
     """The ideal of entries of a minimal relation matrix, and whether it
     contains a non-zerodivisor (tested against the declared minimal primes)."""
-    data = module.minimal()
-    if data.is_free:
+    relations = module.minimal().relations
+    if not relations:
         raise DegenerateError(
             "the presentation ideal is only defined for non-free modules"
         )
-    relations = data.module.relations
     entries = [c for col in relations for c in col.nonzero_components().values()]
     ideal = Ideal(module.ring, Ideal(module.ring, entries).minimal_generators())
     return ideal, ideal.contains_nonzerodivisor()
@@ -756,7 +717,7 @@ def rank_info(module: FPModule) -> RankInfo:
     if not ring.reduced:
         raise UnsupportedError("rank needs a declared-reduced ring")
     primes = ring.effective_minimal_primes()
-    mm = module.minimal().module
+    mm = module.minimal()
     k = mm.ngens
     ranks = [
         k - ring.rank_at_prime(mm.relations, k, pi) for pi in range(len(primes))
@@ -774,8 +735,8 @@ def modules_equivalent(
 ) -> bool:
     """Invariant-level comparison: nu, graded generator and relation data,
     annihilators, and Hilbert values on an initial window."""
-    lm = left.minimal().module
-    rm = right.minimal().module
+    lm = left.minimal()
+    rm = right.minimal()
     if lm.ngens != rm.ngens:
         return False
     if sorted(lm.gen_degrees) != sorted(rm.gen_degrees):

@@ -9,7 +9,7 @@ I is verified, which the context records as a trust warning.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionError, InputError, StructuralError, UnsupportedError
 from .fields import FieldSpec
@@ -45,6 +45,7 @@ class RingContext:
         complete_intersection: bool,
         warnings: Sequence[str],
         ideal_basis: GroebnerBasis,
+        prime_bases: Sequence[GroebnerBasis],
     ):
         self.field = field
         self.variables: Tuple[str, ...] = tuple(variables)
@@ -58,7 +59,7 @@ class RingContext:
         self.complete_intersection = complete_intersection
         self.warnings: Tuple[str, ...] = tuple(warnings)
         self.ideal_basis = ideal_basis
-        self._prime_bases: Dict[int, GroebnerBasis] = {}
+        self._prime_bases: Tuple[GroebnerBasis, ...] = tuple(prime_bases)
         self._depth: Optional[int] = None
 
     # -- constructors for elements -------------------------------------
@@ -205,14 +206,8 @@ class RingContext:
         )
 
     def prime_basis(self, index: int) -> GroebnerBasis:
-        if index not in self._prime_bases:
-            gens = [g for g in self.effective_minimal_primes()[index] if not g.is_zero()]
-            if gens:
-                self._prime_bases[index] = groebner_basis(
-                    [polynomial_to_element(g) for g in gens]
-                )
-            else:
-                self._prime_bases[index] = empty_basis(self.field, self.nvars, 1)
+        """Groebner basis of the effective minimal prime ``index``, built
+        once by ``make_ring``."""
         return self._prime_bases[index]
 
     def in_prime(self, f: Polynomial, index: int) -> bool:
@@ -363,6 +358,7 @@ def make_ring(
 
     warnings: List[str] = []
     primes: List[Tuple[Polynomial, ...]] = []
+    prime_bases: List[GroebnerBasis] = []
     for prime in minimal_primes:
         checked: List[Polynomial] = []
         for g in prime:
@@ -384,7 +380,10 @@ def make_ring(
             raise StructuralError(
                 "the zero ideal cannot be a minimal prime of a proper quotient"
             )
+        else:
+            prime_gb = empty_basis(field, nvars, 1)
         primes.append(tuple(checked))
+        prime_bases.append(prime_gb)
     if primes:
         warnings.append(
             "minimal primes are declared: primality and completeness of the "
@@ -395,6 +394,9 @@ def make_ring(
         # intersection: both flags hold without trust
         reduced = True
         complete_intersection = True
+        if not primes:
+            # its effective minimal prime is the zero ideal
+            prime_bases.append(empty_basis(field, nvars, 1))
     elif reduced:
         warnings.append("reduced flag is declared and trusted, not verified")
 
@@ -408,6 +410,7 @@ def make_ring(
         complete_intersection=complete_intersection,
         warnings=tuple(warnings),
         ideal_basis=ideal_basis,
+        prime_bases=prime_bases,
     )
 
     if complete_intersection and gens:
@@ -421,6 +424,7 @@ def make_ring(
             complete_intersection=True,
             warnings=(),
             ideal_basis=empty_basis(field, nvars, 1),
+            prime_bases=(empty_basis(field, nvars, 1),),
         )
         if not is_regular_sequence(ambient, gens):
             raise StructuralError(

@@ -150,7 +150,7 @@ def criterion_3_node_regression(seed: int = 0) -> CriterionResult:
     x_ideal = Ideal(node, [node.poly("x")])
     for n in range(1, 5):
         power = tensor_power(branch, n)
-        minimal = power.minimal().module
+        minimal = power.minimal()
         if minimal.ngens != 1 or len(minimal.relations) != 1:
             return CriterionResult(
                 "criterion-03-node-regression",

@@ -56,7 +56,7 @@ class TorsionSplit:
         return self.torsion_free_part.is_zero()
 
 
-def torsion_split(module: FPModule, verify: bool = True) -> TorsionSplit:
+def torsion_split(module: FPModule) -> TorsionSplit:
     """Split off the torsion submodule of M over a declared-reduced ring.
 
     t(M) is the kernel of the evaluation through the dual generators; the
@@ -70,7 +70,7 @@ def torsion_split(module: FPModule, verify: bool = True) -> TorsionSplit:
         )
     columns, target_degrees = dual_evaluation(module)
     target = FPModule.free(ring, len(target_degrees), target_degrees)
-    evaluation = ModuleMap(module, target, columns, check=bool(target_degrees))
+    evaluation = ModuleMap(module, target, columns)
     torsion, inclusion = kernel_of_map(evaluation)
     torsion_free = FPModule(
         ring,
@@ -84,7 +84,7 @@ def torsion_split(module: FPModule, verify: bool = True) -> TorsionSplit:
         torsion_free_part=torsion_free,
         inclusion_columns=tuple(inclusion.columns),
     )
-    if verify and not torsion.is_zero():
+    if not torsion.is_zero():
         inner, _ = kernel_of_map(inclusion)
         if not inner.is_zero():
             raise InputError("torsion inclusion unexpectedly has a kernel")
@@ -392,7 +392,7 @@ def verify_presentation_torsion_bound(
     if other.nu() == 0:
         return cert.mark_inapplicable("the second module is zero")
 
-    minimal = module.minimal().module
+    minimal = module.minimal()
     nu = minimal.ngens
     if case == 1:
         ideal, has_nzd = presentation_ideal(module)
@@ -447,7 +447,7 @@ def verify_presentation_torsion_bound(
         witness=ring.format(nzd) if nzd is not None else None,
     )
 
-    other_min = other.minimal().module
+    other_min = other.minimal()
     x = other_min.generator(0)  # first minimal generator: outside m*N
     product = tensor(power, other_min)
     witness_coords = tensor_coords(power, other_min, tau.coords, x.coords)
@@ -599,7 +599,7 @@ def explore_torsion_onset(
         entries.append(
             {
                 "index": index,
-                "module": module.minimal().module.descriptor(),
+                "module": module.minimal().descriptor(),
                 "nu": module.nu(),
                 "least_power_with_torsion": onset
                 if onset is not None

@@ -210,7 +210,6 @@ class TestTorsionOracle:
                     FreeElement.unit(node.field, node.nvars, module.ngens, i).scaled(s)
                     for i in range(module.ngens)
                 ],
-                check=False,
             )
             kernel, inclusion = kernel_of_map(mult)
             for col in inclusion.columns:

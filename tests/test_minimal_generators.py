@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from torsionlab import cache
 from torsionlab.engine import run_source
-from torsionlab.errors import AbortedError, ResourceLimitError
+from torsionlab.errors import AbortedError, InputError, ResourceLimitError
 from torsionlab.fields import GF, QQ
 from torsionlab.limits import run_scope
 from torsionlab.modules import (
@@ -94,8 +94,12 @@ class TestGreedyMinimalSubset:
         ring = RINGS[ring_name]()
         vectors = data.draw(homogeneous_vectors(ring, 5), label="vectors")
         modulo = data.draw(homogeneous_vectors(ring, 2), label="modulo")
-        kept = _minimal_homogeneous_subset(
+        kept, degrees = _minimal_homogeneous_subset(
             ring, vectors, len(POSITION_DEGREES), POSITION_DEGREES, modulo=modulo
+        )
+        # the degrees returned are those of the kept vectors
+        assert degrees == tuple(
+            k.homogeneous_degree(ring.grading, POSITION_DEGREES) for k in kept
         )
         # the kept vectors are input vectors ...
         assert all(any(k == v for v in vectors) for k in kept)
@@ -106,6 +110,11 @@ class TestGreedyMinimalSubset:
         for i, vec in enumerate(kept):
             assert not in_span(ring, vec, kept[:i] + kept[i + 1 :] + modulo)
 
+    def test_an_inhomogeneous_kept_vector_is_refused(self, QQxy):
+        vec = polynomial_to_element(QQxy.poly("x + y^2"))
+        with pytest.raises(InputError, match="inhomogeneous"):
+            _minimal_homogeneous_subset(QQxy, [vec], 1, (0,))
+
     def test_ideal_keeps_the_degree_then_text_order(self, QQxy):
         gens = [QQxy.poly(t) for t in ("y^2", "x^2 + y^2", "x^2")]
         picked = Ideal(QQxy, gens).minimal_generators()
@@ -115,7 +124,8 @@ class TestGreedyMinimalSubset:
         # as vectors "[x^2 + y^2]" sorts before "[x^2]": the tie breaks the
         # other way than for the ideal above
         gens = [polynomial_to_element(QQxy.poly(t)) for t in ("y^2", "x^2 + y^2", "x^2")]
-        picked = _minimal_homogeneous_subset(QQxy, gens, 1, (0,))
+        picked, degrees = _minimal_homogeneous_subset(QQxy, gens, 1, (0,))
+        assert degrees == (2, 2)
         assert [format_vector(v, QQxy.variables) for v in picked] == [
             "[x^2 + y^2]",
             "[x^2]",
@@ -282,7 +292,7 @@ class TestRankAtPrime:
     def test_agrees_with_a_minor_search(self, ring_name, data):
         ring = RANK_RINGS[ring_name]()
         module = data.draw(presentations(ring), label="module")
-        minimal = module.minimal().module
+        minimal = module.minimal()
         nu = minimal.ngens
         primes = range(len(ring.effective_minimal_primes()))
         relations = list(minimal.relations)
@@ -384,10 +394,11 @@ class TestMinimalPresentationOracle:
         ]
         rank = len(_echelon(constants, len(module.relations), ring.field))
         minimal = module.minimal()
-        assert minimal.nu == minimal.module.ngens == module.ngens - rank
+        assert module.nu() == minimal.ngens == module.ngens - rank
+        assert module.is_free() == (not minimal.relations)
         # every entry of the minimal relations lies in m: no constant term
-        for col in minimal.module.relations:
+        for col in minimal.relations:
             assert all(any(mono) for _, mono in col.terms)
         degrees = range(5)
         hilbert = [module.hilbert_function(d) for d in degrees]
-        assert [minimal.module.hilbert_function(d) for d in degrees] == hilbert
+        assert [minimal.hilbert_function(d) for d in degrees] == hilbert

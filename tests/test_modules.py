@@ -21,7 +21,6 @@ from torsionlab.modules import (
     annihilator,
     dual_generators,
     kernel_of_map,
-    minimal_presentation,
     modules_equivalent,
     presentation_ideal,
     rank_info,
@@ -45,14 +44,13 @@ class TestMinimalPresentation:
         one = QQxy.one()
         zero = QQxy.zero()
         m = FPModule.from_rows(QQxy, [[one, zero], [zero, one]])
-        mm, nu, free = minimal_presentation(m)
-        assert nu == 0 and free
+        assert m.nu() == m.minimal().ngens == 0 and m.is_free()
         assert m.is_zero()
 
     def test_already_minimal(self, QQxy):
         m = koszul_module(QQxy, ["x", "y"])
-        mm, nu, free = minimal_presentation(m)
-        assert nu == 2 and not free
+        mm = m.minimal()
+        assert m.nu() == mm.ngens == 2 and not m.is_free()
         assert len(mm.relations) == 1
 
     def test_unit_entry_elimination(self, QQxy):
@@ -62,14 +60,14 @@ class TestMinimalPresentation:
             [QQxy.poly("y"), QQxy.poly("0")],
         ]
         m = FPModule.from_rows(QQxy, rows, gen_degrees=(0, 0))
-        mm, nu, free = minimal_presentation(m)
-        assert nu == 1 and not free
+        mm = m.minimal()
+        assert m.nu() == mm.ngens == 1 and not m.is_free()
         ideal = Ideal(QQxy, [c.component(0) for c in mm.relations])
         assert ideal == Ideal(QQxy, [QQxy.poly("y")])
 
     def test_entries_land_in_maximal_ideal(self, node5):
         m = koszul_module(node5, ["x + y"])
-        mm = m.minimal().module
+        mm = m.minimal()
         for col in mm.relations:
             for comp in col.components():
                 assert comp.is_zero() or not comp.constant_value()
@@ -85,7 +83,7 @@ class TestTensor:
     def test_node_tensor_power_stays_cyclic(self, node5):
         m = FPModule.cyclic(node5, [node5.poly("x")])
         cubed = tensor_power(m, 3)
-        mm = cubed.minimal().module
+        mm = cubed.minimal()
         assert mm.ngens == 1
         ideal = Ideal(node5, [c.component(0) for c in mm.relations])
         assert ideal == Ideal(node5, [node5.poly("x")])
@@ -145,8 +143,8 @@ class TestTensor:
         right = random_nonfree_module(QQxy, rng)
         if left is None or right is None:
             pytest.skip("random draw failed")
-        lr = tensor(left, right).minimal().module
-        rl = tensor(right, left).minimal().module
+        lr = tensor(left, right).minimal()
+        rl = tensor(right, left).minimal()
         assert lr.ngens == rl.ngens
         assert sorted(lr.relation_degrees()) == sorted(rl.relation_degrees())
 
@@ -158,7 +156,7 @@ class TestTensor:
         right = tensor(a, tensor(b, c))
         assert left.nu() == right.nu()
         assert annihilator(left) == annihilator(right)
-        lm, rm = left.minimal().module, right.minimal().module
+        lm, rm = left.minimal(), right.minimal()
         assert sorted(lm.relation_degrees()) == sorted(rm.relation_degrees())
 
     def test_ring_mismatch_rejected(self, QQxy, node5):
@@ -212,6 +210,13 @@ class TestTensor:
 
 
 class TestKernel:
+    def test_a_map_that_is_not_well_defined_is_refused(self, QQxy):
+        # e1 -> e1 from R/(x) to R/(y): the relation x maps to x, not in (y)
+        source = FPModule.cyclic(QQxy, [QQxy.poly("x")])
+        target = FPModule.cyclic(QQxy, [QQxy.poly("y")])
+        with pytest.raises(InputError, match="not well defined"):
+            ModuleMap(source, target, [FreeElement.unit(QQxy.field, 2, 1, 0)])
+
     def test_identity_has_zero_kernel(self, QQxy):
         m = koszul_module(QQxy, ["x", "y"])
         identity = ModuleMap(
@@ -294,9 +299,7 @@ def test_push_coords_matches_the_field_arithmetic_sum(field, seed):
         return FreeElement(field, 2, rank, terms)
 
     columns = [vector(ntarget) for _ in range(nsource)]
-    phi = ModuleMap(
-        FPModule.free(ring, nsource), FPModule.free(ring, ntarget), columns, check=False
-    )
+    phi = ModuleMap(FPModule.free(ring, nsource), FPModule.free(ring, ntarget), columns)
     for _ in range(6):
         coords = vector(nsource)
         image = phi.push_coords(coords)
