@@ -11,6 +11,11 @@ not reduced, so not canonical, and a warm rerun recomputes them.  That is
 cheaper than caching a reduced basis of the span per kept vector: on the
 seed-0 certify benchmark script, the 115 calls take about 0.25 s on a warm
 rerun, and looking those bases up instead takes about 0.7 s (2-CPU Xeon).
+The membership completion of an ``FPModule`` (its relations plus I*R^n,
+completed only up to the degree each element test needs) is not cached
+either, for the same reason; before it replaced the module's full reduced
+basis, that basis was a cache entry, so the seed-0 certify script now makes
+15 hits and 61 misses instead of 19 and 71.
 Entries are JSON files named by the SHA-256 of a canonical request payload
 (op, field, ambient module, order, generators, engine version), whose text
 ``groebner_request`` builds once per call for the lookup and the store.

@@ -428,12 +428,35 @@ class Completion(_Divisors):
     span.  ``add`` and ``complete`` read the degree cap and the abort hook
     from ``current()`` when called; ``layer`` names the computation in a
     degree-cap error.
+
+    A pair is keyed by the total degree of its lcm, plus the degree of its
+    position when ``position_degrees`` is given.  For generators that are
+    homogeneous for some positive grading and those position degrees, the
+    key is never above the degree of the pair's S-polynomial, so after
+    ``complete(up_to=D)`` the basis is a Groebner basis of everything added
+    in degrees <= D (degree-truncated Buchberger; Kreuzer-Robbiano,
+    Computational Commutative Algebra 2, Ch. 4): ``reduce`` gives the normal
+    form of a vector whose terms all have degree <= D, and a monomial of
+    degree <= D lies in the initial module exactly when a lead divides it.
+    The pairs above D wait in the queue for a later call.  A call that
+    raises may have dropped the pair it was reducing, so the state must
+    then be discarded.
     """
 
-    def __init__(self, field: FieldSpec, nvars: int, rank: int, layer: str):
+    def __init__(
+        self,
+        field: FieldSpec,
+        nvars: int,
+        rank: int,
+        layer: str,
+        position_degrees: Optional[Sequence[int]] = None,
+    ):
         super().__init__(field, nvars)
         self.rank = rank
         self.layer = layer
+        self.position_degrees = (
+            tuple(position_degrees) if position_degrees is not None else None
+        )
         self.ngens = 0
         self._fit(current().degree_cap)
         self.pairs: List[Tuple[int, int, int]] = []
@@ -448,10 +471,12 @@ class Completion(_Divisors):
         terms = _normalized(self.field, terms, lt)
         j = len(self.leads)
         lcm, leads = self.layout.lcm, self.leads
+        pos = lt >> self.layout.pshift
+        shift = self.position_degrees[pos] if self.position_degrees else 0
         # each unordered pair once, as (i, j) with i < j: the position
         # lists are ascending
-        for i in self.by_position.get(lt >> self.layout.pshift, ()):
-            heapq.heappush(self.pairs, (lcm(leads[i], lt)[1], i, j))
+        for i in self.by_position.get(pos, ()):
+            heapq.heappush(self.pairs, (lcm(leads[i], lt)[1] + shift, i, j))
             self.pending.add((i, j))
         self._append(lt, terms.pop(lt), terms)
 
@@ -465,10 +490,11 @@ class Completion(_Divisors):
         field coefficients."""
         return self._reduce_exact(terms, self._where("reduction"))
 
-    def complete(self) -> None:
+    def complete(self, up_to: Optional[int] = None) -> None:
         """Reduce queued S-pairs, adding each nonzero remainder, until the
-        queue is empty."""
-        if not self.pairs:
+        queue is empty or, with ``up_to``, until every pair left has a key
+        above it."""
+        if not self.pairs or (up_to is not None and self.pairs[0][0] > up_to):
             return
         settings = current()
         cap, hook = settings.degree_cap, settings.abort_hook
@@ -481,7 +507,7 @@ class Completion(_Divisors):
         leads, lcs, tails, rises = self.leads, self.lcs, self.tails, self.rises
         by_position, pairs, pending = self.by_position, self.pairs, self.pending
         where = self._where("S-polynomials")
-        while pairs:
+        while pairs and (up_to is None or pairs[0][0] <= up_to):
             if hook is not None and hook():
                 raise AbortedError("computation cancelled")
             _, i, j = heapq.heappop(pairs)

@@ -3,8 +3,9 @@
 A module is the cokernel of a homogeneous matrix over the ring context,
 stored column-wise: ``M = coker(A : R^a -> R^m)`` with one ``FreeElement``
 of rank m per relation.  Elements are residue classes of vectors in the
-free cover; equality is decided by normal form against the Groebner basis
-of the column space plus the lifted defining ideal.
+free cover; equality is decided by normal form against a Groebner basis
+of the column space plus the lifted defining ideal, completed only up to
+the degree of the element tested.
 
 Abstract module equality is never tested; verifiers compare isomorphism
 invariants (minimal generator count, annihilators, Betti data, Hilbert
@@ -25,8 +26,8 @@ from .errors import (
     ResourceLimitError,
     UnsupportedError,
 )
-from .groebner import GroebnerBasis
-from .limits import GENERATOR_CAP
+from .groebner import Completion
+from .limits import GENERATOR_CAP, current, degree_cap_error
 from .poly import FreeElement, Polynomial, mono_mul
 from .rings import Ideal, RingContext
 from .syntax import format_vector
@@ -94,7 +95,19 @@ def infer_generator_degrees(
 
 
 class FPModule:
-    """A finitely presented graded module over a ring context."""
+    """A finitely presented graded module over a ring context.
+
+    Membership in the span N of the relations plus I*R^ngens has one path:
+    one resumable ``Completion`` of those generators, with the generator
+    degrees as position degrees, grows as element tests need it.  An
+    element of degree at most D is reduced after ``complete(up_to=D)``, and
+    ``hilbert_function(d)`` counts the standard monomials of degree d after
+    ``complete(up_to=d)``.  Relations and ideal are homogeneous, so the
+    truncated state is a Groebner basis of N in degrees <= D and the
+    remainder is the unique normal form, the one a reduced basis of N
+    gives.  The completion is not cached; when one of its steps raises,
+    the module drops it and the next test starts over.
+    """
 
     def __init__(
         self,
@@ -123,7 +136,7 @@ class FPModule:
                 )
             cleaned.append(vec)
         self.relations: Tuple[FreeElement, ...] = tuple(cleaned)
-        self._cover_basis: Optional[GroebnerBasis] = None
+        self._membership: Optional[Completion] = None
         self._minimal: Optional["FPModule"] = None
         self._dual: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
         self._tensor_powers: Dict[int, "FPModule"] = {}
@@ -171,10 +184,25 @@ class FPModule:
 
     # -- elements ----------------------------------------------------------
 
-    def cover_basis(self) -> GroebnerBasis:
-        if self._cover_basis is None:
-            self._cover_basis = self.ring.submodule_basis(self.relations, self.ngens)
-        return self._cover_basis
+    def _completed_to(self, degree: int) -> Completion:
+        """The membership completion, complete in degrees <= ``degree``."""
+        state = self._membership
+        if state is None:
+            ring = self.ring
+            state = Completion(
+                ring.field, ring.nvars, self.ngens, "membership completion",
+                self.gen_degrees,
+            )
+            for g in (*self.relations, *ring.ideal_block(self.ngens)):
+                state.add(g.terms)
+            self._membership = state
+        try:
+            state.complete(up_to=degree)
+        except BaseException:
+            # the pair being reduced is lost: start over next time
+            self._membership = None
+            raise
+        return state
 
     def element(self, coords) -> "ModuleElement":
         if isinstance(coords, str):
@@ -193,7 +221,22 @@ class FPModule:
         )
 
     def element_normal_form(self, coords: FreeElement) -> FreeElement:
-        return self.cover_basis().normal_form(coords)
+        """The normal form of ``coords`` modulo the relations and I*R^ngens,
+        from the membership completion taken up to its top degree."""
+        ring = self.ring
+        if (
+            coords.nvars != ring.nvars
+            or coords.rank != self.ngens
+            or coords.field != ring.field
+        ):
+            raise DimensionError("element does not match the module cover")
+        if coords.is_zero():
+            return coords
+        state = self._completed_to(coords.degree(ring.grading, self.gen_degrees))
+        return FreeElement(
+            ring.field, ring.nvars, self.ngens, state.reduce(coords.terms),
+            _normalized=True,
+        )
 
     def element_is_zero(self, coords: FreeElement) -> bool:
         return self.element_normal_form(coords).is_zero()
@@ -239,21 +282,34 @@ class FPModule:
     # -- invariants ---------------------------------------------------------
 
     def hilbert_function(self, degree: int) -> int:
-        """Dimension over k of the homogeneous piece of the given degree."""
-        basis = self.cover_basis()
-        monomials: Dict[int, List[tuple]] = {}
+        """Dimension over k of the homogeneous piece of the given degree:
+        the standard monomials of that degree, counted against the
+        membership completion taken up to it.  A degree whose monomials may
+        pass the degree cap raises ``ResourceLimitError`` before any is
+        enumerated."""
+        ring = self.ring
+        wants = {degree - d for d in self.gen_degrees if degree - d >= 0}
+        if not wants:
+            return 0
+        # the largest total degree of a monomial of weighted degree want
+        top = max(wants) // min(ring.grading)
+        cap = current().degree_cap
+        if top > cap:
+            raise degree_cap_error(
+                top, cap,
+                ("monomials of hilbert_function", ring.nvars, self.ngens,
+                 len(self.relations)),
+            )
+        state = self._completed_to(degree)
+        monomials = {
+            want: list(_monomials_of_weighted_degree(ring.nvars, ring.grading, want))
+            for want in wants
+        }
         total = 0
         for i, gen_degree in enumerate(self.gen_degrees):
-            want = degree - gen_degree
-            if want < 0:
-                continue
-            if want not in monomials:
-                monomials[want] = list(
-                    _monomials_of_weighted_degree(
-                        self.ring.nvars, self.ring.grading, want
-                    )
-                )
-            total += sum(1 for mono in monomials[want] if basis.reducer((i, mono)) < 0)
+            for mono in monomials.get(degree - gen_degree, ()):
+                if state.reducer((i, mono)) < 0:
+                    total += 1
         return total
 
     def descriptor(self) -> str:
@@ -266,11 +322,14 @@ class FPModule:
 
 
 def _monomials_of_weighted_degree(nvars: int, weights, degree: int):
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
+    """The exponent vectors of weighted degree ``degree`` in ``nvars`` >= 1
+    variables; the exponent of the last variable is the one that fits,
+    when one does."""
     w = weights[0]
+    if nvars == 1:
+        if degree >= 0 and degree % w == 0:
+            yield (degree // w,)
+        return
     for e in range(degree // w + 1):
         for rest in _monomials_of_weighted_degree(nvars - 1, weights[1:], degree - e * w):
             yield (e,) + rest
@@ -539,7 +598,7 @@ def _minimal_homogeneous_subset(
             deg = vec.degree(ring.grading, position_degrees)
         return (deg, format_vector(vec, ring.variables))
 
-    picked = ring.minimal_subset(vectors, rank, sort_key, modulo)
+    picked = ring.minimal_subset(vectors, rank, position_degrees, sort_key, modulo)
     degrees = tuple(
         vec.homogeneous_degree(ring.grading, position_degrees) for vec in picked
     )

@@ -137,6 +137,7 @@ class RingContext:
         self,
         vectors: Sequence[FreeElement],
         rank: int,
+        position_degrees: Sequence[int],
         key: Callable[[FreeElement], object],
         modulo: Sequence[FreeElement] = (),
     ) -> List[FreeElement]:
@@ -153,6 +154,11 @@ class RingContext:
         basis of the span decides membership, so the kept vectors are those
         a reduced basis would pick.  The intermediate bases are not
         canonical and never reach the cache.
+
+        The completion is keyed by ``position_degrees``.  While <modulo>
+        and the kept vectors are homogeneous for them, it is taken only up
+        to the top degree of the vector tested, which decides its
+        membership (see ``Completion``); after that, to the end.
         """
         candidates = sorted((v for v in vectors if not v.is_zero()), key=key)
         base = [g for g in modulo if not g.is_zero()]
@@ -162,19 +168,29 @@ class RingContext:
         if not candidates:
             return []
         state = Completion(
-            self.field, self.nvars, rank, "minimal-generator completion"
+            self.field, self.nvars, rank, "minimal-generator completion",
+            position_degrees,
         )
         for g in base + self.ideal_block(rank):
             state.add(g.terms)
+
+        def homogeneous(vec: FreeElement) -> bool:
+            return vec.is_homogeneous(self.grading, position_degrees)
+
+        graded = all(map(homogeneous, base))
         picked: List[FreeElement] = []
         kept: TermDict = {}
         for vec in candidates:
             if kept:
                 state.add(kept)
-            state.complete()
+            if graded:
+                state.complete(up_to=vec.degree(self.grading, position_degrees))
+            else:
+                state.complete()
             kept = state.reduce(vec.terms)
             if kept:
                 picked.append(vec)
+                graded = graded and homogeneous(vec)
         return picked
 
     def syzygies(
@@ -482,7 +498,7 @@ class Ideal:
             return (g.degree(ring.grading), ring.format(g))
 
         vectors = [polynomial_to_element(g) for g in self.generators]
-        picked = ring.minimal_subset(vectors, 1, key)
+        picked = ring.minimal_subset(vectors, 1, (0,), key)
         return [element_to_polynomial(v) for v in picked]
 
     def contains_nonzerodivisor(self) -> bool:

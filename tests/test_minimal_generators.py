@@ -166,15 +166,36 @@ class TestIncrementalCompletion:
 
         for key in (by_degree, by_text):
             expected = from_scratch_greedy(ring, vectors, rank, key, modulo)
-            assert ring.minimal_subset(vectors, rank, key, modulo) == expected
+            # the vectors are homogeneous for POSITION_DEGREES, so the
+            # completion is truncated; for (0, 0) most are not, and it runs
+            # to the end once one of them is kept or in modulo
+            for degrees in (POSITION_DEGREES, (0, 0)):
+                picked = ring.minimal_subset(vectors, rank, degrees, key, modulo)
+                assert picked == expected
+
+    def test_an_inhomogeneous_generator_completes_to_the_end(self, QQxy):
+        # x^2 e1 + y e2 is homogeneous for position degrees (0, 1), not for
+        # (0, 0); y^2 e2 lies in the span only through the S-polynomial
+        # y * (x^2 e1 + y e2) - x * (x*y e1), whose key for (0, 0) is 3,
+        # above the degree 2 of y^2 e2
+        def vec(first, second):
+            return FreeElement.from_components([QQxy.poly(first), QQxy.poly(second)])
+
+        mixed, y2, xy = vec("x^2", "y"), vec("0", "y^2"), vec("x*y", "0")
+        mixed_first = lambda v: v != mixed  # noqa: E731
+        for degrees in ((0, 1), (0, 0)):
+            # in <modulo>, and as a kept vector tried first
+            assert QQxy.minimal_subset([y2], 2, degrees, mixed_first, [xy, mixed]) == []
+            kept = QQxy.minimal_subset([y2, mixed], 2, degrees, mixed_first, [xy])
+            assert kept == [mixed]
 
     def capped(self, ring, texts):
         vectors = [polynomial_to_element(ring.poly(t)) for t in texts]
         key = lambda vec: format_vector(vec, ring.variables)  # noqa: E731
         with run_scope(degree_cap=3):
             with pytest.raises(ResourceLimitError) as error:
-                ring.minimal_subset(vectors, 1, key)
-        assert len(ring.minimal_subset(vectors, 1, key)) == len(texts)
+                ring.minimal_subset(vectors, 1, (0,), key)
+        assert len(ring.minimal_subset(vectors, 1, (0,), key)) == len(texts)
         return str(error.value)
 
     def test_degree_cap_stops_its_completion(self, QQxy):
@@ -205,7 +226,7 @@ class TestIncrementalCompletion:
 
         def run(hook):
             with run_scope(cache=cache.open_cache(str(tmp_path)), abort_hook=hook):
-                return ring.minimal_subset(vectors, 1, key)
+                return ring.minimal_subset(vectors, 1, (0,), key)
 
         run(lambda: consulted.append(1) or False)
         steps = len(consulted)

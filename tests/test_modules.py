@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torsionlab.engine import run_source
 from torsionlab.errors import (
@@ -19,6 +21,7 @@ from torsionlab.modules import (
     FPModule,
     ModuleMap,
     annihilator,
+    relations_among,
     dual_generators,
     kernel_of_map,
     modules_equivalent,
@@ -28,8 +31,10 @@ from torsionlab.modules import (
     tensor_power,
     transpose,
 )
-from torsionlab.poly import FreeElement
+from torsionlab.poly import FreeElement, Polynomial
 from torsionlab.rings import Ideal, make_ring
+from torsionlab.suite import dense_kernel_oracle, in_oracle_span
+from torsionlab.syntax import parse_polynomial
 
 
 def koszul_module(ring, texts):
@@ -432,3 +437,128 @@ def test_transpose_keeps_each_columns_term_order():
         assert [list(c.terms.items()) for c in columns] == [
             list(c.terms.items()) for c in expected
         ]
+
+
+# rings for the oracle comparisons: both fields, with and without a
+# principal defining ideal, whose lift f * e_j the oracle solves for
+ORACLE_RINGS = {
+    "GF(7)": (GF(7), None),
+    "QQ": (QQ, None),
+    "GF(7) node": (GF(7), "x*y"),
+    "QQ x^2 - y^2": (QQ, "x^2 - y^2"),
+}
+ORACLE_BOUND = 3
+ORACLE_SUPPRESSED = [HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
+
+
+def oracle_ring(name):
+    field, quotient = ORACLE_RINGS[name]
+    if quotient is None:
+        return make_ring(field, ("x", "y"))
+    ideal = [parse_polynomial(quotient, ("x", "y"), field)]
+    return make_ring(field, ("x", "y"), ideal=ideal)
+
+
+@st.composite
+def homogeneous_columns(draw, ring, rank, max_count):
+    """0..max_count columns of R^rank, each homogeneous of its own degree
+    0-2 with every position in degree 0, entries in normal form mod I."""
+    coeffs = (0, 1, -1, 2) if ring.field.characteristic else (0, 1, -1, Fraction(1, 2))
+    columns = []
+    for _ in range(draw(st.integers(1 if max_count else 0, max_count))):
+        degree = draw(st.integers(0, 2))
+        monos = [(a, degree - a) for a in range(degree + 1)]
+        comps = []
+        for _ in range(rank):
+            terms = {m: draw(st.sampled_from(coeffs)) for m in monos}
+            comps.append(ring.normal_form_poly(Polynomial(ring.field, 2, terms)))
+        columns.append(FreeElement.from_components(comps, rank=rank))
+    return columns
+
+
+def oracle_for(ring, columns, modulo, rank):
+    """The oracle's span of the v of degree <= ORACLE_BOUND whose image
+    sum v_j columns[j] lies in <modulo> + I*R^rank."""
+    rows = [[col.component(r) for col in columns] for r in range(rank)]
+    lift = [
+        vec.components()
+        for vec in (*modulo, *ring.ideal_block(rank))
+        if not vec.is_zero()
+    ]
+    return dense_kernel_oracle(rows, 2, ORACLE_BOUND, ring.field, lift)
+
+
+def check_against_oracle(ring, generators, modulo, oracle):
+    """The oracle lies in <generators> + <modulo> + I, and every generator
+    of degree at most the bound lies in the oracle's span."""
+    width = generators[0].rank if generators else len(oracle[0]) if oracle else 0
+    if oracle:
+        basis = ring.submodule_basis(list(generators) + list(modulo), width)
+        for vec in oracle:
+            vec = FreeElement.from_components(vec, rank=width)
+            assert basis.normal_form(vec).is_zero()
+    for gen in generators:
+        if gen.degree() <= ORACLE_BOUND:
+            assert in_oracle_span(gen.components(), oracle, ring.field)
+
+
+class TestKernelOracle:
+    """``relations_among`` and ``kernel_of_map`` against the dense
+    linear-algebra oracle of ``suite``, over GF(7) and QQ."""
+
+    @pytest.mark.parametrize("ring_name", sorted(ORACLE_RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=ORACLE_SUPPRESSED,
+    )
+    def test_relations_among(self, ring_name, data):
+        ring = oracle_ring(ring_name)
+        rank = data.draw(st.integers(1, 2), label="rank")
+        gens = data.draw(homogeneous_columns(ring, rank, 3), label="gens")
+        modulo = data.draw(homogeneous_columns(ring, rank, 2), label="modulo")
+        relations = relations_among(ring, gens, modulo, rank)
+        # each relation maps into <modulo> + I
+        target = ring.submodule_basis(modulo, rank)
+        for rel in relations:
+            image = FreeElement.zero(ring.field, 2, rank)
+            for j, comp in enumerate(rel.components()):
+                image = image + gens[j].scaled(comp)
+            assert target.contains(image)
+        check_against_oracle(ring, relations, [], oracle_for(ring, gens, modulo, rank))
+
+    @pytest.mark.parametrize("ring_name", sorted(ORACLE_RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=ORACLE_SUPPRESSED,
+    )
+    def test_kernel_of_map(self, ring_name, data):
+        ring = oracle_ring(ring_name)
+        ntarget = data.draw(st.integers(1, 2), label="target rank")
+        target_relations = data.draw(
+            homogeneous_columns(ring, ntarget, 2), label="target relations"
+        )
+        target = FPModule(ring, target_relations, ntarget)
+        columns = data.draw(homogeneous_columns(ring, ntarget, 3), label="columns")
+        degrees = [
+            col.homogeneous_degree() if not col.is_zero() else 0 for col in columns
+        ]
+        # the source relations: some of the relations the map respects
+        respected = relations_among(ring, columns, target.relations, ntarget)
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(respected), max_size=len(respected)),
+            label="kept source relations",
+        )
+        source_relations = [rel for rel, k in zip(respected, keep) if k]
+        source = FPModule(ring, source_relations, len(columns), degrees)
+        phi = ModuleMap(source, target, columns)
+        kernel, inclusion = kernel_of_map(phi)
+        gens = list(inclusion.columns)
+        assert kernel.ngens == len(gens)
+        for gen in gens:
+            assert target.element_is_zero(phi.push_coords(gen))
+        oracle = oracle_for(ring, columns, target.relations, ntarget)
+        check_against_oracle(ring, gens, source.relations, oracle)
