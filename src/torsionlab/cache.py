@@ -14,11 +14,18 @@ rerun, and looking those bases up instead takes about 0.7 s (2-CPU Xeon).
 The membership completion of an ``FPModule`` (its relations plus I*R^n,
 completed only up to the degree each element test needs) is not cached
 either, for the same reason; before it replaced the module's full reduced
-basis, that basis was a cache entry, so the seed-0 certify script now makes
-15 hits and 61 misses instead of 19 and 71.
+basis, that basis was a cache entry, so the seed-0 certify script made
+15 hits and 61 misses instead of 19 and 71.  Syzygies modulo a submodule
+now put its vectors in the graph's lift, untagged, so those requests name
+other generators; and the torsion split no longer recomputes the kernel of
+its own inclusion, a request that was always a hit.  The seed-0 script
+makes 13 hits and 61 misses (54 of them syzygies, as before).
 Entries are JSON files named by the SHA-256 of a canonical request payload
 (op, field, ambient module, order, generators, engine version), whose text
-``groebner_request`` builds once per call for the lookup and the store.
+``groebner_request`` builds once per call for the lookup and the store:
+each generator's text is written once by ``element_text``, which gives
+what ``json.dumps`` gives for ``encode_element`` in the canonical form,
+and the same texts sort the generators and make up the payload.
 Writes go through a temp file plus atomic rename under an advisory lock on
 the directory's one ``.lock`` file, so concurrent processes sharing a cache
 directory stay consistent and an interrupted run never leaves a partial
@@ -85,6 +92,23 @@ def encode_element(f: FreeElement) -> list:
     ]
 
 
+def element_text(f: FreeElement) -> str:
+    """``_canonical(encode_element(f))``, written in one pass: the terms in
+    sorted order as ``[pos,[e1,..],c]``, a QQ coefficient as ``[num,den]``."""
+    items = sorted(f.terms.items())
+    if f.field.characteristic:
+        parts = [
+            f"[{pos},[{','.join(map(str, mono))}],{int(c)}]"
+            for (pos, mono), c in items
+        ]
+    else:
+        parts = [
+            f"[{pos},[{','.join(map(str, mono))}],[{c.numerator},{c.denominator}]]"
+            for (pos, mono), c in items
+        ]
+    return "[" + ",".join(parts) + "]"
+
+
 def decode_element(
     data: list, field: FieldSpec, nvars: int, rank: int
 ) -> FreeElement:
@@ -129,9 +153,10 @@ class ComputationCache:
         self.hits += 1
         return stored["result"]
 
-    def put(self, request: "Request", result: dict) -> None:
+    def put(self, request: "Request", result: str) -> None:
+        """Store ``result``, the canonical text of the result object."""
         path = self._path(request.digest)
-        body = request.head + _canonical(result) + "}"
+        body = request.head + result + "}"
         lock_path = os.path.join(self.directory, LOCK_NAME)
         with open(lock_path, "w", encoding="utf-8") as lock_handle:
             _lock(lock_handle)
@@ -178,22 +203,23 @@ def groebner_request(
     """The request for computation ``op`` on ``gens`` in rank ``rank``, or
     None when the run uses no cache: ``"groebner"`` for the reduced basis of
     ``gens``, ``"syzygies"`` for the syzygies read off the graph ``gens``.
-    The generators are sorted by their own canonical text, which sorts them
-    as their ``json.dumps`` text does: the two differ only by a space after
-    each comma and colon."""
+    The text is ``_canonical`` of the payload {op, engine, characteristic,
+    nvars, rank, order, generators}, written key by key in sorted order,
+    with each generator's ``element_text`` built once and the generators
+    sorted by it."""
     active = current().cache
     if active is None:
         return None
-    payload = {
-        "op": op,
-        "engine": ENGINE_VERSION,
-        "characteristic": field.characteristic,
-        "nvars": nvars,
-        "rank": rank,
-        "order": ORDER_DESCRIPTION,
-        "generators": sorted((encode_element(g) for g in gens), key=_canonical),
-    }
-    text = _canonical(payload)
+    generators = ",".join(sorted(element_text(g) for g in gens))
+    text = (
+        f'{{"characteristic":{field.characteristic},'
+        f'"engine":{_canonical(ENGINE_VERSION)},'
+        f'"generators":[{generators}],'
+        f'"nvars":{nvars},'
+        f'"op":{_canonical(op)},'
+        f'"order":{_canonical(ORDER_DESCRIPTION)},'
+        f'"rank":{rank}}}'
+    )
     return Request(active, text)
 
 
@@ -213,4 +239,5 @@ def store_groebner(
 ) -> None:
     if request is None:
         return
-    request.cache.put(request, {"elements": [encode_element(g) for g in elements]})
+    texts = ",".join(element_text(g) for g in elements)
+    request.cache.put(request, f'{{"elements":[{texts}]}}')

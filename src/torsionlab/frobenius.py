@@ -27,6 +27,7 @@ from .modules import (
     FPModule,
     annihilator,
     dual_evaluation,
+    dual_generators,
     rank_info,
     tensor,
 )
@@ -195,7 +196,7 @@ def universal_pushforward(module: FPModule) -> Pushforward:
     split = torsion_split(module)
     if not split.is_torsion_free:
         raise InputError("the universal pushforward needs a torsion-free module")
-    columns, target_degrees = dual_evaluation(module)
+    columns, target_degrees = dual_evaluation(module, *dual_generators(module))
     cokernel = FPModule(ring, columns, len(target_degrees), target_degrees)
     return Pushforward(
         module=module,

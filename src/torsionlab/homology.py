@@ -21,7 +21,6 @@ from .modules import (
     block_ambient,
     induced_columns,
     present_submodule,
-    relations_among,
     tensor,
 )
 from .poly import FreeElement, Polynomial, lifted_ideal
@@ -148,7 +147,7 @@ def complex_homology(
             n_module, step_degrees[i - 1]
         )
         outgoing = induced_columns(diffs[i - 1], n_module)
-        cycles = relations_among(ring, outgoing, target_relations, target_rank)
+        cycles = ring.syzygies(outgoing, target_rank, target_relations)
     boundaries = induced_columns(diffs[i], n_module) if i < len(diffs) else []
     module, _ = present_submodule(ring, rank, degrees, cycles, boundaries + relations)
     return module.minimal()

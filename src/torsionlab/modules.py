@@ -138,6 +138,7 @@ class FPModule:
         self.relations: Tuple[FreeElement, ...] = tuple(cleaned)
         self._membership: Optional[Completion] = None
         self._minimal: Optional["FPModule"] = None
+        self._dual_syzygies: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
         self._dual: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
         self._tensor_powers: Dict[int, "FPModule"] = {}
         self._resolution = None  # filled by homology.free_resolution
@@ -607,19 +608,6 @@ def _minimal_homogeneous_subset(
     return picked, degrees
 
 
-def relations_among(
-    ring: RingContext,
-    gens: Sequence[FreeElement],
-    modulo: Sequence[FreeElement],
-    rank: int,
-) -> List[FreeElement]:
-    """Nonzero relations among ``gens`` modulo <modulo>: the ``gens`` part
-    of each syzygy of gens + modulo in R^rank."""
-    syz = ring.syzygies(list(gens) + list(modulo), rank)
-    heads = (vec.restricted(range(len(gens))) for vec in syz)
-    return [head for head in heads if not head.is_zero()]
-
-
 def present_submodule(
     ring: RingContext,
     rank: int,
@@ -638,20 +626,19 @@ def present_submodule(
     )
     if not gens:
         return FPModule.zero_module(ring), []
-    rel_cols = relations_among(ring, gens, modulo, rank)
+    rel_cols = ring.syzygies(gens, rank, modulo)
     return FPModule(ring, rel_cols, len(gens), degrees), gens
 
 
 def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
     """The kernel of a module map, with its inclusion into the source.
 
-    Generators come from the syzygies of the matrix [Phi | target relations];
-    their source parts sweep out every class mapping into the image of the
-    target relations.
+    Generators come from the syzygies of Phi modulo the target relations:
+    they sweep out every class mapping into the image of those relations.
     """
     source, target = phi.source, phi.target
     ring = source.ring
-    heads = relations_among(ring, phi.columns, target.relations, target.ngens)
+    heads = ring.syzygies(phi.columns, target.ngens, target.relations)
     candidates = [
         head
         for head in map(source.element_normal_form, heads)
@@ -670,32 +657,55 @@ def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
 # duals, annihilators, presentation ideals, rank
 
 
-def dual_generators(module: FPModule) -> Tuple[List[FreeElement], List[int]]:
-    """Rows of a minimal homogeneous generating set of M* = Hom(M, R).
+def dual_syzygies(module: FPModule) -> Tuple[List[FreeElement], List[int]]:
+    """Rows spanning M* = Hom(M, R): the reduced syzygy basis of the
+    transposed relation matrix, largest lead first, or the unit rows of a
+    free module.
 
-    Each row phi lives in R^ngens and satisfies phi . A = 0; the evaluation
-    m -> (phi_1(m), ..) is then a well-defined map M -> R^{nu*}.  Returns
-    the rows and their degrees as functionals.
+    Each row phi lives in R^ngens and satisfies phi . A = 0, so evaluation
+    at the rows is well defined on M.  Returns the rows and their degrees
+    as functionals; both are computed once per module.  A row that is not
+    homogeneous raises ``InputError``.
     """
-    if module._dual is None:
+    if module._dual_syzygies is None:
         ring, m = module.ring, module.ngens
+        position_degrees = tuple(-d for d in module.gen_degrees)
         if module.relations:
-            syz = ring.syzygies(transpose(module.relations, m), len(module.relations))
-            dual_pos_degrees = tuple(-d for d in module.gen_degrees)
-            rows, degs = _minimal_homogeneous_subset(ring, syz, m, dual_pos_degrees)
+            rows = ring.syzygies(transpose(module.relations, m), len(module.relations))
         else:
             rows = [FreeElement.unit(ring.field, ring.nvars, m, i) for i in range(m)]
-            degs = tuple(-d for d in module.gen_degrees)
-        module._dual = (tuple(rows), degs)
-    rows, degs = module._dual
-    return list(rows), list(degs)
+        degrees = tuple(
+            row.homogeneous_degree(ring.grading, position_degrees) for row in rows
+        )
+        if None in degrees:
+            raise InputError("minimal generators came out inhomogeneous")
+        module._dual_syzygies = (tuple(rows), degrees)
+    rows, degrees = module._dual_syzygies
+    return list(rows), list(degrees)
 
 
-def dual_evaluation(module: FPModule) -> Tuple[List[FreeElement], Tuple[int, ...]]:
-    """The evaluation M -> R^{nu*} through the dual generators: one image
-    column per generator of M (the transpose of the dual rows), and the
-    degrees of the generators of R^{nu*}."""
-    rows, row_degrees = dual_generators(module)
+def dual_generators(module: FPModule) -> Tuple[List[FreeElement], List[int]]:
+    """Rows of a minimal homogeneous generating set of M* = Hom(M, R), with
+    their degrees as functionals: the minimal subset of ``dual_syzygies``
+    (all of them for a free module), computed once per module."""
+    if module._dual is None:
+        rows, degrees = dual_syzygies(module)
+        if module.relations:
+            position_degrees = tuple(-d for d in module.gen_degrees)
+            rows, degrees = _minimal_homogeneous_subset(
+                module.ring, rows, module.ngens, position_degrees
+            )
+        module._dual = (tuple(rows), tuple(degrees))
+    rows, degrees = module._dual
+    return list(rows), list(degrees)
+
+
+def dual_evaluation(
+    module: FPModule, rows: Sequence[FreeElement], row_degrees: Sequence[int]
+) -> Tuple[List[FreeElement], Tuple[int, ...]]:
+    """The evaluation M -> R^len(rows) at the given rows of M*: one image
+    column per generator of M (the transpose of the rows), and the degrees
+    of the generators of R^len(rows)."""
     if not rows:
         ring = module.ring
         zero = FreeElement.zero(ring.field, ring.nvars, 0)
@@ -742,7 +752,7 @@ def annihilator(module: FPModule, element: Optional[ModuleElement] = None) -> Id
         modulo = [
             col.embedded(rank, offset=i * k) for i in range(k) for col in mm.relations
         ]
-    gens = [h.component(0) for h in relations_among(ring, [vec], modulo, rank)]
+    gens = [h.component(0) for h in ring.syzygies([vec], rank, modulo)]
     return Ideal(ring, Ideal(ring, gens).minimal_generators())
 
 

@@ -197,15 +197,23 @@ class RingContext:
         self,
         columns: Sequence[FreeElement],
         rank: int,
+        modulo: Sequence[FreeElement] = (),
     ) -> List[FreeElement]:
-        """Generators of the R-syzygy module of the given columns.
+        """Generators of the R-syzygies of the given columns modulo <modulo>:
+        the v with sum v_i columns[i] in <modulo> + I*R^rank.
 
-        Lifts the defining ideal so relations are taken in the quotient;
-        coefficients are returned in normal form mod I.
+        ``modulo`` and the lifted defining ideal are the lift of
+        ``syzygy_generators``, so only the columns get tag positions.  The
+        result is that module's reduced basis over k[x], with coefficients
+        in normal form mod I and zero vectors dropped.  It equals the
+        columns' part of the syzygies of columns + modulo: under position
+        over term the columns' tag block comes first, so those syzygies
+        whose lead lies in it have the same leads and, restricted to it,
+        form the same reduced basis, in the same order.
         """
         if not columns:
             return []
-        raw = syzygy_generators(columns, lift=self.ideal_block(rank))
+        raw = syzygy_generators(columns, lift=[*modulo, *self.ideal_block(rank)])
         reduced = (self.normal_form_vector(vec) for vec in raw)
         return [vec for vec in reduced if not vec.is_zero()]
 

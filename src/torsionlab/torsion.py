@@ -1,11 +1,14 @@
 """Torsion submodules, alternating tensors, and tensor-power verifiers.
 
 The torsion submodule of M over a declared-reduced ring is computed as the
-kernel of the evaluation map into R^{nu*} built from a minimal generating
-set of Hom(M, R): over a reduced Noetherian ring a class dies under every
+kernel of the evaluation map into a free module at a generating set of
+Hom(M, R): over a reduced Noetherian ring a class dies under every
 functional exactly when a non-zerodivisor kills it, so this kernel is the
-torsion submodule without any fraction arithmetic.  Verifiers certify
-claims on concrete instances and never assert the general statements.
+torsion submodule without any fraction arithmetic.  Any generating set of
+M* gives the same kernel, so the split evaluates at the reduced syzygy
+basis that computing M* yields and never picks minimal generators of M*.
+Verifiers certify claims on concrete instances and never assert the
+general statements.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from .modules import (
     ModuleMap,
     annihilator,
     dual_evaluation,
+    dual_syzygies,
     kernel_of_map,
     presentation_ideal,
     rank_info,
-    relations_among,
     tensor,
     tensor_coords,
     tensor_power,
@@ -59,16 +62,31 @@ class TorsionSplit:
 def torsion_split(module: FPModule) -> TorsionSplit:
     """Split off the torsion submodule of M over a declared-reduced ring.
 
-    t(M) is the kernel of the evaluation through the dual generators; the
-    torsion-free part embeds into a free module by construction, which is
-    what makes the split exact and tf(M) honestly torsion-free.
+    t(M) is the kernel of the evaluation at the rows of ``dual_syzygies``.
+    Its preimage in the cover is {v : phi(v) in I for every phi in M*},
+    which does not depend on the generating set of M*, and
+    ``kernel_of_map`` reads it off as a reduced syzygy basis, which is
+    unique; so t(M), its inclusion and the torsion-free part are those a
+    minimal generating set of M* gives.  The rows go in ascending lead
+    order, the reverse of the basis order: the order does not change the
+    kernel, but eliminating the target block costs least this way round.
+    The torsion-free part embeds into a free module by construction, which
+    is what makes the split exact and tf(M) honestly torsion-free.
+
+    The split runs no kernel of its own inclusion: that would repeat the
+    syzygy computation that presented t(M), so it could not catch a wrong
+    syzygy.  The checks that take another path stay: ``ModuleMap`` checks
+    that the evaluation is well defined, ``kernel_of_map`` pushes each
+    kernel generator through the map and tests it by graded membership,
+    and the tests compare the split with the dense linear-algebra oracle.
     """
     ring = module.ring
     if not ring.reduced:
         raise UnsupportedError(
             "torsion computations require a declared-reduced ring"
         )
-    columns, target_degrees = dual_evaluation(module)
+    rows, row_degrees = dual_syzygies(module)
+    columns, target_degrees = dual_evaluation(module, rows[::-1], row_degrees[::-1])
     target = FPModule.free(ring, len(target_degrees), target_degrees)
     evaluation = ModuleMap(module, target, columns)
     torsion, inclusion = kernel_of_map(evaluation)
@@ -78,17 +96,12 @@ def torsion_split(module: FPModule) -> TorsionSplit:
         module.ngens,
         module.gen_degrees,
     )
-    split = TorsionSplit(
+    return TorsionSplit(
         module=module,
         torsion=torsion,
         torsion_free_part=torsion_free,
         inclusion_columns=tuple(inclusion.columns),
     )
-    if not torsion.is_zero():
-        inner, _ = kernel_of_map(inclusion)
-        if not inner.is_zero():
-            raise InputError("torsion inclusion unexpectedly has a kernel")
-    return split
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +520,7 @@ def _choose_case2_generators(
             columns = [
                 FreeElement.unit(ring.field, ring.nvars, nu, i) for i in chosen
             ]
-            candidates = relations_among(ring, columns, minimal.relations, nu)
+            candidates = ring.syzygies(columns, nu, minimal.relations)
             # the single relations first, then bounded pairwise sums
             pair_sums = (a + b for a, b in combinations(candidates, 2))
             for h in chain(candidates, pair_sums):

@@ -7,8 +7,11 @@ import hashlib
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionlab import cache, limits
 from torsionlab.engine import ExecConfig, run_source
@@ -50,6 +53,49 @@ class TestElementCodec:
         encoded = json.loads(json.dumps(cache.encode_element(element)))
         decoded = cache.decode_element(encoded, GF(5), 2, 1)
         assert decoded == element
+
+
+@st.composite
+def elements_to_encode(draw):
+    """A vector with unreduced coefficients, as the codec may meet them:
+    over GF(p) negative and multi-digit ints, over QQ fractions with
+    multi-digit numerators and denominators; ranks up to 12, so that
+    positions 9 and 10 sort against each other."""
+    field = draw(st.sampled_from([GF(7), GF(32003), QQ]))
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 12))
+    if field.characteristic:
+        coefficient = st.integers(-(10**6), 10**6).filter(bool)
+    else:
+        coefficient = st.builds(
+            Fraction, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 10**4)
+        )
+    term = st.tuples(
+        st.integers(0, rank - 1),
+        st.tuples(*[st.integers(0, 12)] * nvars),
+    )
+    terms = draw(st.dictionaries(term, coefficient, max_size=8))
+    return FreeElement(field, nvars, rank, terms, _normalized=True)
+
+
+class TestElementText:
+    @given(elements_to_encode())
+    @settings(max_examples=200, deadline=None)
+    def test_element_text_is_the_canonical_json_of_the_encoding(self, element):
+        expected = cache._canonical(cache.encode_element(element))
+        assert cache.element_text(element) == expected
+
+    def test_generators_sort_by_text_with_positions_9_and_10(self, tmp_path):
+        # "[10," sorts before "[9,": the request sorts texts, not numbers
+        field = GF(7)
+        gens = [
+            FreeElement.unit(field, 1, 11, 9),
+            FreeElement.unit(field, 1, 11, 10),
+        ]
+        with cache_in(tmp_path):
+            request = cache.groebner_request(field, 1, 11, gens)
+        entry = json.loads(request.head + "null}")
+        assert entry["request"]["generators"] == [[[10, [0], 1]], [[9, [0], 1]]]
 
 
 class TestCacheStore:
@@ -97,12 +143,14 @@ class TestCacheStore:
                 g.embedded(total) + FreeElement.unit(field, 3, total, rank + i)
                 for i, g in enumerate(gens)
             ]
+            compute = syzygy_generators
             with cache_in(tmp_path) as settings:
                 result = syzygy_generators(gens)
                 again = syzygy_generators(gens)
             assert result and all(g.rank == len(gens) for g in result)
         else:
             op, total, requested = "groebner", rank, gens
+            compute = groebner_basis
             with cache_in(tmp_path) as settings:
                 result = list(groebner_basis(gens))
                 again = groebner_basis(list(reversed(gens)))
@@ -135,6 +183,14 @@ class TestCacheStore:
         # and the entry is found again
         assert settings.cache.hits == 1
         assert [g.terms for g in again] == [g.terms for g in result]
+        # an entry written by json.dumps alone, as entries once were, is a hit
+        written_by_json = tmp_path / "json"
+        written_by_json.mkdir()
+        (written_by_json / name).write_text(body, encoding="utf-8")
+        with cache_in(written_by_json) as settings:
+            warm = compute(gens)
+        assert (settings.cache.hits, settings.cache.misses) == (1, 0)
+        assert [g.terms for g in warm] == [g.terms for g in result]
 
     def test_syzygy_and_graph_basis_entries_stay_apart(self, tmp_path):
         columns = [

@@ -426,3 +426,36 @@ def test_syzygies_match_the_oracle_over_both_fields_and_modulo_a_lift(problem):
     for v in syz:
         if v.degree() <= ORACLE_BOUND:
             assert in_oracle_span(v.components(), oracle, field)
+
+
+@given(syzygy_problems(), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_syzygies_do_not_depend_on_the_order_of_the_target_positions(problem, data):
+    """Permuting the positions of R^rank, in the columns and the lift alike,
+    returns the same syzygies, vector for vector and term for term: they
+    are the reduced basis of {v : sum v_j columns[j] in <lift>} in rank
+    len(columns), which no order of R^rank enters.  The lift is empty, a
+    quotient's I * R^rank, or that plus a drawn vector of R^rank."""
+    field, rows, quotient = problem
+    rank, width = len(rows), len(rows[0])
+    columns = [
+        FreeElement.from_components([row[j] for row in rows]) for j in range(width)
+    ]
+    lift = lifted_ideal([parse_polynomial(quotient, XY, field)], rank) if quotient else []
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda m: sum(m) <= 2)
+    entry = st.dictionaries(mono, st.integers(-3, 3), max_size=2)
+    for terms in data.draw(st.lists(st.lists(entry, min_size=rank, max_size=rank), max_size=1)):
+        lift.append(
+            FreeElement.from_components([Polynomial(field, 2, t) for t in terms], rank=rank)
+        )
+    order = data.draw(st.permutations(range(rank)), label="new position of each")
+
+    def permuted(vec):
+        terms = {(order[pos], m): c for (pos, m), c in vec.terms.items()}
+        return FreeElement(field, 2, rank, terms, _normalized=True)
+
+    got = syzygy_generators([permuted(c) for c in columns], [permuted(v) for v in lift])
+    expected = syzygy_generators(columns, lift)
+    assert [list(g.terms.items()) for g in got] == [
+        list(g.terms.items()) for g in expected
+    ]

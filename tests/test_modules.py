@@ -21,7 +21,6 @@ from torsionlab.modules import (
     FPModule,
     ModuleMap,
     annihilator,
-    relations_among,
     dual_generators,
     kernel_of_map,
     modules_equivalent,
@@ -503,8 +502,9 @@ def check_against_oracle(ring, generators, modulo, oracle):
 
 
 class TestKernelOracle:
-    """``relations_among`` and ``kernel_of_map`` against the dense
-    linear-algebra oracle of ``suite``, over GF(7) and QQ."""
+    """``RingContext.syzygies`` modulo a submodule and ``kernel_of_map``
+    against the dense linear-algebra oracle of ``suite``, over GF(7) and
+    QQ."""
 
     @pytest.mark.parametrize("ring_name", sorted(ORACLE_RINGS))
     @given(data=st.data())
@@ -513,12 +513,22 @@ class TestKernelOracle:
         deadline=None,
         suppress_health_check=ORACLE_SUPPRESSED,
     )
-    def test_relations_among(self, ring_name, data):
+    def test_syzygies_modulo(self, ring_name, data):
         ring = oracle_ring(ring_name)
         rank = data.draw(st.integers(1, 2), label="rank")
         gens = data.draw(homogeneous_columns(ring, rank, 3), label="gens")
         modulo = data.draw(homogeneous_columns(ring, rank, 2), label="modulo")
-        relations = relations_among(ring, gens, modulo, rank)
+        relations = ring.syzygies(gens, rank, modulo)
+        # the modulo vectors go into the lift, untagged; the result is the
+        # gens part of the syzygies of gens + modulo, where each modulo
+        # vector has a tag position, vector for vector and in that order
+        heads = (
+            vec.restricted(range(len(gens)))
+            for vec in ring.syzygies(gens + modulo, rank)
+        )
+        assert [list(v.terms.items()) for v in relations] == [
+            list(h.terms.items()) for h in heads if not h.is_zero()
+        ]
         # each relation maps into <modulo> + I
         target = ring.submodule_basis(modulo, rank)
         for rel in relations:
@@ -547,7 +557,7 @@ class TestKernelOracle:
             col.homogeneous_degree() if not col.is_zero() else 0 for col in columns
         ]
         # the source relations: some of the relations the map respects
-        respected = relations_among(ring, columns, target.relations, ntarget)
+        respected = ring.syzygies(columns, ntarget, target.relations)
         keep = data.draw(
             st.lists(st.booleans(), min_size=len(respected), max_size=len(respected)),
             label="kept source relations",

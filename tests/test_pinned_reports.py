@@ -5,12 +5,16 @@ removed, differs from the report pinned when the benchmark was added
 (``PINNED``, compared through ``pinned_digest``).  These tests run the
 panel and the seed-0 certify script through the CLI and apply the same
 check, with the benchmark's own code read from ``perfbench/`` unchanged,
-so a change that alters a certificate fails the test suite too.
+so a change that alters a certificate fails the test suite too.  The
+thm2.8 certificate at d = 4, a larger input to the torsion split than
+either workload, is checked the same way against a digest of its own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -78,3 +82,23 @@ def test_the_seed_0_certify_report_matches_the_pinned_digest(bench, tmp_path):
         ["run", str(script), "--cache", str(cache_dir), "--json", str(json_path)],
     )
     check(bench, op, json_path, "certify-cold", 0)
+
+
+# thm2.8 at d = 4: one torsion split per power of the Koszul module on
+# (x, y, z, w), the top one over 256 generators.  The digest is the SHA-256
+# of the report, timing block removed, in canonical JSON.
+D4_SCRIPT = "ring C = GF(5)[x,y,z,w]; verify thm2.8 over C with sequence (x,y,z,w);\n"
+D4_DIGEST = "7685b6d2532f2786d0caacebbea66cdf4cdbe2a67d2c9d16ddafd7987986f191"
+
+
+def test_the_thm28_report_at_d_4_matches_its_pinned_digest(bench, tmp_path):
+    script = tmp_path / "d4.tl"
+    script.write_text(D4_SCRIPT, encoding="utf-8")
+    json_path = tmp_path / "d4.json"
+    op = run_cli(bench, tmp_path, ["run", str(script), "--json", str(json_path)])
+    assert op.exit_code == 0, op.stderr
+    report = json.loads(json_path.read_text(encoding="utf-8"))
+    report.pop("timing")
+    assert [s["status"] for s in report["statements"]] == ["ok", "pass"]
+    canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == D4_DIGEST

@@ -3,15 +3,30 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import node_ring
 from torsionlab.errors import InputError, UnsupportedError
 from torsionlab.fields import GF, QQ
 from torsionlab.homology import pd
-from torsionlab.modules import FPModule, annihilator, tensor_power
+from torsionlab.modules import (
+    FPModule,
+    ModuleMap,
+    annihilator,
+    dual_evaluation,
+    dual_generators,
+    dual_syzygies,
+    kernel_of_map,
+    tensor_power,
+)
+from torsionlab.poly import FreeElement, Polynomial
 from torsionlab.randgen import random_module_with_planted_relation
 from torsionlab.rings import Ideal, make_ring
+from torsionlab.suite import dense_kernel_oracle, in_oracle_span
 from torsionlab.torsion import (
     alternating_tensor,
     check_relation_annihilates,
@@ -80,6 +95,105 @@ class TestTorsionSplit:
         ring = make_ring(GF(5), ("x", "y"), ideal=[x2])
         with pytest.raises(UnsupportedError):
             torsion_split(FPModule.free(ring, 1))
+
+
+SPLIT_RINGS = {
+    "GF(7)": lambda: make_ring(GF(7), ("x", "y"), reduced=True),
+    "QQ": lambda: make_ring(QQ, ("x", "y"), reduced=True),
+    "GF(7) node": lambda: node_ring(7),
+}
+SPLIT_ORACLE_BOUND = 3
+
+
+@st.composite
+def small_modules(draw, ring):
+    """coker of columns in R^1..R^3, fewer than the generators when there
+    are two or more, so that M* is mostly nonzero: generators in degree 0,
+    each column homogeneous of its own degree 0-2, entries in normal form
+    mod I."""
+    coeffs = (0, 1, -1, 2) if ring.field.characteristic else (0, 1, -1, Fraction(1, 2))
+    ngens = draw(st.integers(1, 3))
+    columns = []
+    for _ in range(draw(st.integers(1, max(1, ngens - 1)))):
+        degree = draw(st.integers(0, 2))
+        monos = [(a, degree - a) for a in range(degree + 1)]
+        comps = [
+            ring.normal_form_poly(
+                Polynomial(ring.field, 2, {m: draw(st.sampled_from(coeffs)) for m in monos})
+            )
+            for _ in range(ngens)
+        ]
+        columns.append(FreeElement.from_components(comps, rank=ngens))
+    return FPModule(ring, columns, ngens)
+
+
+class TestTorsionSplitOracle:
+    """The split on random small modules, against the dense linear-algebra
+    oracle of ``suite`` and against the evaluation at a minimal generating
+    set of M*."""
+
+    @pytest.mark.parametrize("ring_name", sorted(SPLIT_RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+    )
+    def test_split_matches_the_oracle(self, ring_name, data):
+        ring = SPLIT_RINGS[ring_name]()
+        check_split(ring, data.draw(small_modules(ring), label="module"))
+
+    def test_a_dual_whose_reduced_syzygy_basis_is_not_minimal(self):
+        ring = SPLIT_RINGS["GF(7)"]()
+        texts = ["2*x^2", "2*x^2 + x*y + y^2", "2*x^2 + 6*x*y + y^2"]
+        module = FPModule.from_rows(ring, [[ring.poly(t)] for t in texts])
+        assert len(dual_syzygies(module)[0]) == 3
+        assert len(dual_generators(module)[0]) == 2
+        check_split(ring, module)
+
+
+def check_split(ring, module):
+    split = torsion_split(module)
+    m = module.ngens
+
+    # the evaluation kernel is the same through the reduced dual syzygies,
+    # in the split's order, and through dual_generators
+    rows, degrees = dual_syzygies(module)
+    minimal_rows, minimal_degrees = dual_generators(module)
+    through_all, _ = dual_evaluation(module, rows[::-1], degrees[::-1])
+    through_minimal, _ = dual_evaluation(module, minimal_rows, minimal_degrees)
+    kernel_all = ring.syzygies(through_all, len(rows))
+    kernel_minimal = ring.syzygies(through_minimal, len(minimal_rows))
+    assert [list(v.terms.items()) for v in kernel_all] == [
+        list(v.terms.items()) for v in kernel_minimal
+    ]
+
+    # t(M) injects into M
+    if not split.is_torsion_free:
+        inclusion = ModuleMap(split.torsion, module, split.inclusion_columns)
+        inner, _ = kernel_of_map(inclusion)
+        assert inner.is_zero()
+
+    # the preimage of t(M) is {v : phi(v) in I for the minimal phi}
+    if not minimal_rows:
+        assert split.is_torsion
+        return
+    k = len(minimal_rows)
+    oracle = dense_kernel_oracle(
+        [[col.component(r) for col in through_minimal] for r in range(k)],
+        2,
+        SPLIT_ORACLE_BOUND,
+        ring.field,
+        [vec.components() for vec in ring.ideal_block(k)],
+    )
+    preimage = ring.submodule_basis(
+        list(split.inclusion_columns) + list(module.relations), m
+    )
+    for vec in oracle:
+        assert preimage.contains(FreeElement.from_components(vec, rank=m))
+    for gen in split.inclusion_columns:
+        if gen.degree() <= SPLIT_ORACLE_BOUND:
+            assert in_oracle_span(gen.components(), oracle, ring.field)
 
 
 class TestAlternatingTensor:
