@@ -13,13 +13,8 @@ seed-0 certify benchmark script, the 115 calls take about 0.25 s on a warm
 rerun, and looking those bases up instead takes about 0.7 s (2-CPU Xeon).
 The membership completion of an ``FPModule`` (its relations plus I*R^n,
 completed only up to the degree each element test needs) is not cached
-either, for the same reason; before it replaced the module's full reduced
-basis, that basis was a cache entry, so the seed-0 certify script made
-15 hits and 61 misses instead of 19 and 71.  Syzygies modulo a submodule
-now put its vectors in the graph's lift, untagged, so those requests name
-other generators; and the torsion split no longer recomputes the kernel of
-its own inclusion, a request that was always a hit.  The seed-0 script
-makes 13 hits and 61 misses (54 of them syzygies, as before).
+either, for the same reason.  Syzygies modulo a submodule put its vectors
+in the graph's lift, untagged, so a request names only the tagged columns.
 Entries are JSON files named by the SHA-256 of a canonical request payload
 (op, field, ambient module, order, generators, engine version), whose text
 ``groebner_request`` builds once per call for the lookup and the store:

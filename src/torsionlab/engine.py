@@ -53,24 +53,28 @@ from .poly import Polynomial
 from .rings import Ideal, RingContext, make_ring
 from .script import (
     AssertStmt,
-    BinOp,
-    Call,
-    Expr,
-    IntLit,
     LetStmt,
-    ListLit,
     ModuleStmt,
-    Name,
-    Neg,
     PrintStmt,
     ProbeStmt,
-    RationalLit,
     RingStmt,
     Script,
-    TupleLit,
     VerifyStmt,
     format_statement,
     parse_script,
+)
+from .syntax import (
+    ARITHMETIC,
+    Call,
+    Expr,
+    IntLit,
+    ListLit,
+    Name,
+    Neg,
+    RationalLit,
+    TupleLit,
+    evaluate,
+    evaluate_polynomial,
 )
 from .torsion import (
     alternating_tensor,
@@ -199,33 +203,14 @@ class _Engine:
     # -- polynomial-context evaluation ---------------------------------
 
     def eval_poly(self, expr: Expr, ring: RingContext) -> Polynomial:
-        if isinstance(expr, Name):
-            if expr.identifier in ring.variables:
-                return ring.variable(ring.variables.index(expr.identifier))
-            raise InputError(
-                f"{expr.identifier!r} is not a variable of {ring.descriptor()}"
-            )
-        if isinstance(expr, IntLit):
-            return Polynomial.constant(ring.field, ring.nvars, expr.value)
-        if isinstance(expr, RationalLit):
-            return Polynomial.constant(
-                ring.field, ring.nvars, Fraction(expr.numerator, expr.denominator)
-            )
-        if isinstance(expr, Neg):
-            return -self.eval_poly(expr.operand, ring)
-        if isinstance(expr, BinOp):
-            if expr.op == "^":
-                exponent = self.eval_int(expr.right)
-                return self.eval_poly(expr.left, ring) ** exponent
-            left = self.eval_poly(expr.left, ring)
-            right = self.eval_poly(expr.right, ring)
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-        raise InputError("expected a polynomial expression")
+        def variable(name: str) -> Polynomial:
+            if name not in ring.variables:
+                raise InputError(f"{name!r} is not a variable of {ring.descriptor()}")
+            return ring.variable(ring.variables.index(name))
+
+        return evaluate_polynomial(
+            expr, ring.field, ring.nvars, variable, self.eval_int
+        )
 
     def eval_poly_sequence(self, expr: Expr, ring: RingContext) -> List[Polynomial]:
         if isinstance(expr, (TupleLit, ListLit)):
@@ -279,6 +264,9 @@ class _Engine:
     # -- general evaluation ----------------------------------------------
 
     def eval_value(self, expr: Expr):
+        return evaluate(expr, self._eval_leaf, self._eval_operator)
+
+    def _eval_leaf(self, expr: Expr):
         if isinstance(expr, Name):
             if expr.identifier not in self.env:
                 raise InputError(f"undefined identifier {expr.identifier!r}")
@@ -287,35 +275,27 @@ class _Engine:
             return expr.value
         if isinstance(expr, RationalLit):
             return Fraction(expr.numerator, expr.denominator)
-        if isinstance(expr, Neg):
-            value = self.eval_value(expr.operand)
-            if isinstance(value, (int, Fraction)):
-                return -value
-            raise InputError("cannot negate this value")
-        if isinstance(expr, BinOp):
-            if expr.op in ("==", "!="):
-                left = self.eval_value(expr.left)
-                right = self.eval_value(expr.right)
-                equal = left == right
-                return equal if expr.op == "==" else not equal
-            left = self.eval_value(expr.left)
-            right = self.eval_value(expr.right)
-            if isinstance(left, int) and isinstance(right, int):
-                if expr.op == "+":
-                    return checked_integer(left + right)
-                if expr.op == "-":
-                    return checked_integer(left - right)
-                if expr.op == "*":
-                    return checked_integer(left * right)
-                if expr.op == "^":
-                    if right < 0:
-                        raise InputError("an integer power needs a nonnegative exponent")
-                    check_power_size(left, right)
-                    return checked_integer(left**right)
-            raise InputError(f"operator {expr.op!r} needs integer operands here")
         if isinstance(expr, Call):
             return self.eval_call(expr)
         raise InputError("this expression form is only allowed inside calls")
+
+    def _eval_operator(self, expr: Expr, left):
+        if isinstance(expr, Neg):
+            if isinstance(left, (int, Fraction)):
+                return -left
+            raise InputError("cannot negate this value")
+        right = self.eval_value(expr.right)
+        if expr.op in ("==", "!="):
+            equal = left == right
+            return equal if expr.op == "==" else not equal
+        if isinstance(left, int) and isinstance(right, int):
+            if expr.op == "^":
+                if right < 0:
+                    raise InputError("an integer power needs a nonnegative exponent")
+                check_power_size(left, right)
+                return checked_integer(left**right)
+            return checked_integer(ARITHMETIC[expr.op](left, right))
+        raise InputError(f"operator {expr.op!r} needs integer operands here")
 
     def eval_call(self, call: Call):
         name = call.function

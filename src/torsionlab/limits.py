@@ -16,7 +16,9 @@ when it raises.
 one step (a tensor product, a restriction of scalars), so an input that
 would take hours fails at once with a typed error instead.
 ``INTEGER_BIT_CAP`` bounds the integers a script writes or computes, far
-below the length at which ``str()`` refuses an int.
+below the length at which ``str()`` refuses an int.  ``NESTING_CAP`` bounds
+how deep brackets nest in an expression, so parsing, evaluating and
+printing one stay far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ if TYPE_CHECKING:
 DEFAULT_DEGREE_CAP = 64
 GENERATOR_CAP = 4096
 INTEGER_BIT_CAP = 4096
+NESTING_CAP = 64
 
 AbortHook = Callable[[], bool]
 

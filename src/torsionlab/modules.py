@@ -270,15 +270,18 @@ class FPModule:
     def tensor_power(self, t: int) -> "FPModule":
         if t < 0:
             raise InputError("tensor powers need a nonnegative exponent")
-        if t not in self._tensor_powers:
+        powers = self._tensor_powers
+        if t not in powers:
             if t == 0:
-                power = FPModule.free(self.ring, 1)
-            elif t == 1:
-                power = self
+                powers[0] = FPModule.free(self.ring, 1)
             else:
-                power = tensor(self.tensor_power(t - 1), self)
-            self._tensor_powers[t] = power
-        return self._tensor_powers[t]
+                # built in a loop from the largest power cached, not by
+                # recursion, so a high power is no deeper than a low one
+                powers.setdefault(1, self)
+                top = max(k for k in powers if k <= t)
+                for s in range(top, t):
+                    powers[s + 1] = tensor(powers[s], self)
+        return powers[t]
 
     # -- invariants ---------------------------------------------------------
 

@@ -20,69 +20,30 @@ Grammar sketch (statements end with ``;``, ``#`` starts a comment):
 Expressions cover identifiers, integers, calls with positional and ``k=v``
 arguments, list literals, parenthesised tuples, and arithmetic (used for
 polynomial fragments, which are evaluated against a ring at run time).
-Parsed scripts print back to canonical text that reparses to an equal
-script.
+Their grammar is ``syntax.ExpressionParser``, which the statement parser
+extends and the library's polynomial text shares.  Parsed scripts print
+back to canonical text that reparses to an equal script.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .errors import ScriptParseError
-from .syntax import TokenStream, denominator_literal, int_literal, tokenize
-
-# ---------------------------------------------------------------------------
-# expression AST
-
-
-@dataclass(frozen=True)
-class Name:
-    identifier: str
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class RationalLit:
-    numerator: int
-    denominator: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * ^ == !=
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    function: str
-    args: Tuple["Expr", ...]
-    kwargs: Tuple[Tuple[str, "Expr"], ...] = ()
-
-
-@dataclass(frozen=True)
-class ListLit:
-    items: Tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
-class TupleLit:
-    items: Tuple["Expr", ...]
-
-
-Expr = Union[Name, IntLit, RationalLit, BinOp, Neg, Call, ListLit, TupleLit]
-
+from .syntax import (
+    BinOp,
+    Call,
+    Expr,
+    ExpressionParser,
+    IntLit,
+    ListLit,
+    Name,
+    Neg,
+    RationalLit,
+    TupleLit,
+    int_literal,
+)
 
 # ---------------------------------------------------------------------------
 # statement AST
@@ -160,143 +121,135 @@ class Script:
 # parser
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.stream = TokenStream(tokenize(text))
-
+class _Parser(ExpressionParser):
     def parse_script(self) -> Script:
         statements: List[Statement] = []
-        while self.stream.peek().kind != "end":
+        while self.peek().kind != "end":
             statements.append(self.parse_statement())
         return Script(tuple(statements))
 
     # -- statements ---------------------------------------------------
 
     def parse_statement(self) -> Statement:
-        tok = self.stream.peek()
+        tok = self.peek()
         keyword = tok.text
         if keyword == "ring":
             return self.parse_ring()
         if keyword == "module":
             return self.parse_module()
-        if keyword == "let":
-            return self.parse_let()
         if keyword == "verify":
             return self.parse_verify()
         if keyword == "probe":
             return self.parse_probe()
-        if keyword == "print":
-            return self.parse_print()
-        if keyword == "assert":
-            return self.parse_assert()
-        if (
-            tok.kind == "name"
-            and self.stream.tokens[self.stream.index + 1].text == "="
-        ):
-            # bare assignment: sugar for let
-            line = tok.line
+        if keyword == "let":
+            self.next()
             name = self._name()
-            self.stream.expect("=")
-            expr = self.parse_expression()
-            self.stream.expect(";")
-            return LetStmt(name=name, expr=expr, line=line)
+            self.expect("=")
+            return LetStmt(name, self._ended(self.parse_expression()), tok.line)
+        if keyword in ("print", "assert"):
+            self.next()
+            node = PrintStmt if keyword == "print" else AssertStmt
+            return node(self._ended(self.parse_expression()), tok.line)
+        name = self._key()
+        if name is not None:
+            # bare assignment: sugar for let
+            return LetStmt(name, self._ended(self.parse_expression()), tok.line)
         raise ScriptParseError(
             f"expected a statement keyword, found {keyword!r}", tok.line, tok.column
         )
 
+    def _ended(self, value):
+        self.expect(";")
+        return value
+
     def _name(self) -> str:
-        tok = self.stream.peek()
+        tok = self.peek()
         if tok.kind != "name":
             raise ScriptParseError(
                 f"expected an identifier, found {tok.text!r}", tok.line, tok.column
             )
-        self.stream.next()
+        self.next()
         return tok.text
 
     def _int(self) -> int:
-        tok = self.stream.peek()
+        tok = self.peek()
         sign = 1
         if tok.text == "-":
-            self.stream.next()
+            self.next()
             sign = -1
-            tok = self.stream.peek()
+            tok = self.peek()
         if tok.kind != "int":
             raise ScriptParseError(
                 f"expected an integer, found {tok.text!r}", tok.line, tok.column
             )
-        self.stream.next()
+        self.next()
         return sign * int_literal(tok)
 
+    def _int_tuple(self) -> Tuple[int, ...]:
+        self.expect("(")
+        return tuple(self._sequence(self._int, ")"))
+
+    def _expr_tuple(self) -> Tuple[Expr, ...]:
+        self.expect("(")
+        return tuple(self._sequence(self.parse_expression, ")"))
+
+    def _row(self) -> Tuple[Expr, ...]:
+        self.expect("[")
+        if self.peek().text == "]":
+            self.next()
+            return ()
+        return tuple(self._sequence(self.parse_expression, "]"))
+
     def parse_ring(self) -> RingStmt:
-        line = self.stream.peek().line
-        self.stream.expect("ring")
+        line = self.peek().line
+        self.expect("ring")
         name = self._name()
-        self.stream.expect("=")
-        field_tok = self.stream.peek()
+        self.expect("=")
+        field_tok = self.peek()
         field_kind = self._name()
         if field_kind == "QQ":
             characteristic = 0
         elif field_kind == "GF":
-            self.stream.expect("(")
+            self.expect("(")
             characteristic = self._int()
-            self.stream.expect(")")
+            self.expect(")")
         else:
             raise ScriptParseError(
                 f"unknown coefficient field {field_kind!r} (use QQ or GF(p))",
                 field_tok.line,
                 field_tok.column,
             )
-        self.stream.expect("[")
-        variables = [self._name()]
-        while self.stream.peek().text == ",":
-            self.stream.next()
-            variables.append(self._name())
-        self.stream.expect("]")
+        self.expect("[")
+        variables = self._sequence(self._name, "]")
         ideal: Tuple[Expr, ...] = ()
-        if self.stream.peek().text == "/":
-            self.stream.next()
-            self.stream.expect("(")
-            ideal = tuple(self._expr_list(")"))
-            self.stream.expect(")")
+        if self.peek().text == "/":
+            self.next()
+            ideal = self._expr_tuple()
         primes: List[Tuple[Expr, ...]] = []
         reduced = False
         ci = False
         grading: Optional[Tuple[int, ...]] = None
-        if self.stream.peek().text == "with":
-            self.stream.next()
-            while self.stream.peek().text != ";":
-                clause_tok = self.stream.peek()
+        if self.peek().text == "with":
+            self.next()
+            while self.peek().text != ";":
+                clause_tok = self.peek()
                 clause = self._name()
                 if clause == "minimal_primes":
-                    self.stream.expect("[")
-                    while True:
-                        self.stream.expect("(")
-                        primes.append(tuple(self._expr_list(")")))
-                        self.stream.expect(")")
-                        if self.stream.peek().text == ",":
-                            self.stream.next()
-                            continue
-                        break
-                    self.stream.expect("]")
+                    self.expect("[")
+                    primes += self._sequence(self._expr_tuple, "]")
                 elif clause == "reduced":
                     reduced = True
                 elif clause == "ci":
                     ci = True
                 elif clause == "grading":
-                    self.stream.expect("(")
-                    weights = [self._int()]
-                    while self.stream.peek().text == ",":
-                        self.stream.next()
-                        weights.append(self._int())
-                    self.stream.expect(")")
-                    grading = tuple(weights)
+                    grading = self._int_tuple()
                 else:
                     raise ScriptParseError(
                         f"unknown ring clause {clause!r}",
                         clause_tok.line,
                         clause_tok.column,
                     )
-        self.stream.expect(";")
+        self.expect(";")
         return RingStmt(
             name=name,
             field_kind=field_kind,
@@ -311,39 +264,20 @@ class _Parser:
         )
 
     def parse_module(self) -> ModuleStmt:
-        line = self.stream.peek().line
-        self.stream.expect("module")
+        line = self.peek().line
+        self.expect("module")
         name = self._name()
-        self.stream.expect("=")
-        self.stream.expect("coker")
-        self.stream.expect("[")
-        rows: List[Tuple[Expr, ...]] = []
-        while True:
-            self.stream.expect("[")
-            if self.stream.peek().text == "]":
-                row: Tuple[Expr, ...] = ()
-            else:
-                row = tuple(self._expr_list("]"))
-            self.stream.expect("]")
-            rows.append(row)
-            if self.stream.peek().text == ",":
-                self.stream.next()
-                continue
-            break
-        self.stream.expect("]")
-        self.stream.expect("over")
+        self.expect("=")
+        self.expect("coker")
+        self.expect("[")
+        rows = self._sequence(self._row, "]")
+        self.expect("over")
         ring_name = self._name()
         degrees: Optional[Tuple[int, ...]] = None
-        if self.stream.peek().text == "degrees":
-            self.stream.next()
-            self.stream.expect("(")
-            ds = [self._int()]
-            while self.stream.peek().text == ",":
-                self.stream.next()
-                ds.append(self._int())
-            self.stream.expect(")")
-            degrees = tuple(ds)
-        self.stream.expect(";")
+        if self.peek().text == "degrees":
+            self.next()
+            degrees = self._int_tuple()
+        self.expect(";")
         return ModuleStmt(
             name=name,
             matrix=tuple(rows),
@@ -352,25 +286,16 @@ class _Parser:
             line=line,
         )
 
-    def parse_let(self) -> LetStmt:
-        line = self.stream.peek().line
-        self.stream.expect("let")
-        name = self._name()
-        self.stream.expect("=")
-        expr = self.parse_expression()
-        self.stream.expect(";")
-        return LetStmt(name=name, expr=expr, line=line)
-
     def parse_verify(self) -> VerifyStmt:
-        line = self.stream.peek().line
-        self.stream.expect("verify")
+        line = self.peek().line
+        self.expect("verify")
         claim = self._name()
         args, kwargs = self._arguments(("over", "with", "sequence", ","))
         return VerifyStmt(claim=claim, args=args, kwargs=kwargs, line=line)
 
     def parse_probe(self) -> ProbeStmt:
-        line = self.stream.peek().line
-        self.stream.expect("probe")
+        line = self.peek().line
+        self.expect("probe")
         kind = self._name()
         args, kwargs = self._arguments((",",))
         return ProbeStmt(kind=kind, args=args, kwargs=kwargs, line=line)
@@ -382,154 +307,17 @@ class _Parser:
         closing ';', passing over the tokens in ``skip``."""
         args: List[Expr] = []
         kwargs: List[Tuple[str, Expr]] = []
-        while self.stream.peek().text != ";":
-            tok = self.stream.peek()
-            if tok.text in skip:
-                self.stream.next()
+        while self.peek().text != ";":
+            if self.peek().text in skip:
+                self.next()
                 continue
-            if (
-                tok.kind == "name"
-                and self.stream.tokens[self.stream.index + 1].text == "="
-            ):
-                key = self._name()
-                self.stream.expect("=")
+            key = self._key()
+            if key is None:
+                args.append(self.parse_atom_or_group())
+            else:
                 kwargs.append((key, self.parse_expression()))
-                continue
-            args.append(self.parse_atom_or_group())
-        self.stream.expect(";")
+        self.expect(";")
         return tuple(args), tuple(kwargs)
-
-    def parse_print(self) -> PrintStmt:
-        line = self.stream.peek().line
-        self.stream.expect("print")
-        expr = self.parse_expression()
-        self.stream.expect(";")
-        return PrintStmt(expr=expr, line=line)
-
-    def parse_assert(self) -> AssertStmt:
-        line = self.stream.peek().line
-        self.stream.expect("assert")
-        expr = self.parse_expression()
-        self.stream.expect(";")
-        return AssertStmt(expr=expr, line=line)
-
-    # -- expressions -----------------------------------------------------
-
-    def _expr_list(self, closer: str) -> List[Expr]:
-        items = [self.parse_expression()]
-        while self.stream.peek().text == ",":
-            self.stream.next()
-            items.append(self.parse_expression())
-        tok = self.stream.peek()
-        if tok.text != closer:
-            raise ScriptParseError(
-                f"expected {closer!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
-        return items
-
-    def parse_expression(self) -> Expr:
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_sum()
-        tok = self.stream.peek()
-        if tok.text in ("==", "!="):
-            op = self.stream.next().text
-            right = self.parse_sum()
-            return BinOp(op, left, right)
-        return left
-
-    def parse_sum(self) -> Expr:
-        left = self.parse_product()
-        while self.stream.peek().text in ("+", "-"):
-            op = self.stream.next().text
-            right = self.parse_product()
-            left = BinOp(op, left, right)
-        return left
-
-    def parse_product(self) -> Expr:
-        left = self.parse_power()
-        while self.stream.peek().text == "*":
-            self.stream.next()
-            left = BinOp("*", left, self.parse_power())
-        return left
-
-    def parse_power(self) -> Expr:
-        base = self.parse_unary()
-        if self.stream.peek().text == "^":
-            self.stream.next()
-            exponent = self.parse_unary()
-            return BinOp("^", base, exponent)
-        return base
-
-    def parse_unary(self) -> Expr:
-        if self.stream.peek().text == "-":
-            self.stream.next()
-            return Neg(self.parse_unary())
-        if self.stream.peek().text == "+":
-            self.stream.next()
-            return self.parse_unary()
-        return self.parse_atom_or_group()
-
-    def parse_atom_or_group(self) -> Expr:
-        tok = self.stream.peek()
-        if tok.text == "(":
-            self.stream.next()
-            items = self._expr_list(")")
-            self.stream.expect(")")
-            if len(items) == 1:
-                return items[0]
-            return TupleLit(tuple(items))
-        if tok.text == "[":
-            self.stream.next()
-            if self.stream.peek().text == "]":
-                self.stream.next()
-                return ListLit(())
-            items = self._expr_list("]")
-            self.stream.expect("]")
-            return ListLit(tuple(items))
-        if tok.kind == "int":
-            self.stream.next()
-            if (
-                self.stream.peek().text == "/"
-                and self.stream.tokens[self.stream.index + 1].kind == "int"
-            ):
-                self.stream.next()
-                den = self.stream.next()
-                return RationalLit(int_literal(tok), denominator_literal(den))
-            return IntLit(int_literal(tok))
-        if tok.kind == "name":
-            self.stream.next()
-            if self.stream.peek().text == "(":
-                self.stream.next()
-                args: List[Expr] = []
-                kwargs: List[Tuple[str, Expr]] = []
-                if self.stream.peek().text != ")":
-                    while True:
-                        peeked = self.stream.peek()
-                        if (
-                            peeked.kind == "name"
-                            and self.stream.tokens[self.stream.index + 1].text == "="
-                        ):
-                            key = self._name()
-                            self.stream.expect("=")
-                            kwargs.append((key, self.parse_expression()))
-                        else:
-                            args.append(self.parse_expression())
-                        if self.stream.peek().text == ",":
-                            self.stream.next()
-                            continue
-                        break
-                self.stream.expect(")")
-                return Call(tok.text, tuple(args), tuple(kwargs))
-            return Name(tok.text)
-        raise ScriptParseError(
-            f"expected an expression, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
 
 
 def parse_script(text: str) -> Script:
@@ -542,22 +330,35 @@ def parse_script(text: str) -> Script:
 
 
 def format_expr(expr: Expr) -> str:
+    """Canonical text of ``expr``, which reparses to an equal tree.  The
+    left spine is printed in a loop, like ``syntax.evaluate`` walks it."""
+    spine = []
+    while isinstance(expr, (Neg, BinOp)):
+        spine.append(expr)
+        expr = expr.operand if isinstance(expr, Neg) else expr.left
+    text, inner = _format_atom(expr), expr
+    for node in reversed(spine):
+        if isinstance(node, Neg):
+            text = "-" + _wrap(text, inner, 3)
+        else:
+            left, right = _OPERANDS[node.op]
+            joint = "^" if node.op == "^" else f" {node.op} "
+            text = _wrap(text, inner, left) + joint + _wrap(
+                format_expr(node.right), node.right, right
+            )
+        inner = node
+    return text
+
+
+def _format_atom(expr: Expr) -> str:
     if isinstance(expr, Name):
         return expr.identifier
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, RationalLit):
         return f"{expr.numerator}/{expr.denominator}"
-    if isinstance(expr, Neg):
-        return f"-{_wrap(expr.operand)}"
-    if isinstance(expr, BinOp):
-        if expr.op == "^":
-            return f"{_wrap(expr.left)}^{_wrap(expr.right)}"
-        return f"{_wrap_for(expr, expr.left)} {expr.op} {_wrap_for(expr, expr.right)}"
     if isinstance(expr, Call):
-        parts = [format_expr(a) for a in expr.args]
-        parts.extend(f"{k}={format_expr(v)}" for k, v in expr.kwargs)
-        return f"{expr.function}({', '.join(parts)})"
+        return f"{expr.function}({_format_arguments(expr.args, expr.kwargs)})"
     if isinstance(expr, ListLit):
         return "[" + ", ".join(format_expr(i) for i in expr.items) + "]"
     if isinstance(expr, TupleLit):
@@ -565,19 +366,28 @@ def format_expr(expr: Expr) -> str:
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-_PRECEDENCE = {"==": 0, "!=": 0, "+": 1, "-": 1, "*": 2, "^": 3}
+def _format_arguments(args, kwargs) -> str:
+    parts = [format_expr(a) for a in args]
+    parts.extend(f"{k}={format_expr(v)}" for k, v in kwargs)
+    return ", ".join(parts)
 
 
-def _wrap(expr: Expr) -> str:
-    if isinstance(expr, (BinOp, Neg)):
-        return f"({format_expr(expr)})"
-    return format_expr(expr)
+# How tightly each form binds, loosest first: a Neg is 3 and an atom 5.
+_PRECEDENCE = {"==": 0, "!=": 0, "+": 1, "-": 1, "*": 2, "^": 4}
+# The least precedence each side of an operator takes without parentheses
+# (a Neg's operand takes 3): sums and products chain to the left only,
+# comparisons do not chain, and a power's base and exponent are atoms.
+_OPERANDS = {
+    "==": (1, 1), "!=": (1, 1), "+": (1, 2), "-": (1, 2), "*": (2, 3), "^": (5, 5)
+}
 
 
-def _wrap_for(parent: BinOp, child: Expr) -> str:
-    if isinstance(child, BinOp) and _PRECEDENCE[child.op] < _PRECEDENCE[parent.op]:
-        return f"({format_expr(child)})"
-    return format_expr(child)
+def _wrap(text: str, expr: Expr, least: int) -> str:
+    if isinstance(expr, BinOp):
+        precedence = _PRECEDENCE[expr.op]
+    else:
+        precedence = 3 if isinstance(expr, Neg) else 5
+    return f"({text})" if precedence < least else text
 
 
 def format_statement(stmt: Statement) -> str:
@@ -613,13 +423,9 @@ def format_statement(stmt: Statement) -> str:
     if isinstance(stmt, LetStmt):
         return f"let {stmt.name} = {format_expr(stmt.expr)};"
     if isinstance(stmt, VerifyStmt):
-        parts = [format_expr(a) for a in stmt.args]
-        parts.extend(f"{k}={format_expr(v)}" for k, v in stmt.kwargs)
-        return f"verify {stmt.claim} " + ", ".join(parts) + ";"
+        return f"verify {stmt.claim} {_format_arguments(stmt.args, stmt.kwargs)};"
     if isinstance(stmt, ProbeStmt):
-        parts = [format_expr(a) for a in stmt.args]
-        parts.extend(f"{k}={format_expr(v)}" for k, v in stmt.kwargs)
-        return f"probe {stmt.kind} " + ", ".join(parts) + ";"
+        return f"probe {stmt.kind} {_format_arguments(stmt.args, stmt.kwargs)};"
     if isinstance(stmt, PrintStmt):
         return f"print {format_expr(stmt.expr)};"
     if isinstance(stmt, AssertStmt):

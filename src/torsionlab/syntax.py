@@ -1,22 +1,26 @@
-"""Canonical text syntax for polynomials and free-module vectors.
+"""The expression grammar, and the canonical text of polynomials and vectors.
 
-The grammar is ``3*x^2*y - 1/2*z`` with coefficients first, explicit ``*``
-and ``^``, and vectors written ``[f1, f2]``.  Formatting is canonical:
-terms are sorted largest first in degrevlex, the engine's one monomial
-order, so parse/format round-trips are stable.  The tokenizer here is
-shared with the script language.
+One tokenizer, one expression parser (``ExpressionParser``) and one
+evaluator (``evaluate``, and ``evaluate_polynomial`` on it) serve both the
+script language and the library: ``parse_polynomial`` and ``parse_vector``
+read text such as ``3*x^2*y - 1/2*z`` and ``[f1, f2]`` with the script's
+grammar, restricted to what a polynomial holds: ring variables, literals,
+signs, ``+ - * ^`` and parentheses, with integer-literal exponents.
+Formatting is canonical: terms are sorted largest first in degrevlex, the
+engine's one monomial order, so parse/format round-trips are stable.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .errors import ScriptParseError
+from .errors import InputError, ScriptParseError
 from .fields import FieldSpec
-from .limits import INTEGER_BIT_CAP
+from .limits import INTEGER_BIT_CAP, NESTING_CAP
 from .orders import mono_key
 from .poly import FreeElement, Polynomial
 
@@ -30,6 +34,8 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -84,13 +90,79 @@ def denominator_literal(tok: Token) -> int:
     return value
 
 
-class TokenStream:
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = list(tokens)
+# ---------------------------------------------------------------------------
+# Expressions
+
+
+@dataclass(frozen=True)
+class Name:
+    identifier: str
+
+
+@dataclass(frozen=True)
+class IntLit:
+    value: int
+
+
+@dataclass(frozen=True)
+class RationalLit:
+    numerator: int
+    denominator: int
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # + - * ^ == !=
+    left: "Expr"
+    right: "Expr"
+
+
+@dataclass(frozen=True)
+class Neg:
+    operand: "Expr"
+
+
+@dataclass(frozen=True)
+class Call:
+    function: str
+    args: Tuple["Expr", ...]
+    kwargs: Tuple[Tuple[str, "Expr"], ...] = ()
+
+
+@dataclass(frozen=True)
+class ListLit:
+    items: Tuple["Expr", ...]
+
+
+@dataclass(frozen=True)
+class TupleLit:
+    items: Tuple["Expr", ...]
+
+
+Expr = Union[Name, IntLit, RationalLit, BinOp, Neg, Call, ListLit, TupleLit]
+
+
+class ExpressionParser:
+    """The one expression grammar, from loosest to tightest: comparison,
+    sum, product, unary sign, power, atom.  A sign binds looser than ``^``
+    (``-x^2`` is ``-(x^2)``), and an exponent is a signed atom.  Chains and
+    runs of signs are read in loops; brackets deeper than ``NESTING_CAP``
+    are a parse error at the bracket."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
+        # the first token of each comparison, tuple, list and call read:
+        # the forms that are no polynomial
+        self.non_polynomial: List[Token] = []
 
     def peek(self) -> Token:
         return self.tokens[self.index]
+
+    def following(self) -> Token:
+        """The token after the next one (the end token at the end)."""
+        return self.tokens[min(self.index + 1, len(self.tokens) - 1)]
 
     def next(self) -> Token:
         tok = self.tokens[self.index]
@@ -108,116 +180,242 @@ class TokenStream:
             )
         return self.next()
 
-    def error(self, message: str) -> ScriptParseError:
+    def expect_end(self) -> None:
         tok = self.peek()
-        return ScriptParseError(message, tok.line, tok.column)
+        if tok.kind != "end":
+            raise ScriptParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+
+    def _sequence(self, item: Callable[[], T], closer: str) -> List[T]:
+        """One or more ``item()`` separated by commas, then ``closer``."""
+        items = [item()]
+        while self.peek().text == ",":
+            self.next()
+            items.append(item())
+        self.expect(closer)
+        return items
+
+    def _key(self) -> Optional[str]:
+        """The key of a ``key=`` prefix, read with its ``=``, or None."""
+        if self.peek().kind != "name" or self.following().text != "=":
+            return None
+        key = self.next().text
+        self.next()
+        return key
+
+    def parse_expression(self) -> Expr:
+        left = self.parse_sum()
+        if self.peek().text in ("==", "!="):
+            tok = self.next()
+            self.non_polynomial.append(tok)
+            return BinOp(tok.text, left, self.parse_sum())
+        return left
+
+    def parse_sum(self) -> Expr:
+        left = self.parse_product()
+        while self.peek().text in ("+", "-"):
+            op = self.next().text
+            left = BinOp(op, left, self.parse_product())
+        return left
+
+    def parse_product(self) -> Expr:
+        left = self.parse_unary()
+        while self.peek().text == "*":
+            self.next()
+            left = BinOp("*", left, self.parse_unary())
+        return left
+
+    def parse_unary(self) -> Expr:
+        return self._signed(self.parse_power)
+
+    def parse_power(self) -> Expr:
+        base = self.parse_atom_or_group()
+        if self.peek().text != "^":
+            return base
+        self.next()
+        return BinOp("^", base, self._signed(self.parse_atom_or_group))
+
+    def _signed(self, operand: Callable[[], Expr]) -> Expr:
+        """A run of signs, then ``operand()``; each ``-`` is one ``Neg``."""
+        negations = 0
+        while self.peek().text in ("+", "-"):
+            negations += self.next().text == "-"
+        expr = operand()
+        for _ in range(negations):
+            expr = Neg(expr)
+        return expr
+
+    def parse_atom_or_group(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.next()
+            if self.peek().text == "/" and self.following().kind == "int":
+                self.next()
+                den = self.next()
+                return RationalLit(int_literal(tok), denominator_literal(den))
+            return IntLit(int_literal(tok))
+        if tok.kind == "name" and self.following().text != "(":
+            self.next()
+            return Name(tok.text)
+        if tok.kind != "name" and tok.text not in ("(", "["):
+            raise ScriptParseError(
+                f"expected an expression, found {tok.text or 'end of input'!r}",
+                tok.line,
+                tok.column,
+            )
+        self.depth += 1
+        if self.depth > NESTING_CAP:
+            raise ScriptParseError(
+                f"brackets nest deeper than {NESTING_CAP} levels", tok.line, tok.column
+            )
+        expr = self._bracketed()
+        self.depth -= 1
+        return expr
+
+    def _bracketed(self) -> Expr:
+        """A parenthesised group or tuple, a list, or a call."""
+        tok = self.next()
+        if tok.text == "(":
+            items = self._sequence(self.parse_expression, ")")
+            if len(items) == 1:
+                return items[0]
+        self.non_polynomial.append(tok)
+        if tok.text == "(":
+            return TupleLit(tuple(items))
+        if tok.text == "[":
+            if self.peek().text == "]":
+                self.next()
+                return ListLit(())
+            return ListLit(tuple(self._sequence(self.parse_expression, "]")))
+        self.expect("(")
+        arguments: List[Tuple[Optional[str], Expr]] = []
+        if self.peek().text == ")":
+            self.next()
+        else:
+            arguments = self._sequence(
+                lambda: (self._key(), self.parse_expression()), ")"
+            )
+        args = tuple(value for key, value in arguments if key is None)
+        kwargs = tuple((key, value) for key, value in arguments if key is not None)
+        return Call(tok.text, args, kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Evaluation
 
 
-def parse_polynomial_tokens(
-    stream: TokenStream, names: Sequence[str], field: FieldSpec
+def evaluate(
+    expr: Expr, leaf: Callable[[Expr], T], apply: Callable[[Expr, T], T]
+) -> T:
+    """The value of ``expr``: ``leaf(node)`` for the node at the bottom of
+    its left spine (neither a ``Neg`` nor a ``BinOp``), then, going up,
+    ``apply(node, value)`` for each ``Neg`` or ``BinOp`` on the spine, with
+    the value of its operand or left side; ``apply`` evaluates a right
+    side itself.  The spine is walked in a loop, so left-deep chains and
+    runs of signs cost no recursion; only bracketed right sides nest."""
+    spine = []
+    while isinstance(expr, (Neg, BinOp)):
+        spine.append(expr)
+        expr = expr.operand if isinstance(expr, Neg) else expr.left
+    value = leaf(expr)
+    for node in reversed(spine):
+        value = apply(node, value)
+    return value
+
+
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def evaluate_polynomial(
+    expr: Expr,
+    field: FieldSpec,
+    nvars: int,
+    variable: Callable[[str], Polynomial],
+    exponent: Callable[[Expr], int],
 ) -> Polynomial:
-    """Parse a polynomial expression from the stream (signs, *, ^, parens)."""
+    """The polynomial ``expr`` denotes: ``variable(name)`` gives a name's
+    polynomial and ``exponent(node)`` the integer value of an exponent."""
+
+    def leaf(node: Expr) -> Polynomial:
+        if isinstance(node, Name):
+            return variable(node.identifier)
+        if isinstance(node, IntLit):
+            return Polynomial.constant(field, nvars, node.value)
+        if isinstance(node, RationalLit):
+            value = Fraction(node.numerator, node.denominator)
+            return Polynomial.constant(field, nvars, value)
+        raise InputError("expected a polynomial expression")
+
+    def apply(node: Expr, value: Polynomial) -> Polynomial:
+        if isinstance(node, Neg):
+            return -value
+        if node.op == "^":
+            return value ** exponent(node.right)
+        if node.op not in ARITHMETIC:
+            raise InputError("expected a polynomial expression")
+        return ARITHMETIC[node.op](value, evaluate(node.right, leaf, apply))
+
+    return evaluate(expr, leaf, apply)
+
+
+# ---------------------------------------------------------------------------
+# Polynomial and vector text
+
+
+def _read(text: str, names: Sequence[str], parse: Callable[[ExpressionParser], T]) -> T:
+    """Parse ``text`` whole with ``parse``.  Polynomial text names ring
+    variables only, writes every exponent as an integer literal and holds
+    no comparison, tuple, list or call; anything else is refused at its
+    token."""
+    parser = ExpressionParser(text)
+    tokens = parser.tokens
+    for i, tok in enumerate(tokens):
+        if i and tokens[i - 1].text == "^":
+            if tok.kind != "int" or tokens[i + 1].text == "/":
+                raise ScriptParseError(
+                    "exponent must be a nonnegative integer", tok.line, tok.column
+                )
+        if tok.kind == "name" and tok.text not in names:
+            raise ScriptParseError(
+                f"unknown variable {tok.text!r}", tok.line, tok.column
+            )
+    expr = parse(parser)
+    parser.expect_end()
+    if parser.non_polynomial:
+        tok = parser.non_polynomial[0]
+        raise ScriptParseError(
+            f"expected a polynomial, found {tok.text!r}", tok.line, tok.column
+        )
+    return expr
+
+
+def _value(expr: Expr, names: Sequence[str], field: FieldSpec) -> Polynomial:
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
 
-    def parse_sum() -> Polynomial:
-        result = parse_signed_product()
-        while stream.peek().text in ("+", "-"):
-            op = stream.next().text
-            term = parse_product()
-            result = result + term if op == "+" else result - term
-        return result
+    return evaluate_polynomial(
+        expr,
+        field,
+        nvars,
+        lambda name: Polynomial.variable(field, nvars, index[name]),
+        lambda node: node.value,
+    )
 
-    def parse_signed_product() -> Polynomial:
-        sign = 1
-        while stream.peek().text in ("+", "-"):
-            if stream.next().text == "-":
-                sign = -sign
-        prod = parse_product()
-        return prod if sign > 0 else -prod
 
-    def parse_product() -> Polynomial:
-        result = parse_power()
-        while stream.peek().text == "*":
-            stream.next()
-            result = result * parse_power()
-        return result
-
-    def parse_power() -> Polynomial:
-        base = parse_atom()
-        if stream.peek().text == "^":
-            stream.next()
-            tok = stream.peek()
-            if tok.kind != "int":
-                raise stream.error("exponent must be a nonnegative integer")
-            stream.next()
-            return base ** int_literal(tok)
-        return base
-
-    def parse_atom() -> Polynomial:
-        tok = stream.peek()
-        if tok.text == "(":
-            stream.next()
-            inner = parse_sum()
-            stream.expect(")")
-            return inner
-        if tok.kind == "int":
-            stream.next()
-            value = Fraction(int_literal(tok))
-            if stream.peek().text == "/" and stream.tokens[stream.index + 1].kind == "int":
-                stream.next()
-                value /= denominator_literal(stream.next())
-            return Polynomial.constant(field, nvars, value)
-        if tok.kind == "name":
-            if tok.text not in index:
-                raise ScriptParseError(
-                    f"unknown variable {tok.text!r}", tok.line, tok.column
-                )
-            stream.next()
-            return Polynomial.variable(field, nvars, index[tok.text])
-        if tok.text == "-" or tok.text == "+":
-            return parse_signed_product()
-        raise stream.error("expected a polynomial")
-
-    return parse_sum()
+def _vector_items(parser: ExpressionParser) -> List[Expr]:
+    parser.expect("[")
+    tok = parser.peek()
+    if tok.text == "]":
+        raise ScriptParseError("empty vector", tok.line, tok.column)
+    return parser._sequence(parser.parse_sum, "]")
 
 
 def parse_polynomial(text: str, names: Sequence[str], field: FieldSpec) -> Polynomial:
-    stream = TokenStream(tokenize(text))
-    poly = parse_polynomial_tokens(stream, names, field)
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise ScriptParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return poly
-
-
-def parse_vector_tokens(
-    stream: TokenStream, names: Sequence[str], field: FieldSpec
-) -> FreeElement:
-    stream.expect("[")
-    components: List[Polynomial] = []
-    if stream.peek().text != "]":
-        components.append(parse_polynomial_tokens(stream, names, field))
-        while stream.peek().text == ",":
-            stream.next()
-            components.append(parse_polynomial_tokens(stream, names, field))
-    stream.expect("]")
-    if not components:
-        raise stream.error("empty vector")
-    return FreeElement.from_components(components)
+    return _value(_read(text, names, ExpressionParser.parse_sum), names, field)
 
 
 def parse_vector(text: str, names: Sequence[str], field: FieldSpec) -> FreeElement:
-    stream = TokenStream(tokenize(text))
-    vec = parse_vector_tokens(stream, names, field)
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise ScriptParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return vec
+    items = _read(text, names, _vector_items)
+    return FreeElement.from_components([_value(item, names, field) for item in items])
 
 
 # ---------------------------------------------------------------------------
