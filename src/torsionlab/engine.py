@@ -3,7 +3,8 @@
 Statements run in order; a failing statement is recorded and execution
 continues, so independent later statements still produce results.  The
 JSON report is byte-stable for a fixed (script, seed, version) apart from
-the timing block.
+the timing block.  Every function, claim and probe a script names is
+declared once, in the call tables below, and run by one binder.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .cache import open_cache
 from .certificates import Certificate
@@ -281,7 +282,8 @@ class _Engine:
 
     def _eval_operator(self, expr: Expr, left):
         if isinstance(expr, Neg):
-            if isinstance(left, (int, Fraction)):
+            # a comparison's bool is an int to Python, but no number here
+            if isinstance(left, (int, Fraction)) and not isinstance(left, bool):
                 return -left
             raise InputError("cannot negate this value")
         right = self.eval_value(expr.right)
@@ -298,101 +300,9 @@ class _Engine:
         raise InputError(f"operator {expr.op!r} needs integer operands here")
 
     def eval_call(self, call: Call):
-        name = call.function
-        kwargs = dict(call.kwargs)
-
-        def kw_int(key: str, default: Optional[int] = None) -> Optional[int]:
-            if key in kwargs:
-                return self.eval_int(kwargs.pop(key))
-            return default
-
-        def need(n: int) -> Tuple[Expr, ...]:
-            if len(call.args) != n:
-                raise InputError(f"{name} expects {n} argument(s)")
-            return call.args
-
-        if name == "tensor":
-            a, b = need(2)
-            return tensor(self.eval_module(a), self.eval_module(b))
-        if name == "tensor_power":
-            a, b = need(2)
-            return tensor_power(self.eval_module(a), self.eval_int(b))
-        if name == "torsion":
-            (a,) = need(1)
-            return torsion_split(self.eval_module(a)).torsion
-        if name in ("tf", "torsion_free_part"):
-            (a,) = need(1)
-            return torsion_split(self.eval_module(a)).torsion_free_part
-        if name == "torsion_free":
-            (a,) = need(1)
-            return torsion_split(self.eval_module(a)).is_torsion_free
-        if name == "has_torsion":
-            (a,) = need(1)
-            return not torsion_split(self.eval_module(a)).is_torsion_free
-        if name == "is_free":
-            (a,) = need(1)
-            return self.eval_module(a).is_free()
-        if name == "tau":
-            a, b = need(2)
-            module = self.eval_module(a)
-            elements = self.eval_element_list(b, module)
-            return alternating_tensor(module, elements)
-        if name == "ann":
-            (a,) = need(1)
-            value = self.eval_value(a)
-            if isinstance(value, ModuleElement):
-                return annihilator(value.module, value)
-            if isinstance(value, FPModule):
-                return annihilator(value)
-            raise InputError("ann expects a module or a module element")
-        if name == "resolve":
-            if len(call.args) == 1:
-                module = self.eval_module(call.args[0])
-                bound = self.config.resolution_bound
-                if bound is None:
-                    bound = module.ring.depth() + 2
-            else:
-                a, b = need(2)
-                module = self.eval_module(a)
-                bound = self.eval_int(b)
-            return free_resolution(module, bound)
-        if name == "pd":
-            (a,) = need(1)
-            return pd(self.eval_module(a))
-        if name == "nu":
-            (a,) = need(1)
-            return self.eval_module(a).nu()
-        if name == "minimal":
-            (a,) = need(1)
-            return self.eval_module(a).minimal()
-        if name == "tor":
-            a, b, c = need(3)
-            return tor(self.eval_module(a), self.eval_module(b), self.eval_int(c))
-        if name == "depth":
-            a, b = need(2)
-            module = self.eval_module(b)
-            sequence = self.eval_poly_sequence(a, module.ring)
-            return koszul_depth(sequence, module).depth
-        if name == "hilbert":
-            a, b = need(2)
-            return self.eval_module(a).hilbert_function(self.eval_int(b))
-        if name == "F":
-            (a,) = need(1)
-            e = kw_int("e", 1)
-            return frobenius_functor(self.eval_module(a), e)
-        if name == "restrict":
-            (a,) = need(1)
-            e = kw_int("e", 1)
-            return restrict_scalars(self.eval_module(a), e)
-        if name == "tor_frobenius":
-            (a,) = need(1)
-            e = kw_int("e", 1)
-            i = kw_int("i", 1)
-            return tor_frobenius(self.eval_module(a), e, i)
-        if name == "pushforward":
-            (a,) = need(1)
-            return universal_pushforward(self.eval_module(a)).cokernel
-        raise InputError(f"unknown function {name!r}")
+        return self.bind(
+            _FUNCTIONS, "function", "", call.function, call.args, call.kwargs
+        )
 
     # -- statements -----------------------------------------------------
 
@@ -427,64 +337,151 @@ class _Engine:
         return module
 
     def run_verify(self, stmt: VerifyStmt) -> Certificate:
-        kwargs = dict(stmt.kwargs)
-        claim = stmt.claim
-        if claim == "thm2.8":
-            if len(stmt.args) != 2:
-                raise InputError("verify thm2.8 needs a ring and a sequence")
-            ring = self.eval_ring(stmt.args[0])
-            sequence = self.eval_poly_sequence(stmt.args[1], ring)
-            return verify_koszul_tensor_powers(ring, sequence)
-        if claim == "thm2.10":
-            if len(stmt.args) != 2:
-                raise InputError("verify thm2.10 needs two modules")
-            case = self.eval_int(kwargs.get("case", IntLit(1)))
-            return verify_presentation_torsion_bound(
-                self.eval_module(stmt.args[0]),
-                self.eval_module(stmt.args[1]),
-                case,
-            )
-        if claim == "prop2.2":
-            if len(stmt.args) != 3:
-                raise InputError(
-                    "verify prop2.2 needs a module, elements, and coefficients"
-                )
-            module = self.eval_module(stmt.args[0])
-            elements = self.eval_element_list(stmt.args[1], module)
-            coefficients = self.eval_poly_sequence(stmt.args[2], module.ring)
-            return check_relation_annihilates(module, elements, coefficients)
-        if claim == "thm3.5":
-            if len(stmt.args) != 1:
-                raise InputError("verify thm3.5 needs a module")
-            e = self.eval_int(kwargs.get("e", IntLit(1)))
-            return verify_frobenius_torsion_equivalence(
-                self.eval_module(stmt.args[0]), e
-            )
-        if claim == "carrier":
-            if len(stmt.args) != 1:
-                raise InputError("verify carrier needs a module")
-            return verify_maximal_ideal_carrier(self.eval_module(stmt.args[0]))
-        raise InputError(f"unknown claim {claim!r}")
+        return self.bind(
+            _CLAIMS, "claim", "verify ", stmt.claim, stmt.args, stmt.kwargs
+        )
 
     def run_probe(self, stmt: ProbeStmt):
-        kwargs = dict(stmt.kwargs)
-        if stmt.kind == "regularity":
-            if len(stmt.args) != 2:
-                raise InputError("probe regularity needs a ring and a module")
-            ring = self.eval_ring(stmt.args[0])
-            module = self.eval_module(stmt.args[1])
-            e = self.eval_int(kwargs.get("e", IntLit(1)))
-            e2 = self.eval_int(kwargs.get("e2", IntLit(1)))
-            return verify_regularity_probe(ring, module, e, e2)
-        if stmt.kind == "question2.12":
-            if len(stmt.args) != 1:
-                raise InputError("probe question2.12 needs a ring")
-            ring = self.eval_ring(stmt.args[0])
-            panel = self.eval_int(kwargs.get("panel", IntLit(4)))
-            seed = self.eval_int(kwargs.get("seed", IntLit(self.config.seed)))
-            cap = self.eval_int(kwargs.get("cap", IntLit(4)))
-            return explore_torsion_onset(ring, panel, seed, cap)
-        raise InputError(f"unknown probe {stmt.kind!r}")
+        return self.bind(
+            _PROBES, "probe", "probe ", stmt.kind, stmt.args, stmt.kwargs
+        )
+
+    # -- the one binder ---------------------------------------------------
+
+    def bind(self, table, noun, prefix, name, args, kwargs):
+        """Run the operation ``name`` of ``table`` on unevaluated ``args``
+        and ``kwargs``: check them against its signature (an unknown name,
+        argument count or keyword is an ``InputError`` naming the
+        operation), evaluate each argument by its kind, then call the
+        routine."""
+        if name not in table:
+            raise InputError(f"unknown {noun} {name!r}")
+        params, defaults, routine = table[name]
+        label = prefix + name
+        required = sum(isinstance(param, str) for param in params)
+        if not required <= len(args) <= len(params):
+            count = str(len(params))
+            if required < len(params):
+                count = f"{required} or {count}"
+            raise InputError(f"{label} expects {count} argument(s)")
+        for key, _ in kwargs:
+            if key not in defaults:
+                raise InputError(f"{label} has no keyword {key!r}")
+        kinds = [param if isinstance(param, str) else param[0] for param in params]
+        readers = {
+            "module": self.eval_module,
+            "ring": self.eval_ring,
+            "int": self.eval_int,
+            "value": self.eval_value,
+        }
+        values = [
+            readers[kind](expr) if kind in readers else expr
+            for kind, expr in zip(kinds, args)
+        ]
+        # polys and elements are read in the first module or ring argument
+        context = next(
+            (v for v, k in zip(values, kinds) if k in ("module", "ring")), None
+        )
+        for index, kind in enumerate(kinds[: len(args)]):
+            if kind == "polys":
+                ring = context.ring if isinstance(context, FPModule) else context
+                values[index] = self.eval_poly_sequence(args[index], ring)
+            elif kind == "elements":
+                values[index] = self.eval_element_list(args[index], context)
+        values += [self.default(param[1]) for param in params[len(args) :]]
+        keywords = {key: self.default(value) for key, value in defaults.items()}
+        keywords.update((key, self.eval_int(expr)) for key, expr in kwargs)
+        return routine(*values, **keywords)
+
+    def default(self, value):
+        """A default of the call table: a value, or a callable read from
+        the run's configuration."""
+        return value(self.config) if callable(value) else value
+
+
+def _annihilator(value):
+    if isinstance(value, ModuleElement):
+        return annihilator(value.module, value)
+    if isinstance(value, FPModule):
+        return annihilator(value)
+    raise InputError("ann expects a module or a module element")
+
+
+def _resolve(module: FPModule, bound: Optional[int]) -> FreeResolution:
+    if bound is None:
+        bound = module.ring.depth() + 2
+    return free_resolution(module, bound)
+
+
+# The call table: each operation of the script maps to (positional kinds,
+# keyword defaults, routine).  A kind is "module", "ring", "int", "value"
+# (any value), "polys" (a polynomial or a tuple of them) or "elements" (a
+# list of module elements); the last two are read in the first module or
+# ring argument.  A trailing (kind, default) pair may be left out.  Every
+# keyword is an integer.  A callable default is read from the run's
+# ExecConfig.  A routine reaches the library through this module's globals
+# when it runs, not when the table is built (a lambda, or a helper here), so
+# a wrapper bound to a module-level name sees every call.
+_FUNCTIONS = {
+    "tensor": (("module", "module"), {}, lambda a, b: tensor(a, b)),
+    "tensor_power": (("module", "int"), {}, lambda m, n: tensor_power(m, n)),
+    "torsion": (("module",), {}, lambda m: torsion_split(m).torsion),
+    "tf": (("module",), {}, lambda m: torsion_split(m).torsion_free_part),
+    "torsion_free": (("module",), {}, lambda m: torsion_split(m).is_torsion_free),
+    "has_torsion": (("module",), {}, lambda m: not torsion_split(m).is_torsion_free),
+    "is_free": (("module",), {}, lambda m: m.is_free()),
+    "tau": (("module", "elements"), {}, lambda m, es: alternating_tensor(m, es)),
+    "ann": (("value",), {}, _annihilator),
+    "resolve": (("module", ("int", lambda c: c.resolution_bound)), {}, _resolve),
+    "pd": (("module",), {}, lambda m: pd(m)),
+    "nu": (("module",), {}, lambda m: m.nu()),
+    "minimal": (("module",), {}, lambda m: m.minimal()),
+    "tor": (("module", "module", "int"), {}, lambda a, b, i: tor(a, b, i)),
+    "depth": (("polys", "module"), {}, lambda seq, m: koszul_depth(seq, m).depth),
+    "hilbert": (("module", "int"), {}, lambda m, d: m.hilbert_function(d)),
+    "F": (("module",), {"e": 1}, lambda m, e: frobenius_functor(m, e)),
+    "restrict": (("module",), {"e": 1}, lambda m, e: restrict_scalars(m, e)),
+    "tor_frobenius": (
+        ("module",),
+        {"e": 1, "i": 1},
+        lambda m, e, i: tor_frobenius(m, e, i),
+    ),
+    "pushforward": (("module",), {}, lambda m: universal_pushforward(m).cokernel),
+}
+_FUNCTIONS["torsion_free_part"] = _FUNCTIONS["tf"]
+
+_CLAIMS = {
+    "thm2.8": (("ring", "polys"), {}, lambda r, s: verify_koszul_tensor_powers(r, s)),
+    "thm2.10": (
+        ("module", "module"),
+        {"case": 1},
+        lambda a, b, case: verify_presentation_torsion_bound(a, b, case),
+    ),
+    "prop2.2": (
+        ("module", "elements", "polys"),
+        {},
+        lambda m, es, cs: check_relation_annihilates(m, es, cs),
+    ),
+    "thm3.5": (
+        ("module",),
+        {"e": 1},
+        lambda m, e: verify_frobenius_torsion_equivalence(m, e),
+    ),
+    "carrier": (("module",), {}, lambda m: verify_maximal_ideal_carrier(m)),
+}
+
+_PROBES = {
+    "regularity": (
+        ("ring", "module"),
+        {"e": 1, "e2": 1},
+        lambda ring, m, e, e2: verify_regularity_probe(ring, m, e, e2),
+    ),
+    "question2.12": (
+        ("ring",),
+        {"panel": 4, "seed": lambda c: c.seed, "cap": 4},
+        lambda r, panel, seed, cap: explore_torsion_onset(r, panel, seed, cap),
+    ),
+}
 
 
 def execute(script: Script, config: Optional[ExecConfig] = None) -> RunReport:

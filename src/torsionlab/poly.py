@@ -8,7 +8,7 @@ Zero coefficients are never stored.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionError, InputError
@@ -21,21 +21,6 @@ Term = Tuple[int, Mono]
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(add, a, b))
-
-
-def mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(map(sub, a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def mono_degree(e: Mono, weights: Optional[Sequence[int]] = None) -> int:

@@ -28,7 +28,7 @@ back to canonical text that reparses to an equal script.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from .errors import ScriptParseError
 from .syntax import (
@@ -150,7 +150,7 @@ class _Parser(ExpressionParser):
             self.next()
             node = PrintStmt if keyword == "print" else AssertStmt
             return node(self._ended(self.parse_expression()), tok.line)
-        name = self._key()
+        name = self._key(set())
         if name is not None:
             # bare assignment: sugar for let
             return LetStmt(name, self._ended(self.parse_expression()), tok.line)
@@ -307,11 +307,12 @@ class _Parser(ExpressionParser):
         closing ';', passing over the tokens in ``skip``."""
         args: List[Expr] = []
         kwargs: List[Tuple[str, Expr]] = []
+        keys: Set[str] = set()
         while self.peek().text != ";":
             if self.peek().text in skip:
                 self.next()
                 continue
-            key = self._key()
+            key = self._key(keys)
             if key is None:
                 args.append(self.parse_atom_or_group())
             else:

@@ -16,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from .errors import InputError, ScriptParseError
 from .fields import FieldSpec
@@ -194,13 +194,20 @@ class ExpressionParser:
         self.expect(closer)
         return items
 
-    def _key(self) -> Optional[str]:
-        """The key of a ``key=`` prefix, read with its ``=``, or None."""
-        if self.peek().kind != "name" or self.following().text != "=":
+    def _key(self, seen: Set[str]) -> Optional[str]:
+        """The key of a ``key=`` prefix, read with its ``=``, or None.  A key
+        already in ``seen`` is a parse error at the key; a new one is added."""
+        tok = self.peek()
+        if tok.kind != "name" or self.following().text != "=":
             return None
-        key = self.next().text
+        if tok.text in seen:
+            raise ScriptParseError(
+                f"repeated keyword {tok.text!r}", tok.line, tok.column
+            )
+        seen.add(tok.text)
         self.next()
-        return key
+        self.next()
+        return tok.text
 
     def parse_expression(self) -> Expr:
         left = self.parse_sum()
@@ -288,11 +295,12 @@ class ExpressionParser:
             return ListLit(tuple(self._sequence(self.parse_expression, "]")))
         self.expect("(")
         arguments: List[Tuple[Optional[str], Expr]] = []
+        keys: Set[str] = set()
         if self.peek().text == ")":
             self.next()
         else:
             arguments = self._sequence(
-                lambda: (self._key(), self.parse_expression()), ")"
+                lambda: (self._key(keys), self.parse_expression()), ")"
             )
         args = tuple(value for key, value in arguments if key is None)
         kwargs = tuple((key, value) for key, value in arguments if key is not None)

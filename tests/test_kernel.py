@@ -25,10 +25,7 @@ from torsionlab.orders import mono_key, term_key
 from torsionlab.poly import (
     FreeElement,
     Polynomial,
-    mono_divides,
-    mono_lcm,
     mono_mul,
-    mono_sub,
     polynomial_to_element,
 )
 from torsionlab.syntax import parse_polynomial
@@ -47,6 +44,18 @@ def degrevlex_cmp(a, b) -> int:
         if x != y:
             return _sign(x - y)
     return 0
+
+
+def mono_divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mono_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def term_cmp(a, b) -> int:

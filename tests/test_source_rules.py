@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import torsionlab
@@ -47,3 +48,38 @@ def is_context_var_call(node) -> bool:
 def test_context_variables_only_in_limits():
     # the run settings are the one context variable, held by limits.py
     assert offending(is_context_var_call, skip=("limits.py",)) == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def names_used(statement) -> set:
+    """Every name an import, ``ast.Name`` or ``ast.Attribute`` in
+    ``statement`` refers to."""
+    used = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.split(".")[-1] for alias in node.names)
+    return used
+
+
+def test_every_module_level_function_and_class_is_named_elsewhere():
+    # a routine that nothing names is code to read and keep that no
+    # certificate depends on; its own body does not count as a use
+    statements = []  # (path, top-level statement, the names it uses)
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        statements.extend((path, node, names_used(node)) for node in tree.body)
+    uses = Counter(name for _, _, names in statements for name in names)
+    unused = [
+        f"{path.relative_to(PACKAGE)}:{node.name}"
+        for path, node, names in statements
+        if PACKAGE in path.parents
+        and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and uses[node.name] == (node.name in names)
+    ]
+    assert unused == []
