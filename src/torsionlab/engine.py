@@ -281,16 +281,26 @@ class _Engine:
         raise InputError("this expression form is only allowed inside calls")
 
     def _eval_operator(self, expr: Expr, left):
+        # a comparison's bool is an int to Python, but no number here
         if isinstance(expr, Neg):
-            # a comparison's bool is an int to Python, but no number here
             if isinstance(left, (int, Fraction)) and not isinstance(left, bool):
                 return -left
             raise InputError("cannot negate this value")
         right = self.eval_value(expr.right)
+        left_bool, right_bool = isinstance(left, bool), isinstance(right, bool)
         if expr.op in ("==", "!="):
+            if left_bool != right_bool:
+                raise InputError(
+                    f"operator {expr.op!r} cannot compare a truth value "
+                    "with another value"
+                )
             equal = left == right
             return equal if expr.op == "==" else not equal
-        if isinstance(left, int) and isinstance(right, int):
+        if (
+            isinstance(left, int)
+            and isinstance(right, int)
+            and not (left_bool or right_bool)
+        ):
             if expr.op == "^":
                 if right < 0:
                     raise InputError("an integer power needs a nonnegative exponent")

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .groebner import Completion
 from .limits import GENERATOR_CAP, current, degree_cap_error
-from .poly import FreeElement, Polynomial, mono_mul
+from .poly import FreeElement, Polynomial, _accumulate, mono_mul
 from .rings import Ideal, RingContext
 from .syntax import format_vector
 
@@ -564,20 +564,17 @@ def tensor_coords(
     """Coordinates of the pure tensor u (x) v in the cover of tensor(left, right)."""
     ring = left.ring
     n = right.ngens
-    rank = left.ngens * n
     field = ring.field
-    terms: Dict[Tuple[int, tuple], object] = {}
-    for (pi, mi), ci in u.terms.items():
-        for (pj, mj), cj in v.terms.items():
-            pos = pi * n + pj
-            mono = tuple(a + b for a, b in zip(mi, mj))
-            t = (pos, mono)
-            val = field.add(terms.get(t, field.zero), field.mul(ci, cj))
-            if val:
-                terms[t] = val
-            elif t in terms:
-                del terms[t]
-    return FreeElement(field, ring.nvars, rank, terms, _normalized=True)
+    times = field.mul
+    pairs = (
+        ((pi * n + pj, mono_mul(mi, mj)), times(ci, cj))
+        for (pi, mi), ci in u.terms.items()
+        for (pj, mj), cj in v.terms.items()
+    )
+    return FreeElement(
+        field, ring.nvars, left.ngens * n, _accumulate(field, {}, pairs),
+        _normalized=True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -802,11 +799,13 @@ def rank_info(module: FPModule) -> RankInfo:
 # isomorphism-relevant comparison
 
 
-def modules_equivalent(
-    left: FPModule, right: FPModule, hilbert_window: int = 10
-) -> bool:
+# the top degree at which modules_equivalent compares Hilbert values
+_HILBERT_WINDOW = 10
+
+
+def modules_equivalent(left: FPModule, right: FPModule) -> bool:
     """Invariant-level comparison: nu, graded generator and relation data,
-    annihilators, and Hilbert values on an initial window."""
+    annihilators, and Hilbert values in degrees 0..``_HILBERT_WINDOW``."""
     lm = left.minimal()
     rm = right.minimal()
     if lm.ngens != rm.ngens:
@@ -817,7 +816,7 @@ def modules_equivalent(
         return False
     if annihilator(left) != annihilator(right):
         return False
-    for j in range(hilbert_window + 1):
+    for j in range(_HILBERT_WINDOW + 1):
         if lm.hilbert_function(j) != rm.hilbert_function(j):
             return False
     return True

@@ -4,12 +4,21 @@
 maps ``(position, exponents)`` terms to nonzero coefficients and carries the
 ambient rank.  Both are immutable value objects over a fixed ``FieldSpec``.
 Zero coefficients are never stored.
+
+Their sparse arithmetic lives once, in the private base ``_Sparse``:
+equality, hashing, negation, sums and differences, the multiple by a field
+coefficient, the product with a polynomial and the degree trio.  Every sum
+goes through ``_accumulate``, which adds (key, coefficient) pairs into a
+term dict and drops the keys whose sum cancels.  A subclass says only what
+differs: its constructor, its shape, how its keys split into a position and
+a monomial, how a key is multiplied by a monomial, and its mismatch texts.
 """
 
 from __future__ import annotations
 
-from operator import add
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import add, mul
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionError, InputError
 from .fields import Coefficient, FieldSpec
@@ -26,13 +35,153 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 def mono_degree(e: Mono, weights: Optional[Sequence[int]] = None) -> int:
     if weights is None:
         return sum(e)
-    return sum(x * w for x, w in zip(e, weights))
+    return sum(map(mul, e, weights))
 
 
-class Polynomial:
+def _accumulate(field: FieldSpec, out: Dict, pairs: Iterable[Tuple]) -> Dict:
+    """Add each (key, coefficient) pair into ``out``, in order, dropping a
+    key whose sum cancels; returns ``out``."""
+    plus, zero = field.add, field.zero
+    for key, c in pairs:
+        v = plus(out.get(key, zero), c)
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+    return out
+
+
+class _Sparse:
+    """The arithmetic ``Polynomial`` and ``FreeElement`` share, over a term
+    dict ``terms`` with coefficients in ``field``.
+
+    A subclass gives ``_shape()``, the tuple after the field that operands
+    must agree on and that its constructor takes before the terms;
+    ``_split_keys()``, each key as (position, monomial) in term order;
+    ``_key_times(key, mono)``, a key times a monomial; and the
+    ``DimensionError`` texts ``_mismatch``, for an operand of another
+    shape, and ``_factor_mismatch``, for a polynomial factor from another
+    ring.
+    """
+
+    __slots__ = ()
+
+    def _like(self, terms: Dict):
+        """A value of this class and shape with the normalized ``terms``."""
+        return type(self)(self.field, *self._shape(), terms, _normalized=True)
+
+    def _check_compatible(self, other) -> None:
+        if self.field != other.field or self._shape() != other._shape():
+            raise DimensionError(self._mismatch)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.field == other.field
+            and self._shape() == other._shape()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.field.characteristic,
+                *self._shape(),
+                tuple(sorted(self.terms.items())),
+            )
+        )
+
+    def __neg__(self):
+        neg = self.field.neg
+        return self._like({k: neg(c) for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_compatible(other)
+        return self._like(
+            _accumulate(self.field, dict(self.terms), other.terms.items())
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def _times(self, factor):
+        """The product with a ``Polynomial`` of the same ring, or the
+        multiple by a field coefficient."""
+        field = self.field
+        times = field.mul
+        if isinstance(factor, Polynomial):
+            if factor.field != field or factor.nvars != self.nvars:
+                raise DimensionError(self._factor_mismatch)
+            key_times = self._key_times
+            pairs = (
+                (key_times(k1, m2), times(c1, c2))
+                for k1, c1 in self.terms.items()
+                for m2, c2 in factor.terms.items()
+            )
+            return self._like(_accumulate(field, {}, pairs))
+        c = field.coerce(factor)
+        if not c:
+            return self._like({})
+        return self._like({k: times(v, c) for k, v in self.terms.items()})
+
+    def _term_degrees(
+        self,
+        weights: Optional[Sequence[int]],
+        position_degrees: Optional[Sequence[int]],
+    ) -> Iterator[int]:
+        """Each term's (weighted) degree, plus its position's degree when
+        ``position_degrees`` is given."""
+        if position_degrees is None:
+            return (mono_degree(m, weights) for _, m in self._split_keys())
+        return (
+            mono_degree(m, weights) + position_degrees[p]
+            for p, m in self._split_keys()
+        )
+
+    def degree(
+        self,
+        weights: Optional[Sequence[int]] = None,
+        position_degrees: Optional[Sequence[int]] = None,
+    ) -> int:
+        """Total (weighted) degree; -1 for zero."""
+        return max(self._term_degrees(weights, position_degrees), default=-1)
+
+    def homogeneous_degree(
+        self,
+        weights: Optional[Sequence[int]] = None,
+        position_degrees: Optional[Sequence[int]] = None,
+    ) -> Optional[int]:
+        """The common degree of all terms, or None if mixed or zero."""
+        degs = set(self._term_degrees(weights, position_degrees))
+        if len(degs) == 1:
+            return degs.pop()
+        return None
+
+    def is_homogeneous(
+        self,
+        weights: Optional[Sequence[int]] = None,
+        position_degrees: Optional[Sequence[int]] = None,
+    ) -> bool:
+        return len(set(self._term_degrees(weights, position_degrees))) <= 1
+
+
+class Polynomial(_Sparse):
     """An exact multivariate polynomial over a fixed coefficient field."""
 
     __slots__ = ("field", "nvars", "terms")
+
+    _mismatch = _factor_mismatch = "polynomials live in different rings"
 
     def __init__(
         self,
@@ -76,15 +225,13 @@ class Polynomial:
         mono = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(field, nvars, {mono: field.one}, _normalized=True)
 
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.field != other.field or self.nvars != other.nvars:
-            raise DimensionError("polynomials live in different rings")
+    def _shape(self) -> Tuple[int, ...]:
+        return (self.nvars,)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _split_keys(self) -> Iterator[Term]:
+        return zip(repeat(0), self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    _key_times = staticmethod(mono_mul)
 
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
@@ -93,75 +240,7 @@ class Polynomial:
         zero_mono = (0,) * self.nvars
         return self.terms.get(zero_mono, self.field.zero)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.field.characteristic, self.nvars, tuple(sorted(self.terms.items())))
-        )
-
-    def __neg__(self) -> "Polynomial":
-        neg = self.field.neg
-        return Polynomial(
-            self.field,
-            self.nvars,
-            {m: neg(c) for m, c in self.terms.items()},
-            _normalized=True,
-        )
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        field = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = field.add(out.get(m, field.zero), c)
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return Polynomial(field, self.nvars, out, _normalized=True)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_compatible(other)
-            field = self.field
-            out: Dict[Mono, Coefficient] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = mono_mul(m1, m2)
-                    v = field.add(out.get(m, field.zero), field.mul(c1, c2))
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
-            return Polynomial(field, self.nvars, out, _normalized=True)
-        c = self.field.coerce(other)
-        if not c:
-            return Polynomial.zero(self.field, self.nvars)
-        mul = self.field.mul
-        return Polynomial(
-            self.field,
-            self.nvars,
-            {m: mul(v, c) for m, v in self.terms.items()},
-            _normalized=True,
-        )
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __mul__ = __rmul__ = _Sparse._times
 
     def __pow__(self, n: int) -> "Polynomial":
         """The n-th power; refused before any multiplication when its degree
@@ -187,21 +266,16 @@ class Polynomial:
 
     def degree(self, weights: Optional[Sequence[int]] = None) -> int:
         """Total (weighted) degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m, weights) for m in self.terms)
+        return _Sparse.degree(self, weights)
 
     def homogeneous_degree(
         self, weights: Optional[Sequence[int]] = None
     ) -> Optional[int]:
         """The common degree of all terms, or None if mixed or zero."""
-        degs = {mono_degree(m, weights) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return _Sparse.homogeneous_degree(self, weights)
 
     def is_homogeneous(self, weights: Optional[Sequence[int]] = None) -> bool:
-        return len({mono_degree(m, weights) for m in self.terms}) <= 1
+        return _Sparse.is_homogeneous(self, weights)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Evaluate at ``x_i -> images[i]``; images share one target ring."""
@@ -226,10 +300,13 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self, names)})"
 
 
-class FreeElement:
+class FreeElement(_Sparse):
     """A vector in a free module R^rank with polynomial components."""
 
     __slots__ = ("field", "nvars", "rank", "terms")
+
+    _mismatch = "free elements live in different modules"
+    _factor_mismatch = "scalar from a different ring"
 
     def __init__(
         self,
@@ -312,136 +389,19 @@ class FreeElement:
         zero = Polynomial.zero(self.field, self.nvars)
         return [nonzero.get(pos, zero) for pos in range(self.rank)]
 
-    def _check_compatible(self, other: "FreeElement") -> None:
-        if (
-            self.field != other.field
-            or self.nvars != other.nvars
-            or self.rank != other.rank
-        ):
-            raise DimensionError("free elements live in different modules")
+    def _shape(self) -> Tuple[int, ...]:
+        return (self.nvars, self.rank)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _split_keys(self) -> Iterator[Term]:
+        return iter(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.nvars == other.nvars
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.field.characteristic,
-                self.nvars,
-                self.rank,
-                tuple(sorted(self.terms.items())),
-            )
-        )
-
-    def __neg__(self) -> "FreeElement":
-        neg = self.field.neg
-        return FreeElement(
-            self.field,
-            self.nvars,
-            self.rank,
-            {t: neg(c) for t, c in self.terms.items()},
-            _normalized=True,
-        )
-
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        self._check_compatible(other)
-        field = self.field
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            v = field.add(out.get(t, field.zero), c)
-            if v:
-                out[t] = v
-            elif t in out:
-                del out[t]
-        return FreeElement(field, self.nvars, self.rank, out, _normalized=True)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self + (-other)
+    @staticmethod
+    def _key_times(key: Term, mono: Mono) -> Term:
+        return (key[0], mono_mul(key[1], mono))
 
     def scaled(self, poly_or_coeff) -> "FreeElement":
         """Multiply by a ring element or a field coefficient."""
-        field = self.field
-        if isinstance(poly_or_coeff, Polynomial):
-            if poly_or_coeff.field != field or poly_or_coeff.nvars != self.nvars:
-                raise DimensionError("scalar from a different ring")
-            out: Dict[Term, Coefficient] = {}
-            for (pos, m1), c1 in self.terms.items():
-                for m2, c2 in poly_or_coeff.terms.items():
-                    t = (pos, mono_mul(m1, m2))
-                    v = field.add(out.get(t, field.zero), field.mul(c1, c2))
-                    if v:
-                        out[t] = v
-                    elif t in out:
-                        del out[t]
-            return FreeElement(field, self.nvars, self.rank, out, _normalized=True)
-        c = field.coerce(poly_or_coeff)
-        if not c:
-            return FreeElement.zero(field, self.nvars, self.rank)
-        mul = field.mul
-        return FreeElement(
-            field,
-            self.nvars,
-            self.rank,
-            {t: mul(v, c) for t, v in self.terms.items()},
-            _normalized=True,
-        )
-
-    def degree(
-        self,
-        weights: Optional[Sequence[int]] = None,
-        position_degrees: Optional[Sequence[int]] = None,
-    ) -> int:
-        if not self.terms:
-            return -1
-        best = None
-        for pos, m in self.terms:
-            d = mono_degree(m, weights)
-            if position_degrees is not None:
-                d += position_degrees[pos]
-            if best is None or d > best:
-                best = d
-        return best
-
-    def homogeneous_degree(
-        self,
-        weights: Optional[Sequence[int]] = None,
-        position_degrees: Optional[Sequence[int]] = None,
-    ) -> Optional[int]:
-        degs = set()
-        for pos, m in self.terms:
-            d = mono_degree(m, weights)
-            if position_degrees is not None:
-                d += position_degrees[pos]
-            degs.add(d)
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def is_homogeneous(
-        self,
-        weights: Optional[Sequence[int]] = None,
-        position_degrees: Optional[Sequence[int]] = None,
-    ) -> bool:
-        if not self.terms:
-            return True
-        return self.homogeneous_degree(weights, position_degrees) is not None
+        return self._times(poly_or_coeff)
 
     def embedded(self, rank: int, offset: int = 0) -> "FreeElement":
         """The same vector inside a larger free module, shifted by offset."""

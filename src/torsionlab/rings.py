@@ -438,18 +438,7 @@ def make_ring(
     )
 
     if complete_intersection and gens:
-        ambient = RingContext(
-            field=field,
-            variables=names,
-            ideal_generators=(),
-            grading=weights,
-            minimal_primes=(),
-            reduced=True,
-            complete_intersection=True,
-            warnings=(),
-            ideal_basis=empty_basis(field, nvars, 1),
-            prime_bases=(empty_basis(field, nvars, 1),),
-        )
+        ambient = make_ring(field, names, grading=weights)
         if not is_regular_sequence(ambient, gens):
             raise StructuralError(
                 "complete-intersection flag declared but the ideal generators "

@@ -157,12 +157,13 @@ def _signed_permutations(d: int):
 def element_outside_max_ideal_multiple(
     module: FPModule, coords: FreeElement
 ) -> bool:
-    """True when the class is nonzero in M / mM (graded Nakayama witness)."""
+    """True when the class is nonzero in M / mM (graded Nakayama witness),
+    decided by graded membership in M / mM."""
     ring = module.ring
     variables = [ring.variable(v) for v in range(ring.nvars)]
-    extra = [*module.relations, *lifted_ideal(variables, module.ngens)]
-    basis = ring.submodule_basis(extra, module.ngens)
-    return not basis.normal_form(coords).is_zero()
+    relations = [*module.relations, *lifted_ideal(variables, module.ngens)]
+    quotient = FPModule(ring, relations, module.ngens, module.gen_degrees)
+    return not quotient.element_is_zero(coords)
 
 
 # ---------------------------------------------------------------------------

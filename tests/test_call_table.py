@@ -144,3 +144,30 @@ class TestNegation:
     def test_numbers_are_still_negated(self):
         report = run_source("print -(3);\nprint -(1/2);\n")
         assert [r.output for r in report.results] == ["-3", "-1/2"]
+
+
+class TestTruthValues:
+    """A comparison's bool is no number: arithmetic refuses it, and it
+    compares only with another comparison."""
+
+    def test_arithmetic_on_a_comparison_is_refused(self):
+        assert last_summary("print (1 == 1) + 1;") == (
+            "InputError: operator '+' needs integer operands here"
+        )
+
+    def test_a_comparison_does_not_equal_a_number(self):
+        assert last_summary("print (1 == 1) == 1;") == (
+            "InputError: operator '==' cannot compare a truth value with another value"
+        )
+        assert last_summary("print 0 != (1 != 1);") == (
+            "InputError: operator '!=' cannot compare a truth value with another value"
+        )
+
+    def test_a_comparison_is_no_count(self):
+        assert last_summary("print tensor_power(M, (1 == 1) * 2);") == (
+            "InputError: operator '*' needs integer operands here"
+        )
+
+    def test_comparisons_compare_with_each_other(self):
+        report = run_source("print (1 == 1) == (2 == 2);\nprint (1 == 1) != (1 != 1);\n")
+        assert [r.output for r in report.results] == ["True", "True"]

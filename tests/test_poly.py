@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from torsionlab.errors import DimensionError, InputError
 from torsionlab.fields import GF, QQ, FieldSpec
 from torsionlab.orders import ORDER_DESCRIPTION, mono_key, term_key
-from torsionlab.poly import FreeElement, Polynomial
+from torsionlab.poly import FreeElement, Polynomial, polynomial_to_element
 from torsionlab.syntax import (
     format_polynomial,
     format_vector,
@@ -216,3 +216,59 @@ class TestNonzeroComponents:
             assert list(comp.terms.items()) == [
                 (mono, c) for (p, mono), c in v.terms.items() if p == pos
             ]
+
+
+def field_polys(field):
+    if field.characteristic:
+        coeffs = st.integers(-20, 20)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    return st.dictionaries(monomials(max_exp=3), coeffs, max_size=5).map(
+        lambda terms: Polynomial(field, 3, terms)
+    )
+
+
+class TestSharedArithmetic:
+    """Both classes run one sparse arithmetic: the rank-1 embedding
+    ``polynomial_to_element`` commutes with it, term order included, and
+    each class keeps its hash formula."""
+
+    @pytest.mark.parametrize("field", [GF(7), QQ], ids=["GF(7)", "QQ"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_polynomial_to_element_commutes_with_the_arithmetic(self, field, data):
+        f = data.draw(field_polys(field))
+        g = data.draw(field_polys(field))
+        c = data.draw(st.integers(-8, 8) | st.fractions(-3, 3, max_denominator=4))
+        weights = data.draw(st.tuples(*[st.integers(1, 3)] * 3))
+        shift = data.draw(st.integers(0, 3))
+
+        def embedded_terms(p):
+            return [((0, m), v) for m, v in p.terms.items()]
+
+        def terms(v):
+            return list(v.terms.items())
+
+        e = polynomial_to_element
+        assert terms(e(f) + e(g)) == embedded_terms(f + g)
+        assert terms(e(f) - e(g)) == embedded_terms(f - g)
+        assert terms(-e(f)) == embedded_terms(-f)
+        assert terms(e(f).scaled(c)) == embedded_terms(f * c)
+        assert terms(e(f).scaled(c)) == embedded_terms(c * f)
+        assert terms(e(f).scaled(g)) == embedded_terms(f * g)
+        for w in (None, weights):
+            assert e(f).degree(w) == f.degree(w)
+            assert e(f).homogeneous_degree(w) == f.homogeneous_degree(w)
+            assert e(f).is_homogeneous(w) == f.is_homogeneous(w)
+            assert e(f).degree(w, (shift,)) == (f.degree(w) + shift if f else -1)
+
+    @pytest.mark.parametrize("field", [GF(7), QQ], ids=["GF(7)", "QQ"])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_hashes_keep_their_formulas(self, field, data):
+        f = data.draw(field_polys(field))
+        v = data.draw(sparse_vectors(field))
+        p = field.characteristic
+        assert hash(f) == hash((p, 3, tuple(sorted(f.terms.items()))))
+        assert hash(v) == hash((p, 3, v.rank, tuple(sorted(v.terms.items()))))
+        assert hash(v) == hash(FreeElement(field, 3, v.rank, dict(reversed(v.terms.items()))))

@@ -180,6 +180,22 @@ class TestExecution:
         assert outputs[1] == "1"
         assert outputs[2] == "1"
 
+    def test_let_bound_elements_reach_a_claim(self):
+        # tau returns module elements; a name bound to one is looked up as
+        # an element of the module it came from, and only of that module
+        source = (
+            "ring Q = QQ[x,y];\n"
+            "module M = coker [[x],[y]] over Q;\n"
+            "module N = coker [[x],[y]] over Q;\n"
+            "let s = tau(M, [e1]);\n"
+            "let t = tau(M, [e2]);\n"
+            "verify prop2.2 M [s, t] (x, y);\n"
+            "verify prop2.2 N [s, e2] (x, y);\n"
+        )
+        report = run_source(source)
+        assert [r.status for r in report.results[-2:]] == ["pass", "error"]
+        assert report.results[-1].summary == "InputError: 's' belongs to a different module"
+
     def test_frobenius_functions(self):
         source = (
             "ring R = GF(2)[x,y] with reduced ci;\n"
