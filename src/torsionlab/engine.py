@@ -535,19 +535,11 @@ def _execute(script: Script, config: ExecConfig) -> RunReport:
                 result = StatementResult(
                     index, stmt.line, kind, "ok", _value_summary(value), source
                 )
-            elif isinstance(stmt, VerifyStmt):
-                certificate = engine.run_verify(stmt)
-                report.certificates.append(certificate)
-                status = {
-                    "pass": "pass",
-                    "fail": "fail",
-                    "inapplicable": "inapplicable",
-                }[certificate.verdict]
-                result = StatementResult(
-                    index, stmt.line, kind, status, certificate.summary(), source
-                )
-            elif isinstance(stmt, ProbeStmt):
-                outcome = engine.run_probe(stmt)
+            elif isinstance(stmt, (VerifyStmt, ProbeStmt)):
+                if isinstance(stmt, VerifyStmt):
+                    outcome = engine.run_verify(stmt)
+                else:
+                    outcome = engine.run_probe(stmt)
                 if isinstance(outcome, Certificate):
                     report.certificates.append(outcome)
                     result = StatementResult(

@@ -33,7 +33,7 @@ from .modules import (
 )
 from .poly import FreeElement, Polynomial, lifted_ideal, polynomial_to_element
 from .rings import RingContext, make_ring
-from .torsion import torsion_split
+from .torsion import residue_field_module, torsion_split
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,6 @@ def ring_is_regular_linear_forms(ring: RingContext) -> bool:
                 return n - linear_rank == size
     # a unit lead: I is the whole ring, and R = 0 is not a regular ring
     return False
-
-
-def residue_field_module(ring: RingContext) -> FPModule:
-    return FPModule.cyclic(ring, [ring.variable(i) for i in range(ring.nvars)])
 
 
 # ---------------------------------------------------------------------------

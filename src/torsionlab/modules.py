@@ -355,15 +355,19 @@ class ModuleElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModuleElement):
             return NotImplemented
-        if other.module is not self.module:
-            raise DimensionError("elements of different modules are not comparable")
-        return self.module.element_is_zero(self.coords - other.coords)
+        return self.module.element_is_zero(self.coords - self._coords_of(other))
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        return ModuleElement(self.module, self.coords + other.coords)
+        return ModuleElement(self.module, self.coords + self._coords_of(other))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return ModuleElement(self.module, self.coords - other.coords)
+        return ModuleElement(self.module, self.coords - self._coords_of(other))
+
+    def _coords_of(self, other: "ModuleElement") -> FreeElement:
+        """The coordinates of an element of the same module."""
+        if other.module is not self.module:
+            raise DimensionError("elements of different modules are not comparable")
+        return other.coords
 
     def scaled(self, poly) -> "ModuleElement":
         return ModuleElement(self.module, self.coords.scaled(poly))

@@ -1,9 +1,11 @@
 """The built-in verification panel behind ``torsionlab verify-suite paper``.
 
-Each criterion is a self-contained function returning a result with a
-pass/fail verdict and a one-line detail.  The test suite runs the same
-functions, so the CLI panel and the acceptance tests cannot drift apart.
-All tolerances are exact: the claims are algebraic identities.
+Each criterion is declared once, by ``@_criterion(identifier)``: its body
+returns the one-line pass detail and states each failure in one
+``_require(condition, detail)``, and the wrapper turns either outcome into
+a ``CriterionResult``.  The test suite runs the same functions, so the CLI
+panel and the acceptance tests cannot drift apart.  All tolerances are
+exact: the claims are algebraic identities.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .torsion import (
     check_relation_annihilates,
     koszul_syzygy_module,
     maximal_ideal_module,
+    residue_field_module,
     torsion_split,
     verify_koszul_tensor_powers,
     verify_presentation_torsion_bound,
@@ -91,7 +94,39 @@ def _fermat_cubic_f2():
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_tensor_power_suite(seed: int = 0) -> CriterionResult:
+class _Failed(Exception):
+    """A criterion's failure; its one argument is the failure detail."""
+
+
+def _require(condition, detail: str) -> None:
+    if not condition:
+        raise _Failed(detail)
+
+
+CRITERIA: List[tuple] = []
+
+
+def _criterion(identifier: str):
+    """Append the decorated body to ``CRITERIA`` as a criterion named
+    ``identifier``, so the panel runs in the order of definition."""
+
+    def declare(body):
+        def criterion(seed: int = 0) -> CriterionResult:
+            try:
+                return CriterionResult(identifier, True, body(seed))
+            except _Failed as failure:
+                return CriterionResult(identifier, False, str(failure))
+
+        criterion.__name__ = criterion.__qualname__ = body.__name__
+        criterion.__doc__ = body.__doc__
+        CRITERIA.append((identifier, criterion))
+        return criterion
+
+    return declare
+
+
+@_criterion("criterion-01-thm2.8-suite")
+def criterion_1_tensor_power_suite(seed: int) -> str:
     """Tensor-power certificates on the three prescribed (d, ring) instances."""
     cases = []
     qq = _ring_qq_xy()
@@ -105,17 +140,15 @@ def criterion_1_tensor_power_suite(seed: int = 0) -> CriterionResult:
         cert = verify_koszul_tensor_powers(ring, seq)
         if not cert.passed:
             failures.append(f"{ring.descriptor()}: {cert.failed_subclaims()}")
-    return CriterionResult(
-        "criterion-01-thm2.8-suite",
-        not failures,
+    _require(not failures, "; ".join(failures))
+    return (
         "all sub-claims pass on (d=2, QQ[x,y]), (d=3, GF(5)[x,y,z]), "
         "(d=2, QQ[x,y], x^2,y^3)"
-        if not failures
-        else "; ".join(failures),
     )
 
 
-def criterion_2_relation_property(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-02-prop2.2-property")
+def criterion_2_relation_property(seed: int) -> str:
     """200 seeded planted-relation instances: every coefficient kills the
     alternating tensor."""
     rng = random.Random(20260808 + seed)
@@ -129,21 +162,13 @@ def criterion_2_relation_property(seed: int = 0) -> CriterionResult:
             )
             gens = [module.generator(i) for i in range(ngens)]
             cert = check_relation_annihilates(module, gens, planted)
-            if not cert.passed:
-                return CriterionResult(
-                    "criterion-02-prop2.2-property",
-                    False,
-                    f"instance {checked} over {ring.descriptor()} failed",
-                )
+            _require(cert.passed, f"instance {checked} over {ring.descriptor()} failed")
             checked += 1
-    return CriterionResult(
-        "criterion-02-prop2.2-property",
-        True,
-        f"{checked} planted relations annihilate their alternating tensors",
-    )
+    return f"{checked} planted relations annihilate their alternating tensors"
 
 
-def criterion_3_node_regression(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-03-node-regression")
+def criterion_3_node_regression(seed: int) -> str:
     """Tensor powers of the node branch module stay the branch module."""
     node = _node(5)
     branch = FPModule.cyclic(node, [node.poly("x")])
@@ -151,66 +176,40 @@ def criterion_3_node_regression(seed: int = 0) -> CriterionResult:
     for n in range(1, 5):
         power = tensor_power(branch, n)
         minimal = power.minimal()
-        if minimal.ngens != 1 or len(minimal.relations) != 1:
-            return CriterionResult(
-                "criterion-03-node-regression",
-                False,
-                f"power {n}: minimal presentation is not 1x1",
-            )
+        _require(
+            minimal.ngens == 1 and len(minimal.relations) == 1,
+            f"power {n}: minimal presentation is not 1x1",
+        )
         entry_ideal = Ideal(node, [minimal.relations[0].component(0)])
-        if entry_ideal != x_ideal:
-            return CriterionResult(
-                "criterion-03-node-regression",
-                False,
-                f"power {n}: relation ideal differs from (x)",
-            )
-        if not torsion_split(power).is_torsion_free:
-            return CriterionResult(
-                "criterion-03-node-regression",
-                False,
-                f"power {n}: unexpected torsion",
-            )
-    return CriterionResult(
-        "criterion-03-node-regression",
-        True,
-        "powers 1..4 of the branch module are coker([x]) and torsion-free",
-    )
+        _require(entry_ideal == x_ideal, f"power {n}: relation ideal differs from (x)")
+        _require(torsion_split(power).is_torsion_free, f"power {n}: unexpected torsion")
+    return "powers 1..4 of the branch module are coker([x]) and torsion-free"
 
 
-def criterion_4_torsion_bound(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-04-thm2.10")
+def criterion_4_torsion_bound(seed: int) -> str:
     """Both torsion-bound cases fire at n = b; the node branch is
     correctly inapplicable for case 1."""
     qq = _ring_qq_xy()
     koszul = koszul_syzygy_module(qq, [qq.poly("x"), qq.poly("y")])
     case1 = verify_presentation_torsion_bound(koszul, FPModule.free(qq, 1), 1)
-    if not (case1.applicable and case1.passed):
-        return CriterionResult(
-            "criterion-04-thm2.10", False, f"case 1: {case1.failed_subclaims()}"
-        )
+    _require(case1.applicable and case1.passed, f"case 1: {case1.failed_subclaims()}")
     case2 = verify_presentation_torsion_bound(
         koszul, FPModule.cyclic(qq, [qq.poly("x")]), 2
     )
-    if not (case2.applicable and case2.passed):
-        return CriterionResult(
-            "criterion-04-thm2.10", False, f"case 2: {case2.failed_subclaims()}"
-        )
+    _require(case2.applicable and case2.passed, f"case 2: {case2.failed_subclaims()}")
     node = _node(5)
     branch = FPModule.cyclic(node, [node.poly("x")])
     node_case = verify_presentation_torsion_bound(branch, FPModule.free(node, 1), 1)
-    if node_case.applicable:
-        return CriterionResult(
-            "criterion-04-thm2.10",
-            False,
-            "node branch module should be inapplicable for case 1",
-        )
-    return CriterionResult(
-        "criterion-04-thm2.10",
-        True,
-        "case 1 and case 2 fire at n=b; node branch inapplicable as expected",
+    _require(
+        not node_case.applicable,
+        "node branch module should be inapplicable for case 1",
     )
+    return "case 1 and case 2 fire at n=b; node branch inapplicable as expected"
 
 
-def criterion_5_depth_tor(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-05-depth-tor")
+def criterion_5_depth_tor(seed: int) -> str:
     """Koszul depth equals the derived-functor depth formula on the panel."""
     qq = _ring_qq_xy()
     qqz = _ring_qq_xyz()
@@ -227,10 +226,7 @@ def criterion_5_depth_tor(seed: int = 0) -> CriterionResult:
         (node, [node.poly("x + y")], FPModule.cyclic(node, [node.poly("x")])),
     ]
     for ring, sequence, module in panel:
-        if not is_regular_sequence(ring, sequence):
-            return CriterionResult(
-                "criterion-05-depth-tor", False, "panel sequence is not regular"
-            )
+        _require(is_regular_sequence(ring, sequence), "panel sequence is not regular")
         direct = koszul_depth(sequence, module).depth
         quotient = FPModule.cyclic(ring, sequence)
         d = len(sequence)
@@ -239,24 +235,19 @@ def criterion_5_depth_tor(seed: int = 0) -> CriterionResult:
             if not tor(quotient, module, i).is_zero():
                 sup = i
                 break
-        if direct != d - sup:
-            return CriterionResult(
-                "criterion-05-depth-tor",
-                False,
-                f"{ring.descriptor()}: koszul={direct}, formula={d - sup}",
-            )
-    return CriterionResult(
-        "criterion-05-depth-tor",
-        True,
-        f"exact agreement on {len(panel)} (sequence, module) pairs",
-    )
+        _require(
+            direct == d - sup,
+            f"{ring.descriptor()}: koszul={direct}, formula={d - sup}",
+        )
+    return f"exact agreement on {len(panel)} (sequence, module) pairs"
 
 
-def criterion_6_carrier_panel(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-06-carrier-panel")
+def criterion_6_carrier_panel(seed: int) -> str:
     """Both carrier signals fire exactly on the non-free panel entries."""
     qq = _ring_qq_xy()
     maximal = maximal_ideal_module(qq)
-    residue = FPModule.cyclic(qq, [qq.poly("x"), qq.poly("y")])
+    residue = residue_field_module(qq)
     panel = [
         (FPModule.free(qq, 1), True),
         (FPModule.cyclic(qq, [qq.poly("x")]), False),
@@ -265,20 +256,15 @@ def criterion_6_carrier_panel(seed: int = 0) -> CriterionResult:
     for module, is_free in panel:
         torsion_detects = not torsion_split(tensor(maximal, module)).is_torsion_free
         tor_detects = not tor(residue, module, 1).is_zero()
-        if torsion_detects != (not is_free) or tor_detects != (not is_free):
-            return CriterionResult(
-                "criterion-06-carrier-panel",
-                False,
-                f"{module.descriptor()}: torsion={torsion_detects}, tor1={tor_detects}",
-            )
-    return CriterionResult(
-        "criterion-06-carrier-panel",
-        True,
-        "t(m (x) M) and Tor_1(k, M) detect exactly the non-free entries",
-    )
+        _require(
+            torsion_detects == tor_detects == (not is_free),
+            f"{module.descriptor()}: torsion={torsion_detects}, tor1={tor_detects}",
+        )
+    return "t(m (x) M) and Tor_1(k, M) detect exactly the non-free entries"
 
 
-def criterion_7_twisted_flatness(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-07-twisted-flatness")
+def criterion_7_twisted_flatness(seed: int) -> str:
     """Twisted Tor vanishes over the two regular rings for e, i in {1, 2}."""
     checked = 0
     for ring in (
@@ -294,116 +280,90 @@ def criterion_7_twisted_flatness(seed: int = 0) -> CriterionResult:
         ]
         for module in panel:
             for e, i in iter_product((1, 2), (1, 2)):
-                if not tor_frobenius(module, e, i).is_zero():
-                    return CriterionResult(
-                        "criterion-07-twisted-flatness",
-                        False,
-                        f"{ring.descriptor()}, {module.descriptor()}, e={e}, i={i}",
-                    )
+                _require(
+                    tor_frobenius(module, e, i).is_zero(),
+                    f"{ring.descriptor()}, {module.descriptor()}, e={e}, i={i}",
+                )
                 checked += 1
-    return CriterionResult(
-        "criterion-07-twisted-flatness",
-        True,
-        f"{checked} twisted Tor groups vanish over the regular rings",
-    )
+    return f"{checked} twisted Tor groups vanish over the regular rings"
 
 
-def criterion_8_infinite_pd_detection(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-08-infinite-pd")
+def criterion_8_infinite_pd_detection(seed: int) -> str:
     """The node branch module: infinite pd, twisted Tor obstruction, and the
     recorded torsion witness in its twist."""
     node = _node(2)
     branch = FPModule.cyclic(node, [node.poly("x")])
-    if pd(branch) != PD_INFINITE:
-        return CriterionResult(
-            "criterion-08-infinite-pd", False, "pd should be infinite"
-        )
+    _require(pd(branch) == PD_INFINITE, "pd should be infinite")
     obstruction = tor_frobenius(branch, 1, 1)
-    if obstruction.is_zero():
-        return CriterionResult(
-            "criterion-08-infinite-pd", False, "twisted Tor_1 should not vanish"
-        )
+    _require(not obstruction.is_zero(), "twisted Tor_1 should not vanish")
     # hand oracle: the obstruction is (y)/(y^2): one generator killed by m
-    if obstruction.nu() != 1 or annihilator(obstruction) != Ideal(
-        node, [node.poly("x"), node.poly("y")]
-    ):
-        return CriterionResult(
-            "criterion-08-infinite-pd", False, "obstruction is not the hand value"
-        )
+    _require(
+        obstruction.nu() == 1
+        and annihilator(obstruction) == Ideal(node, [node.poly("x"), node.poly("y")]),
+        "obstruction is not the hand value",
+    )
     twisted = frobenius_functor(branch, 1)
-    if annihilator(twisted) != Ideal(node, [node.poly("x^2")]):
-        return CriterionResult(
-            "criterion-08-infinite-pd", False, "twist is not R/(x^2)"
-        )
+    _require(
+        annihilator(twisted) == Ideal(node, [node.poly("x^2")]),
+        "twist is not R/(x^2)",
+    )
     split = torsion_split(twisted)
-    if split.is_torsion_free:
-        return CriterionResult(
-            "criterion-08-infinite-pd", False, "twist should have torsion"
-        )
+    _require(not split.is_torsion_free, "twist should have torsion")
     witness = twisted.element([node.poly("x")])
     killer = node.poly("x + y")
-    witness_ok = (
+    _require(
         not witness.is_zero()
         and twisted.element_is_zero(witness.coords.scaled(killer))
-        and node.is_nonzerodivisor(killer)
+        and node.is_nonzerodivisor(killer),
+        "witness x / (x+y) failed",
     )
-    if not witness_ok:
-        return CriterionResult(
-            "criterion-08-infinite-pd", False, "witness x / (x+y) failed"
-        )
-    if not split.torsion_free_part.element_is_zero(witness.coords):
-        return CriterionResult(
-            "criterion-08-infinite-pd",
-            False,
-            "witness class is not inside the computed torsion submodule",
-        )
-    return CriterionResult(
-        "criterion-08-infinite-pd",
-        True,
-        "infinite pd, twisted obstruction (y)/(y^2), witness x killed by x+y",
+    _require(
+        split.torsion_free_part.element_is_zero(witness.coords),
+        "witness class is not inside the computed torsion submodule",
     )
+    return "infinite pd, twisted obstruction (y)/(y^2), witness x killed by x+y"
 
 
-def criterion_9_equivalence_panel(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-09-thm3.5")
+def criterion_9_equivalence_panel(seed: int) -> str:
     """Both sides of the twisted torsion-freeness equivalence, computed
     independently, agree on the negative and positive instances."""
     node = _node(2)
     negative = verify_frobenius_torsion_equivalence(
         FPModule.cyclic(node, [node.poly("x")]), 1
     )
-    if not (negative.applicable and negative.passed):
-        return CriterionResult(
-            "criterion-09-thm3.5", False, f"negative: {negative.failed_subclaims()}"
-        )
+    _require(
+        negative.applicable and negative.passed,
+        f"negative: {negative.failed_subclaims()}",
+    )
     twisted_side = next(
         sc for sc in negative.subclaims if sc.name == "twisted-side"
     )
-    if twisted_side.witnesses["torsion_free"]:
-        return CriterionResult(
-            "criterion-09-thm3.5", False, "negative instance lost its torsion"
-        )
+    _require(
+        not twisted_side.witnesses["torsion_free"],
+        "negative instance lost its torsion",
+    )
     fermat = _fermat_cubic_f2()
     positive = verify_frobenius_torsion_equivalence(
         koszul_syzygy_module(fermat, [fermat.poly("y"), fermat.poly("z")]), 1
     )
-    if not (positive.applicable and positive.passed):
-        return CriterionResult(
-            "criterion-09-thm3.5", False, f"positive: {positive.failed_subclaims()}"
-        )
+    _require(
+        positive.applicable and positive.passed,
+        f"positive: {positive.failed_subclaims()}",
+    )
     sampled = [
         sc for sc in positive.subclaims if sc.name.startswith("sampled-tor-vanishing")
     ]
-    if len(sampled) != 4 or any(sc.passed is not True for sc in sampled):
-        return CriterionResult(
-            "criterion-09-thm3.5", False, "sampled vanishing missing on positive"
-        )
-    return CriterionResult(
-        "criterion-09-thm3.5",
-        True,
-        "negative node instance and positive cubic instance both certified",
+    _require(
+        len(sampled) == 4 and all(sc.passed is True for sc in sampled),
+        "sampled vanishing missing on positive",
     )
+    return "negative node instance and positive cubic instance both certified"
 
 
-def criterion_10_regularity_probe(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-10-cor3.7")
+def criterion_10_regularity_probe(seed: int) -> str:
     """The twisted-restriction probe matches the regularity decisions."""
     plane = make_ring(GF(2), ("x", "y"), reduced=True, complete_intersection=True)
     panel = [
@@ -412,30 +372,18 @@ def criterion_10_regularity_probe(seed: int = 0) -> CriterionResult:
     ]
     for module in panel:
         cert = verify_regularity_probe(plane, module, 1, 1)
-        if not (cert.applicable and cert.passed):
-            return CriterionResult(
-                "criterion-10-cor3.7",
-                False,
-                f"regular plane, {module.descriptor()}: {cert.failed_subclaims()}",
-            )
+        _require(
+            cert.applicable and cert.passed,
+            f"regular plane, {module.descriptor()}: {cert.failed_subclaims()}",
+        )
     node = _node(2)
     cert = verify_regularity_probe(node, FPModule.free(node, 1), 1, 1)
-    if not (cert.applicable and cert.passed):
-        return CriterionResult(
-            "criterion-10-cor3.7", False, f"node: {cert.failed_subclaims()}"
-        )
+    _require(cert.applicable and cert.passed, f"node: {cert.failed_subclaims()}")
     marker = next(
         sc for sc in cert.subclaims if sc.name == "torsion-freeness-matches-regularity"
     )
-    if marker.witnesses["torsion_free"] is not False:
-        return CriterionResult(
-            "criterion-10-cor3.7", False, "node should produce torsion"
-        )
-    return CriterionResult(
-        "criterion-10-cor3.7",
-        True,
-        "probe matches the two agreeing regularity decisions on both rings",
-    )
+    _require(marker.witnesses["torsion_free"] is False, "node should produce torsion")
+    return "probe matches the two agreeing regularity decisions on both rings"
 
 
 def _axpy(row, f, pivot_row, p: int) -> list:
@@ -554,7 +502,8 @@ def in_oracle_span(column, oracle, field) -> bool:
     return not any(target)
 
 
-def criterion_11_syzygy_oracle(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-11-syzygy-oracle")
+def criterion_11_syzygy_oracle(seed: int) -> str:
     """Syzygies of 50 random small matrices match the degree-truncated
     linear-algebra oracle as generating sets."""
     rng = random.Random(555 + seed)
@@ -583,43 +532,31 @@ def criterion_11_syzygy_oracle(seed: int = 0) -> CriterionResult:
                 acc = Polynomial.zero(field, 2)
                 for a, v in zip(row, col):
                     acc = acc + a * v
-                if not acc.is_zero():
-                    return CriterionResult(
-                        "criterion-11-syzygy-oracle",
-                        False,
-                        f"instance {instance}: A*S != 0",
-                    )
+                _require(acc.is_zero(), f"instance {instance}: A*S != 0")
         oracle = dense_kernel_oracle(rows, 2, degree_bound, field)
         syz_elems = [FreeElement.from_components(c, rank=ncols) for c in columns]
         if syz_elems:
             basis = groebner_basis(syz_elems)
             for vec in oracle:
-                if not basis.contains(FreeElement.from_components(vec, rank=ncols)):
-                    return CriterionResult(
-                        "criterion-11-syzygy-oracle",
-                        False,
-                        f"instance {instance}: oracle vector outside the syzygy module",
-                    )
-        elif oracle:
-            return CriterionResult(
-                "criterion-11-syzygy-oracle",
-                False,
+                _require(
+                    basis.contains(FreeElement.from_components(vec, rank=ncols)),
+                    f"instance {instance}: oracle vector outside the syzygy module",
+                )
+        else:
+            _require(
+                not oracle,
                 f"instance {instance}: oracle found kernel vectors, syzygies did not",
             )
         # low-degree syzygy columns must land inside the oracle span
         for col in columns:
             if max((e.degree() for e in col), default=-1) <= degree_bound:
-                if not in_oracle_span(col, oracle, field):
-                    return CriterionResult(
-                        "criterion-11-syzygy-oracle",
-                        False,
-                        f"instance {instance}: syzygy column outside the oracle span",
-                    )
-    return CriterionResult(
-        "criterion-11-syzygy-oracle",
-        True,
+                _require(
+                    in_oracle_span(col, oracle, field),
+                    f"instance {instance}: syzygy column outside the oracle span",
+                )
+    return (
         "50 random matrices: syzygies and the truncated oracle generate "
-        "the same kernels",
+        "the same kernels"
     )
 
 
@@ -637,52 +574,25 @@ assert pd(K) == 1;
 """
 
 
-def criterion_12_cli_determinism(seed: int = 0) -> CriterionResult:
+@_criterion("criterion-12-cli-determinism")
+def criterion_12_cli_determinism(seed: int) -> str:
     """Byte-identical reports across reruns and across cold/warm cache."""
     config = ExecConfig(seed=seed)
     first = run_source(_DETERMINISM_SCRIPT, config).to_json(include_timing=False)
     second = run_source(_DETERMINISM_SCRIPT, config).to_json(include_timing=False)
-    if first != second:
-        return CriterionResult(
-            "criterion-12-cli-determinism", False, "plain reruns differ"
-        )
+    _require(first == second, "plain reruns differ")
     with tempfile.TemporaryDirectory() as cache_dir:
         cold_config = ExecConfig(seed=seed, cache_dir=cache_dir)
         cold = run_source(_DETERMINISM_SCRIPT, cold_config)
         warm = run_source(_DETERMINISM_SCRIPT, cold_config)
-        if warm.cache_hits == 0:
-            return CriterionResult(
-                "criterion-12-cli-determinism", False, "warm run had no cache hits"
-            )
+        _require(warm.cache_hits != 0, "warm run had no cache hits")
         cold_json = cold.to_json(include_timing=False)
         warm_json = warm.to_json(include_timing=False)
-        if not (first == cold_json == warm_json):
-            return CriterionResult(
-                "criterion-12-cli-determinism",
-                False,
-                "cold/warm cache runs differ from the uncached run",
-            )
-    return CriterionResult(
-        "criterion-12-cli-determinism",
-        True,
-        "reports are byte-identical modulo timing, cold or warm cache",
-    )
-
-
-CRITERIA: List[tuple] = [
-    ("criterion-01-thm2.8-suite", criterion_1_tensor_power_suite),
-    ("criterion-02-prop2.2-property", criterion_2_relation_property),
-    ("criterion-03-node-regression", criterion_3_node_regression),
-    ("criterion-04-thm2.10", criterion_4_torsion_bound),
-    ("criterion-05-depth-tor", criterion_5_depth_tor),
-    ("criterion-06-carrier-panel", criterion_6_carrier_panel),
-    ("criterion-07-twisted-flatness", criterion_7_twisted_flatness),
-    ("criterion-08-infinite-pd", criterion_8_infinite_pd_detection),
-    ("criterion-09-thm3.5", criterion_9_equivalence_panel),
-    ("criterion-10-cor3.7", criterion_10_regularity_probe),
-    ("criterion-11-syzygy-oracle", criterion_11_syzygy_oracle),
-    ("criterion-12-cli-determinism", criterion_12_cli_determinism),
-]
+        _require(
+            first == cold_json == warm_json,
+            "cold/warm cache runs differ from the uncached run",
+        )
+    return "reports are byte-identical modulo timing, cold or warm cache"
 
 
 def run_suite(only: Optional[str] = None, seed: int = 0) -> List[CriterionResult]:

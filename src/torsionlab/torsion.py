@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certificates import Certificate
@@ -108,21 +108,15 @@ def torsion_split(module: FPModule) -> TorsionSplit:
 # the alternating tensor
 
 
-def pure_tensor_coords(
-    module: FPModule, coord_list: Sequence[FreeElement]
-) -> FreeElement:
-    """Coordinates of v_1 (x) ... (x) v_d in the cover of the left-fold power."""
-    out = coord_list[0]
-    for k, vec in enumerate(coord_list[1:], start=1):
-        out = tensor_coords(module.tensor_power(k), module, out, vec)
-    return out
-
-
 def alternating_tensor(
     module: FPModule, elements: Sequence[ModuleElement]
 ) -> ModuleElement:
     """The signed sum over all permutations of the d-fold tensor.
 
+    It is built by subsets of the entries, not by permutations: tau({i}) is
+    v_i, and tau(S) is the sum over i in S of (-1)^#{j in S : j > i} times
+    tau(S - {i}) (x) v_i, which groups the permutations of S by their last
+    entry.  That is d * 2^(d-1) pure-tensor steps in place of d! * (d-1).
     For d = 1 this is the element itself; repeated entries cancel to zero
     by strict skew-commutativity of the shuffle product.
     """
@@ -132,26 +126,23 @@ def alternating_tensor(
         if el.module is not module:
             raise InputError("elements must belong to the given module")
     d = len(elements)
-    power = tensor_power(module, d)
     coords = [el.coords for el in elements]
-    total: Optional[FreeElement] = None
-    for perm, sign in _signed_permutations(d):
-        piece = pure_tensor_coords(module, [coords[i] for i in perm])
-        if sign < 0:
-            piece = -piece
-        total = piece if total is None else total + piece
-    return ModuleElement(power, total)
-
-
-def _signed_permutations(d: int):
-    for perm in permutations(range(d)):
-        inversions = sum(
-            1
-            for a in range(d)
-            for b in range(a + 1, d)
-            if perm[a] > perm[b]
-        )
-        yield perm, (-1) ** inversions
+    # tau(S) for every subset S of one size, keyed by the bit mask of S
+    level = {1 << i: vec for i, vec in enumerate(coords)}
+    for k in range(1, d):
+        left = module.tensor_power(k)
+        grown: Dict[int, FreeElement] = {}
+        for subset, piece in level.items():
+            for i, vec in enumerate(coords):
+                if subset >> i & 1:
+                    continue
+                term = tensor_coords(left, module, piece, vec)
+                if (subset >> i).bit_count() % 2:
+                    term = -term
+                mask = subset | 1 << i
+                grown[mask] = grown[mask] + term if mask in grown else term
+        level = grown
+    return ModuleElement(tensor_power(module, d), level[(1 << d) - 1])
 
 
 def element_outside_max_ideal_multiple(
@@ -417,9 +408,7 @@ def verify_presentation_torsion_bound(
             )
         bound = nu
         chosen = list(range(nu))
-        annihilating = [
-            g for g in ideal.minimal_generators()
-        ]
+        annihilating = ideal.minimal_generators()
         nzd = find_nonzerodivisor(ideal)
     else:
         info = rank_info(module)
@@ -553,11 +542,9 @@ def verify_maximal_ideal_carrier(module: FPModule) -> Certificate:
     )
     if ring.depth() < 1:
         return cert.mark_inapplicable("the ring has depth zero")
-    variables = [ring.variable(i) for i in range(ring.nvars)]
-    residue_field = FPModule.cyclic(ring, variables)
     maximal = maximal_ideal_module(ring)
     is_free = module.is_free()
-    tor1 = tor(residue_field, module, 1)
+    tor1 = tor(residue_field_module(ring), module, 1)
     cert.check(
         "tor1-vanishes-iff-free",
         tor1.is_zero() == is_free,
@@ -582,6 +569,11 @@ def maximal_ideal_module(ring: RingContext) -> FPModule:
     columns = lifted_ideal([ring.variable(i) for i in range(ring.nvars)], 1)
     syzygies = ring.syzygies(columns, 1)
     return FPModule(ring, syzygies, ring.nvars, tuple(ring.grading))
+
+
+def residue_field_module(ring: RingContext) -> FPModule:
+    """The residue field k = R/m as the cyclic module on the variables."""
+    return FPModule.cyclic(ring, [ring.variable(i) for i in range(ring.nvars)])
 
 
 def explore_torsion_onset(

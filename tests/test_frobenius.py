@@ -16,7 +16,6 @@ from torsionlab.frobenius import (
     ModuleAlgebra,
     _powered_column,
     frobenius_functor,
-    residue_field_module,
     restrict_scalars,
     ring_is_regular_linear_forms,
     tor_frobenius,
@@ -38,6 +37,7 @@ from torsionlab.syntax import parse_polynomial
 from torsionlab.torsion import (
     koszul_syzygy_module,
     maximal_ideal_module,
+    residue_field_module,
     torsion_split,
 )
 

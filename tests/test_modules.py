@@ -337,6 +337,21 @@ class TestDual:
         assert QQxy.is_zero_in_ring(pairing)
 
 
+class TestModuleElement:
+    def test_arithmetic_within_a_module(self, QQxy):
+        m = FPModule.cyclic(QQxy, [QQxy.poly("x")])
+        g = m.generator(0)
+        assert (g + g) - g == g
+        assert g - g == m.element([QQxy.zero()])
+
+    @pytest.mark.parametrize("op", ["__eq__", "__add__", "__sub__"])
+    def test_elements_of_different_modules_do_not_combine(self, QQxy, op):
+        m = FPModule.cyclic(QQxy, [QQxy.poly("x")])
+        n = FPModule.cyclic(QQxy, [QQxy.poly("y")])
+        with pytest.raises(DimensionError, match="different modules"):
+            getattr(m.generator(0), op)(n.generator(0))
+
+
 class TestAnnihilator:
     def test_zero_element(self, QQxy):
         m = koszul_module(QQxy, ["x", "y"])

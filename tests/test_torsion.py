@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import torsionlab.torsion as torsion
 from conftest import node_ring
+from torsionlab.engine import run_source
 from torsionlab.errors import InputError, UnsupportedError
 from torsionlab.fields import GF, QQ
 from torsionlab.homology import pd
@@ -21,6 +24,7 @@ from torsionlab.modules import (
     dual_generators,
     dual_syzygies,
     kernel_of_map,
+    tensor_coords,
     tensor_power,
 )
 from torsionlab.poly import FreeElement, Polynomial
@@ -196,7 +200,64 @@ def check_split(ring, module):
             assert in_oracle_span(gen.components(), oracle, ring.field)
 
 
+def permutation_tau(module, elements):
+    """The defining sum of sign(p) v_p(1) (x) ... (x) v_p(d) over all
+    permutations p, as coordinates in the cover of the d-fold power."""
+    d = len(elements)
+    total = None
+    for perm in permutations(range(d)):
+        piece = elements[perm[0]].coords
+        for k, i in enumerate(perm[1:], start=1):
+            left = module.tensor_power(k)
+            piece = tensor_coords(left, module, piece, elements[i].coords)
+        inversions = sum(perm[a] > perm[b] for a in range(d) for b in range(a + 1, d))
+        if inversions % 2:
+            piece = -piece
+        total = piece if total is None else total + piece
+    return total
+
+
 class TestAlternatingTensor:
+    @pytest.mark.parametrize("field", [GF(7), QQ], ids=["GF7", "QQ"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_permutation_sum(self, field, d):
+        ring = make_ring(field, ("x", "y"), reduced=True)
+        rows = (("x", "y"), ("y", "0"), ("0", "x"), ("x", "x"))
+        m = FPModule.from_rows(ring, [[ring.poly(t) for t in row] for row in rows])
+        vectors = ("1, 0, 0, 0", "0, 1, 3, 0", "x, 0, -y, 0", "0, 1, 0, y")
+        pool = [m.element(f"[{v}]") for v in vectors]
+        elements = pool[:d]
+        tau = alternating_tensor(m, elements)
+        assert tau.module is m.tensor_power(d)
+        assert tau.coords == permutation_tau(m, elements)
+        assert not tau.coords.is_zero()
+        repeated = alternating_tensor(m, elements[:-1] + [elements[0]])
+        assert repeated.coords == permutation_tau(m, elements[:-1] + [elements[0]])
+
+    def test_pure_tensor_steps_grow_by_subsets(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return tensor_coords(*args)
+
+        monkeypatch.setattr(torsion, "tensor_coords", counted)
+        ring = make_ring(GF(7), ("x", "y"), reduced=True)
+        m = FPModule.cyclic(ring, [ring.poly("x")])
+        tau = alternating_tensor(m, [m.generator(0)] * 8)
+        assert tau.coords.is_zero()
+        assert calls[0] <= 8 * 2**7
+
+    def test_ten_repeated_entries_from_a_script(self):
+        elements = ", ".join(["e1"] * 10)
+        report = run_source(
+            "ring R = GF(7)[x,y];\n"
+            "module M = coker [[x]] over R;\n"
+            f"print tau(M, [{elements}]);\n"
+        )
+        assert [r.status for r in report.results] == ["ok", "ok", "ok"]
+        assert report.results[-1].output == "[0]"
+
     def test_single_element_identity(self, QQxy):
         m = koszul_module(QQxy, ["x", "y"])
         g = m.generator(0)
