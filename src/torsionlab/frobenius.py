@@ -227,6 +227,7 @@ def ring_is_regular_linear_forms(ring: RingContext) -> bool:
         remainder = echelon.reduce(form.terms)
         if remainder:
             echelon.add(remainder)
+            echelon.complete()
             linear_rank += 1
     leads = [mono for _, mono in ring.ideal_basis.lead_terms()]
     for size in range(n, -1, -1):

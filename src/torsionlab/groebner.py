@@ -420,27 +420,34 @@ class GroebnerBasis(_Divisors):
 class Completion(_Divisors):
     """Buchberger completion state over ``k[x]^rank``, kept between steps.
 
-    ``add`` puts a generator into the basis (in ``_normalized`` form) and
-    queues its pairs, ``complete`` reduces queued S-pairs until none is
-    left, and ``reduce`` fully reduces a vector against the current basis.
-    After ``complete`` the basis is a Groebner basis, not reduced, of
-    everything added, so ``reduce`` gives zero exactly on the members of its
-    span.  ``add`` and ``complete`` read the degree cap and the abort hook
-    from ``current()`` when called; ``layer`` names the computation in a
-    degree-cap error.
+    ``add`` records a generator with its degree, and it waits there;
+    ``complete`` takes waiting generators into the basis (in
+    ``_normalized`` form, queueing their pairs) and reduces queued S-pairs
+    until none is left, and ``reduce`` fully reduces a vector against the
+    current basis.  After ``complete`` the basis is a Groebner basis, not
+    reduced, of everything added, so ``reduce`` gives zero exactly on the
+    members of its span.  ``add`` and ``complete`` read the degree cap and
+    the abort hook from ``current()`` when called; ``layer`` names the
+    computation in a degree-cap error, which counts every generator added,
+    waiting or not.
 
     A pair is keyed by the total degree of its lcm, plus the degree of its
     position when ``position_degrees`` is given.  For generators that are
     homogeneous for some positive grading and those position degrees, the
-    key is never above the degree of the pair's S-polynomial, so after
-    ``complete(up_to=D)`` the basis is a Groebner basis of everything added
-    in degrees <= D (degree-truncated Buchberger; Kreuzer-Robbiano,
-    Computational Commutative Algebra 2, Ch. 4): ``reduce`` gives the normal
-    form of a vector whose terms all have degree <= D, and a monomial of
-    degree <= D lies in the initial module exactly when a lead divides it.
-    The pairs above D wait in the queue for a later call.  A call that
-    raises may have dropped the pair it was reducing, so the state must
-    then be discarded.
+    key is never above the degree of the pair's S-polynomial, and the part
+    of their span in degrees <= D is spanned by the generators of degree
+    <= D.  So ``complete(up_to=D)`` takes in only the waiting generators
+    of degree <= D, in (degree, insertion) order, and reduces only the
+    pairs keyed <= D; after it the basis is a Groebner basis of everything
+    added in degrees <= D (degree-truncated Buchberger; Kreuzer-Robbiano,
+    Computational Commutative Algebra 2, Ch. 4): ``reduce`` gives the
+    normal form of a vector whose terms all have degree <= D, and a
+    monomial of degree <= D lies in the initial module exactly when a lead
+    divides it.  The generators and pairs above D wait for a later call;
+    ``complete()`` takes in every waiting generator.  A generator added
+    without a degree is taken in by the next ``complete``, whatever its
+    bound.  A call that raises may have dropped the pair it was reducing,
+    so the state must then be discarded.
     """
 
     def __init__(
@@ -459,6 +466,9 @@ class Completion(_Divisors):
         )
         self.ngens = 0
         self._fit(current().degree_cap)
+        # (degree, insertion index, terms) of the generators not taken in;
+        # a generator without a degree sorts first
+        self.waiting: List[Tuple[float, int, TermDict]] = []
         self.pairs: List[Tuple[int, int, int]] = []
         self.pending = set()
 
@@ -480,10 +490,12 @@ class Completion(_Divisors):
             self.pending.add((i, j))
         self._append(lt, terms.pop(lt), terms)
 
-    def add(self, terms: TermDict) -> None:
-        """Add a nonzero generator; its pairs wait for ``complete``."""
+    def add(self, terms: TermDict, degree: Optional[int] = None) -> None:
+        """Record a nonzero generator of degree ``degree``; it waits for a
+        ``complete`` that takes it in."""
+        key = -math.inf if degree is None else degree
+        heapq.heappush(self.waiting, (key, self.ngens, terms))
         self.ngens += 1
-        self._push(self._pack(terms, current().degree_cap))
 
     def reduce(self, terms: TermDict) -> TermDict:
         """Full reduction of ``terms`` against the current basis, with
@@ -491,9 +503,15 @@ class Completion(_Divisors):
         return self._reduce_exact(terms, self._where("reduction"))
 
     def complete(self, up_to: Optional[int] = None) -> None:
-        """Reduce queued S-pairs, adding each nonzero remainder, until the
-        queue is empty or, with ``up_to``, until every pair left has a key
-        above it."""
+        """Take in the waiting generators of degree <= ``up_to`` (all of
+        them without it), then reduce queued S-pairs, adding each nonzero
+        remainder, until the queue is empty or, with ``up_to``, until every
+        pair left has a key above it."""
+        waiting = self.waiting
+        if waiting:
+            cap = current().degree_cap
+            while waiting and (up_to is None or waiting[0][0] <= up_to):
+                self._push(self._pack(heapq.heappop(waiting)[2], cap))
         if not self.pairs or (up_to is not None and self.pairs[0][0] > up_to):
             return
         settings = current()

@@ -102,11 +102,14 @@ class FPModule:
     degrees as position degrees, grows as element tests need it.  An
     element of degree at most D is reduced after ``complete(up_to=D)``, and
     ``hilbert_function(d)`` counts the standard monomials of degree d after
-    ``complete(up_to=d)``.  Relations and ideal are homogeneous, so the
-    truncated state is a Groebner basis of N in degrees <= D and the
-    remainder is the unique normal form, the one a reduced basis of N
-    gives.  The completion is not cached; when one of its steps raises,
-    the module drops it and the next test starts over.
+    ``complete(up_to=d)``.  Each generator is added with its degree (a
+    relation's is recorded here, where its homogeneity is checked), so
+    ``complete(up_to=D)`` takes in only the relations and ideal vectors of
+    degree <= D; the rest wait for a test of higher degree.  Relations and
+    ideal are homogeneous, so the truncated state is a Groebner basis of N
+    in degrees <= D and the remainder is the unique normal form, the one a
+    reduced basis of N gives.  The completion is not cached; when one of
+    its steps raises, the module drops it and the next test starts over.
     """
 
     def __init__(
@@ -124,18 +127,22 @@ class FPModule:
             raise DimensionError("one degree per generator required")
         self.gen_degrees: Tuple[int, ...] = tuple(gen_degrees)
         cleaned: List[FreeElement] = []
+        degrees: List[int] = []
         for col in relations:
             if col.rank != ngens or col.nvars != ring.nvars or col.field != ring.field:
                 raise DimensionError("relation column does not match the module")
             vec = ring.normal_form_vector(col)
             if vec.is_zero():
                 continue
-            if not vec.is_homogeneous(ring.grading, self.gen_degrees):
+            degree = vec.homogeneous_degree(ring.grading, self.gen_degrees)
+            if degree is None:
                 raise InputError(
                     "relation columns must be homogeneous for the generator degrees"
                 )
             cleaned.append(vec)
+            degrees.append(degree)
         self.relations: Tuple[FreeElement, ...] = tuple(cleaned)
+        self._relation_degrees: Tuple[int, ...] = tuple(degrees)
         self._membership: Optional[Completion] = None
         self._minimal: Optional["FPModule"] = None
         self._dual_syzygies: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
@@ -194,8 +201,10 @@ class FPModule:
                 ring.field, ring.nvars, self.ngens, "membership completion",
                 self.gen_degrees,
             )
-            for g in (*self.relations, *ring.ideal_block(self.ngens)):
-                state.add(g.terms)
+            for g, relation_degree in zip(self.relations, self._relation_degrees):
+                state.add(g.terms, relation_degree)
+            for g in ring.ideal_block(self.ngens):
+                state.add(g.terms, g.degree(ring.grading, self.gen_degrees))
             self._membership = state
         try:
             state.complete(up_to=degree)
@@ -243,10 +252,7 @@ class FPModule:
         return self.element_normal_form(coords).is_zero()
 
     def relation_degrees(self) -> Tuple[int, ...]:
-        return tuple(
-            col.homogeneous_degree(self.ring.grading, self.gen_degrees)
-            for col in self.relations
-        )
+        return self._relation_degrees
 
     # -- minimal presentation ---------------------------------------------
 

@@ -155,10 +155,12 @@ class RingContext:
         a reduced basis would pick.  The intermediate bases are not
         canonical and never reach the cache.
 
-        The completion is keyed by ``position_degrees``.  While <modulo>
-        and the kept vectors are homogeneous for them, it is taken only up
-        to the top degree of the vector tested, which decides its
-        membership (see ``Completion``); after that, to the end.
+        The completion is keyed by ``position_degrees``, and each
+        generator joins it with its degree for them.  While <modulo> and
+        the kept vectors are homogeneous, it is taken only up to the top
+        degree of the vector tested, which decides its membership (see
+        ``Completion``), so generators of a higher degree wait; after
+        that, to the end.
         """
         candidates = sorted((v for v in vectors if not v.is_zero()), key=key)
         base = [g for g in modulo if not g.is_zero()]
@@ -171,18 +173,21 @@ class RingContext:
             self.field, self.nvars, rank, "minimal-generator completion",
             position_degrees,
         )
-        for g in base + self.ideal_block(rank):
-            state.add(g.terms)
 
-        def homogeneous(vec: FreeElement) -> bool:
-            return vec.is_homogeneous(self.grading, position_degrees)
+        def degree_of(vec: FreeElement) -> Optional[int]:
+            return vec.homogeneous_degree(self.grading, position_degrees)
 
-        graded = all(map(homogeneous, base))
+        graded = True
+        for g in (*base, *self.ideal_block(rank)):
+            degree = degree_of(g)
+            graded = graded and degree is not None
+            state.add(g.terms, degree)
         picked: List[FreeElement] = []
         kept: TermDict = {}
+        kept_degree: Optional[int] = None
         for vec in candidates:
             if kept:
-                state.add(kept)
+                state.add(kept, kept_degree)
             if graded:
                 state.complete(up_to=vec.degree(self.grading, position_degrees))
             else:
@@ -190,7 +195,8 @@ class RingContext:
             kept = state.reduce(vec.terms)
             if kept:
                 picked.append(vec)
-                graded = graded and homogeneous(vec)
+                kept_degree = degree_of(vec)
+                graded = graded and kept_degree is not None
         return picked
 
     def syzygies(

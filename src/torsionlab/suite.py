@@ -386,32 +386,57 @@ def criterion_10_regularity_probe(seed: int) -> str:
     return "probe matches the two agreeing regularity decisions on both rings"
 
 
-def _axpy(row, f, pivot_row, p: int) -> list:
-    """``row - f * pivot_row`` entrywise, mod p when p is nonzero."""
-    if p:
-        return [(a - f * b) % p for a, b in zip(row, pivot_row)]
-    return [a - f * b for a, b in zip(row, pivot_row)]
+def _subtract(row: dict, f, pivot_row: dict, p: int) -> None:
+    """``row -= f * pivot_row`` in place on sparse rows, mod p when p is
+    nonzero; entries that cancel are dropped."""
+    for col, b in pivot_row.items():
+        v = row.get(col, 0) - f * b
+        if p:
+            v %= p
+        if v:
+            row[col] = v
+        else:
+            row.pop(col, None)
 
 
-def _echelon(matrix: list, ncols: int, field) -> dict:
-    """Bring ``matrix`` (rows of coefficients) to reduced row echelon form
-    in place; returns {pivot column: row}."""
+def _reduced(row: dict, pivots: dict, p: int) -> dict:
+    """A copy of the sparse ``row`` with every pivot column of the reduced
+    echelon form ``pivots`` cleared.  A pivot row is zero at every other
+    pivot column, so one pass over the row's pivot columns clears them."""
+    row = dict(row)
+    for col in [c for c in row if c in pivots]:
+        _subtract(row, row[col], pivots[col], p)
+    return row
+
+
+def _echelon(rows, field) -> dict:
+    """The reduced row echelon form of the span of ``rows``, each a sparse
+    row {column: coefficient} over ``field``; returns {pivot column: row}.
+
+    The rows are taken in one at a time: a row is reduced by the pivot
+    rows so far, and when something is left its smallest column becomes a
+    pivot, the row is scaled to 1 there and that column is cleared from
+    the other pivot rows.  The reduced echelon form of a span is unique,
+    so the pivots and their rows are those dense Gauss-Jordan elimination
+    of the same matrix gives, in any row order.  Columns are any values
+    that sort."""
     p = field.characteristic
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
-        if pivot_row is None:
+    pivots: dict = {}
+    for row in rows:
+        row = _reduced(row, pivots, p)
+        if not row:
             continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        inv = field.inv(matrix[rank][col])
-        row = matrix[rank]
-        matrix[rank] = [v * inv % p for v in row] if p else [v * inv for v in row]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col]:
-                matrix[r] = _axpy(matrix[r], matrix[r][col], matrix[rank], p)
-        pivots[col] = rank
-        rank += 1
+        col = min(row)
+        inv = field.inv(row[col])
+        if p:
+            row = {c: v * inv % p for c, v in row.items()}
+        else:
+            row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            f = other.get(col)
+            if f:
+                _subtract(other, f, row, p)
+        pivots[col] = row
     return pivots
 
 
@@ -422,6 +447,14 @@ def dense_kernel_oracle(rows, nvars: int, degree_bound: int, field, lift=()):
     the Groebner engine.  ``rows`` are the rows of A as lists of
     polynomials; the result spans the truncated kernel, each vector a list
     of one polynomial per column of A (without ``lift``, a basis of it).
+
+    The linear system has one equation per (row of A, monomial) and one
+    unknown per (column, monomial); its equations are sparse rows brought
+    to reduced echelon form by ``_echelon``.  The kernel vector of a free
+    unknown f is 1 at f and minus the entry of column f in each pivot
+    row, read off the pivot rows column by column; a vector that vanishes
+    on the unknowns of A is dropped.  The vectors come in ascending order
+    of their free unknown, as dense elimination would list them.
 
     ``lift`` holds columns L, one polynomial per row of A: the result then
     spans the v of degree <= bound with A v = L w for some w.  The entries
@@ -450,66 +483,51 @@ def dense_kernel_oracle(rows, nvars: int, degree_bound: int, field, lift=()):
             for em, ec in entry.terms.items():
                 for mi, m in enumerate(block_monos):
                     target = tuple(a + b for a, b in zip(em, m))
-                    vec = equations.setdefault((ri, target), [0] * nunknowns)
-                    vec[offset + mi] = field.add(vec[offset + mi], ec)
+                    # one term of the entry meets the unknown in each equation
+                    equations.setdefault((ri, target), {})[offset + mi] = ec
         offset += len(block_monos)
-    matrix = list(equations.values())
-    pivots = _echelon(matrix, nunknowns, field)
+    pivots = _echelon(equations.values(), field)
+    # the nonzero entries (unknown, value) of each free unknown's vector
+    entries = {f: [(f, field.one)] for f in range(nunknowns) if f not in pivots}
+    for col, row in pivots.items():
+        for f, c in row.items():
+            if f != col:
+                entries[f].append((col, p - c if p else -c))
     width = len(rows[0]) * len(monos)
     basis = []
-    for free_col in (c for c in range(nunknowns) if c not in pivots):
-        v = [0] * nunknowns
-        v[free_col] = field.one
-        for col, r in pivots.items():
-            v[col] = field.neg(matrix[r][free_col])
-        if not any(v[:width]):
+    for vector in entries.values():
+        vector = sorted((col, c) for col, c in vector if col < width)
+        if not vector:
             continue
-        comps = []
-        for ci in range(len(rows[0])):
-            terms = {}
-            for mi, m in enumerate(monos):
-                c = v[ci * len(monos) + mi]
-                if c:
-                    terms[m] = field.coerce(c)
-            comps.append(Polynomial(field, nvars, terms, _normalized=True))
-        basis.append(comps)
+        terms = [{} for _ in rows[0]]
+        for col, c in vector:
+            ci, mi = divmod(col, len(monos))
+            terms[ci][monos[mi]] = field.coerce(c)
+        basis.append(
+            [Polynomial(field, nvars, t, _normalized=True) for t in terms]
+        )
     return basis
 
 
 def in_oracle_span(column, oracle, field) -> bool:
     """Membership of a polynomial vector in the ``field``-span of oracle
-    vectors."""
-    keys = set()
-    for basis_vec in oracle + [column]:
-        for ci, entry in enumerate(basis_vec):
-            keys.update((ci, m) for m in entry.terms)
-    keys = sorted(keys)
-    index = {k: i for i, k in enumerate(keys)}
+    vectors, by reduction against the reduced echelon form of the oracle
+    vectors as sparse rows {(component, monomial): coefficient}."""
 
     def flatten(vec):
-        out = [0] * len(keys)
-        for ci, entry in enumerate(vec):
-            for m, c in entry.terms.items():
-                out[index[(ci, m)]] = c
-        return out
+        return {
+            (ci, m): c for ci, entry in enumerate(vec) for m, c in entry.terms.items()
+        }
 
-    matrix = [flatten(v) for v in oracle]
-    pivots = _echelon(matrix, len(keys), field)
-    target = flatten(column)
-    for col, r in pivots.items():
-        if target[col]:
-            target = _axpy(target, target[col], matrix[r], field.characteristic)
-    return not any(target)
+    pivots = _echelon(map(flatten, oracle), field)
+    return not _reduced(flatten(column), pivots, field.characteristic)
 
 
-@_criterion("criterion-11-syzygy-oracle")
-def criterion_11_syzygy_oracle(seed: int) -> str:
-    """Syzygies of 50 random small matrices match the degree-truncated
-    linear-algebra oracle as generating sets."""
+def _syzygy_oracle_instances(seed: int):
+    """Criterion 11's 50 seeded matrices over GF(5)[x, y], as rows of
+    polynomials of degree <= 2, none of them all zero."""
     rng = random.Random(555 + seed)
     field = GF(5)
-    names = ("x", "y")
-    degree_bound = 6
 
     def random_entry():
         terms = {}
@@ -519,12 +537,23 @@ def criterion_11_syzygy_oracle(seed: int) -> str:
                 terms[mono] = rng.randint(0, 4)
         return Polynomial(field, 2, terms)
 
-    for instance in range(50):
+    for _ in range(50):
         nrows = rng.randint(1, 3)
         ncols = rng.randint(1, 3)
         rows = [[random_entry() for _ in range(ncols)] for _ in range(nrows)]
         if all(e.is_zero() for row in rows for e in row):
-            rows[0][0] = parse_polynomial("x", names, field)
+            rows[0][0] = parse_polynomial("x", ("x", "y"), field)
+        yield rows
+
+
+@_criterion("criterion-11-syzygy-oracle")
+def criterion_11_syzygy_oracle(seed: int) -> str:
+    """Syzygies of 50 random small matrices match the degree-truncated
+    linear-algebra oracle as generating sets."""
+    field = GF(5)
+    degree_bound = 6
+    for instance, rows in enumerate(_syzygy_oracle_instances(seed)):
+        ncols = len(rows[0])
         columns = syzygy_matrix(rows)
         # exactness: A * S = 0 identically
         for col in columns:

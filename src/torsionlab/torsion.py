@@ -19,9 +19,10 @@ from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certificates import Certificate
-from .errors import InputError, UnsupportedError
+from .errors import AbortedError, InputError, UnsupportedError
 from .fields import FieldSpec
 from .homology import free_resolution, pd, tor
+from .limits import current
 from .modules import (
     FPModule,
     ModuleElement,
@@ -116,33 +117,45 @@ def alternating_tensor(
     It is built by subsets of the entries, not by permutations: tau({i}) is
     v_i, and tau(S) is the sum over i in S of (-1)^#{j in S : j > i} times
     tau(S - {i}) (x) v_i, which groups the permutations of S by their last
-    entry.  That is d * 2^(d-1) pure-tensor steps in place of d! * (d-1).
-    For d = 1 this is the element itself; repeated entries cancel to zero
-    by strict skew-commutativity of the shuffle product.
+    entry.  That is at most d * 2^(d-1) pure-tensor steps in place of
+    d! * (d-1).  A tau(S) that is zero in the free cover adds nothing to
+    the next level, so it is dropped, and the build stops at the first
+    empty level: two equal entries make their pair's tau zero, so d copies
+    of one element take d * (d-1) steps.  The abort hook is polled once per
+    step.  For d = 1 this is the element itself; repeated entries cancel
+    to zero by strict skew-commutativity of the shuffle product.
     """
     if not elements:
         raise InputError("the alternating tensor needs at least one element")
     for el in elements:
         if el.module is not module:
             raise InputError("elements must belong to the given module")
+    hook = current().abort_hook
     d = len(elements)
     coords = [el.coords for el in elements]
     # tau(S) for every subset S of one size, keyed by the bit mask of S
-    level = {1 << i: vec for i, vec in enumerate(coords)}
+    level = {1 << i: vec for i, vec in enumerate(coords) if vec}
     for k in range(1, d):
+        if not level:
+            break
         left = module.tensor_power(k)
         grown: Dict[int, FreeElement] = {}
         for subset, piece in level.items():
             for i, vec in enumerate(coords):
                 if subset >> i & 1:
                     continue
+                if hook is not None and hook():
+                    raise AbortedError("computation cancelled")
                 term = tensor_coords(left, module, piece, vec)
                 if (subset >> i).bit_count() % 2:
                     term = -term
                 mask = subset | 1 << i
                 grown[mask] = grown[mask] + term if mask in grown else term
-        level = grown
-    return ModuleElement(tensor_power(module, d), level[(1 << d) - 1])
+        level = {mask: piece for mask, piece in grown.items() if piece}
+    power = tensor_power(module, d)
+    ring = module.ring
+    zero = FreeElement.zero(ring.field, ring.nvars, power.ngens)
+    return ModuleElement(power, level.get((1 << d) - 1, zero))
 
 
 def element_outside_max_ideal_multiple(

@@ -68,24 +68,27 @@ def homogeneous_vector(draw, ring, gen_degrees, degree):
 
 
 @st.composite
-def modules_and_tests(draw, ring):
+def modules_and_tests(draw, ring, shift=0):
     """A homogeneous presentation with 1-3 generators and 0-4 relations,
     then element and Hilbert tests in a shuffled degree order.  Some
     elements are multiples of relations (zero in M), some are sums of two
-    homogeneous vectors of different degrees (inhomogeneous)."""
+    homogeneous vectors of different degrees (inhomogeneous).  Every
+    degree is lowered by ``shift``: a positive shift gives the negative
+    generator degrees a dual has."""
     ngens = draw(st.integers(1, 3))
     gen_degrees = tuple(
-        draw(st.lists(st.integers(0, 2), min_size=ngens, max_size=ngens))
+        d - shift
+        for d in draw(st.lists(st.integers(0, 2), min_size=ngens, max_size=ngens))
     )
     relations = []
     for _ in range(draw(st.integers(0, 4))):
         degree = draw(st.integers(min(gen_degrees), max(gen_degrees) + 3))
         relations.append(draw(homogeneous_vector(ring, gen_degrees, degree)))
     module = FPModule(ring, relations, ngens, gen_degrees)
-    tests = [("hilbert", d) for d in DEGREES]
+    tests = [("hilbert", d - shift) for d in DEGREES]
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(("homogeneous", "relation", "inhomogeneous")))
-        low = draw(st.integers(0, 5))
+        low = draw(st.integers(0, 5)) - shift
         vec = draw(homogeneous_vector(ring, gen_degrees, low))
         if kind == "relation" and module.relations:
             rel = draw(st.sampled_from(module.relations))
@@ -94,7 +97,7 @@ def modules_and_tests(draw, ring):
                 mono = draw(st.sampled_from(monos))
                 vec = rel.scaled(Polynomial(ring.field, ring.nvars, {mono: 1}))
         elif kind == "inhomogeneous":
-            high = draw(st.integers(low + 1, 7))
+            high = draw(st.integers(low + 1, 7 - shift))
             vec = vec + draw(homogeneous_vector(ring, gen_degrees, high))
         tests.append(("element", vec))
     return module, draw(st.permutations(tests))
@@ -140,6 +143,23 @@ class TestGradedMembership:
     ):
         ring = RINGS[ring_name]()
         module, tests = data.draw(modules_and_tests(ring), label="module and tests")
+        full = ring.submodule_basis(module.relations, module.ngens)
+        for test in tests:
+            check(ring, module, full, test)
+
+    @pytest.mark.parametrize("ring_name", sorted(RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=SUPPRESSED,
+    )
+    def test_negative_generator_degrees_match_the_full_basis(self, ring_name, data):
+        # generators wait by degree, and a relation's degree may be negative
+        ring = RINGS[ring_name]()
+        module, tests = data.draw(
+            modules_and_tests(ring, shift=3), label="module and tests"
+        )
         full = ring.submodule_basis(module.relations, module.ngens)
         for test in tests:
             check(ring, module, full, test)
@@ -198,6 +218,76 @@ def test_a_cap_error_mid_completion_drops_the_completion(field):
     for degree in DEGREES:
         expected = full_hilbert(ring, module, full, degree)
         assert module.hilbert_function(degree) == expected
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_a_cap_error_names_every_generator_while_some_wait(field):
+    ring, module, probe, _ = cap_example(field)
+    x4 = FreeElement.from_components([ring.zero(), ring.poly("x^4")], rank=2)
+    module = FPModule(ring, [*module.relations, x4], 2, module.gen_degrees)
+    with run_scope(degree_cap=2):
+        with pytest.raises(ResourceLimitError) as raised:
+            module.element_is_zero(probe)
+    assert str(raised.value) == (
+        "term degree 3 exceeds the degree cap 2 in the S-polynomials of "
+        "membership completion (2 variables, rank 2, generators: 3)"
+    )
+    # the same test under the default cap leaves x^4 e2 (degree 6) waiting
+    assert not module.element_is_zero(probe)
+    assert [key for key, _, _ in module._membership.waiting] == [6]
+
+
+def taken_in(module):
+    """How many generators the membership completion has taken in, and
+    the degrees of those still waiting, in ascending order."""
+    state = module._membership
+    waiting = sorted(key for key, _, _ in state.waiting)
+    return state.ngens - len(waiting), waiting
+
+
+class TestIntakeByDegree:
+    def node_module(self):
+        """R^2 over the node GF(5)[x,y]/(xy), e2 in degree 1, with relations
+        x e1 (degree 1), y^2 e1 + y e2 (degree 2) and y^2 e2 (degree 3); the
+        ideal adds xy e1 (degree 2) and xy e2 (degree 3)."""
+        ring = node_ring()
+
+        def vec(first, second):
+            return FreeElement.from_components(
+                [ring.poly(first), ring.poly(second)], rank=2
+            )
+
+        relations = [vec("x", "0"), vec("y^2", "y"), vec("0", "y^2")]
+        module = FPModule(ring, relations, 2, (0, 1))
+        return ring, module, vec
+
+    def test_a_test_takes_in_exactly_the_generators_up_to_its_degree(self):
+        ring, module, vec = self.node_module()
+        assert module.relation_degrees() == (1, 2, 3)
+        degrees = [1, 2, 3, 2, 3]
+        tests = ((1, vec("y", "0")), (2, vec("0", "x")), (3, vec("y^3", "0")))
+        for degree, element in tests:
+            module.element_is_zero(element)
+            taken, waiting = taken_in(module)
+            assert taken == sum(d <= degree for d in degrees)
+            assert waiting == sorted(d for d in degrees if d > degree)
+        assert module._membership.ngens == len(degrees)
+
+    def test_a_higher_test_takes_in_the_rest(self):
+        ring, module, vec = self.node_module()
+        assert not module.element_is_zero(vec("y", "0"))
+        assert taken_in(module) == (1, [2, 2, 3, 3])
+        assert module.element_is_zero(vec("y^3", "0"))
+        assert taken_in(module) == (5, [])
+        full = ring.submodule_basis(module.relations, 2)
+        for degree in DEGREES:
+            expected = full_hilbert(ring, module, full, degree)
+            assert module.hilbert_function(degree) == expected
+
+    def test_hilbert_values_take_in_by_degree(self):
+        ring, module, _ = self.node_module()
+        module.hilbert_function(2)
+        assert taken_in(module) == (3, [3, 3])
 
 
 @pytest.mark.parametrize("field", [GF(7), QQ])

@@ -410,10 +410,11 @@ class TestMinimalPresentationOracle:
         module = data.draw(presentations_with_units(ring), label="module")
         one = (0,) * ring.nvars
         constants = [
-            [col.terms.get((r, one), ring.field.zero) for col in module.relations]
+            {j: col.terms[(r, one)] for j, col in enumerate(module.relations)
+             if (r, one) in col.terms}
             for r in range(module.ngens)
         ]
-        rank = len(_echelon(constants, len(module.relations), ring.field))
+        rank = len(_echelon(constants, ring.field))
         minimal = module.minimal()
         assert module.nu() == minimal.ngens == module.ngens - rank
         assert module.is_free() == (not minimal.relations)

@@ -74,8 +74,8 @@ class TestRunScope:
 
 
 def completion_of(texts):
-    """A ``Completion`` over GF(7)[x,y] with the given generators added
-    and its pairs queued."""
+    """A ``Completion`` over GF(7)[x,y] with the given generators added;
+    ``complete`` takes them in and queues their pairs."""
     state = Completion(GF(7), 2, 1, "completion test")
     for text in texts:
         poly = parse_polynomial(text, ("x", "y"), GF(7))

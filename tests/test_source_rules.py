@@ -83,3 +83,53 @@ def test_every_module_level_function_and_class_is_named_elsewhere():
         and uses[node.name] == (node.name in names)
     ]
     assert unused == []
+
+
+ORACLE = ("dense_kernel_oracle", "in_oracle_span", "_echelon")
+ENGINE = ("groebner", "rings", "modules")
+
+
+def module_level_names(tree) -> set:
+    """The names a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_the_oracle_names_nothing_from_the_engine():
+    # the panel checks syzygies against the oracle: an oracle that called
+    # the Groebner engine, the ring layer or the module layer would check
+    # them against themselves.  The rule covers the oracle functions of
+    # suite.py and every suite function they name, at any depth.
+    engine = set(ENGINE)
+    for name in ENGINE:
+        source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+        engine |= module_level_names(ast.parse(source))
+    tree = ast.parse((PACKAGE / "suite.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module in ENGINE:
+            engine.update(alias.asname or alias.name for alias in node.names)
+    checked, todo = set(), list(ORACLE)
+    found = []
+    while todo:
+        name = todo.pop()
+        if name in checked:
+            continue
+        checked.add(name)
+        function = functions[name]
+        used = names_used(function) - {name}
+        found.extend(f"{name}: {used_name}" for used_name in sorted(used & engine))
+        for node in ast.walk(function):
+            if isinstance(node, ast.ImportFrom) and node.module in ENGINE:
+                found.append(f"{name}: imports from {node.module}")
+        todo.extend(used & functions.keys())
+    assert checked >= set(ORACLE)
+    assert found == []

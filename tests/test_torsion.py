@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import torsionlab.torsion as torsion
 from conftest import node_ring
 from torsionlab.engine import run_source
-from torsionlab.errors import InputError, UnsupportedError
+from torsionlab.errors import AbortedError, InputError, UnsupportedError
 from torsionlab.fields import GF, QQ
 from torsionlab.homology import pd
+from torsionlab.limits import run_scope
 from torsionlab.modules import (
     FPModule,
     ModuleMap,
@@ -247,6 +248,34 @@ class TestAlternatingTensor:
         tau = alternating_tensor(m, [m.generator(0)] * 8)
         assert tau.coords.is_zero()
         assert calls[0] <= 8 * 2**7
+
+    def test_an_abort_hook_stops_the_build(self):
+        ring = make_ring(GF(7), ("x", "y"), reduced=True)
+        m = FPModule.cyclic(ring, [ring.poly("x")])
+        with run_scope(abort_hook=lambda: True):
+            with pytest.raises(AbortedError):
+                alternating_tensor(m, [m.generator(0)] * 6)
+
+    def test_repeated_entries_stop_at_the_first_empty_level(self):
+        # every tau of two equal entries is zero in the free cover, so the
+        # build stops after the 24 * 23 steps of the second level
+        polls = []
+        ring = make_ring(GF(7), ("x", "y"), reduced=True)
+        m = FPModule.cyclic(ring, [ring.poly("x")])
+        with run_scope(abort_hook=lambda: polls.append(1) and False):
+            tau = alternating_tensor(m, [m.generator(0)] * 24)
+        assert tau.coords.is_zero()
+        assert tau.module is m.tensor_power(24)
+        assert 0 < len(polls) <= 24 * 23
+
+    def test_a_zero_entry_gives_the_zero_tensor(self, QQxy):
+        m = koszul_module(QQxy, ["x", "y"])
+        zero = m.element("[0, 0]")
+        for elements in ([zero], [m.generator(0), zero, m.generator(1)]):
+            tau = alternating_tensor(m, elements)
+            assert tau.module is m.tensor_power(len(elements))
+            assert tau.coords.is_zero()
+            assert tau.coords == permutation_tau(m, elements)
 
     def test_ten_repeated_entries_from_a_script(self):
         elements = ", ".join(["e1"] * 10)
