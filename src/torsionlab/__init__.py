@@ -35,7 +35,6 @@ from .groebner import (
 )
 from .homology import (
     PD_INFINITE,
-    DepthResult,
     FreeResolution,
     free_resolution,
     koszul_depth,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     torsionlab run script.tl [--json out.json] [--seed N] [--degree-cap D]
-                             [--cache DIR] [--resolution-bound B]
+                             [--cache DIR]
     torsionlab verify-suite paper [--only SUBSTR] [--json out.json]
 
 Exit codes: 0 all claims pass, 1 some claim fails, 2 inapplicable results
@@ -34,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", dest="json_path", help="write the JSON report here")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--degree-cap", type=int, default=None)
-    run.add_argument("--resolution-bound", type=int, default=None)
     run.add_argument(
         "--cache",
         default=None,
@@ -62,10 +61,7 @@ def _cmd_run(args) -> int:
         print(f"{args.script}:{exc}", file=sys.stderr)
         return 3
     config = ExecConfig(
-        seed=args.seed,
-        degree_cap=args.degree_cap,
-        cache_dir=args.cache,
-        resolution_bound=args.resolution_bound,
+        seed=args.seed, degree_cap=args.degree_cap, cache_dir=args.cache
     )
     try:
         report = execute(script, config)

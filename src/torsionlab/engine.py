@@ -96,7 +96,6 @@ class ExecConfig:
     seed: int = 0
     degree_cap: Optional[int] = None
     cache_dir: Optional[str] = None
-    resolution_bound: Optional[int] = None
 
 
 @dataclass
@@ -442,12 +441,12 @@ _FUNCTIONS = {
     "is_free": (("module",), {}, lambda m: m.is_free()),
     "tau": (("module", "elements"), {}, lambda m, es: alternating_tensor(m, es)),
     "ann": (("value",), {}, _annihilator),
-    "resolve": (("module", ("int", lambda c: c.resolution_bound)), {}, _resolve),
+    "resolve": (("module", ("int", None)), {}, _resolve),
     "pd": (("module",), {}, lambda m: pd(m)),
     "nu": (("module",), {}, lambda m: m.nu()),
     "minimal": (("module",), {}, lambda m: m.minimal()),
     "tor": (("module", "module", "int"), {}, lambda a, b, i: tor(a, b, i)),
-    "depth": (("polys", "module"), {}, lambda seq, m: koszul_depth(seq, m).depth),
+    "depth": (("polys", "module"), {}, lambda seq, m: koszul_depth(seq, m)),
     "hilbert": (("module", "int"), {}, lambda m, d: m.hilbert_function(d)),
     "F": (("module",), {"e": 1}, lambda m, e: frobenius_functor(m, e)),
     "restrict": (("module",), {"e": 1}, lambda m, e: restrict_scalars(m, e)),

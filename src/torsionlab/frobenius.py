@@ -183,7 +183,6 @@ class Pushforward:
 
     module: FPModule
     free_rank: int
-    evaluation_columns: Tuple[FreeElement, ...]
     cokernel: FPModule
 
 
@@ -198,12 +197,7 @@ def universal_pushforward(module: FPModule) -> Pushforward:
         raise InputError("the universal pushforward needs a torsion-free module")
     columns, target_degrees = dual_evaluation(module, *dual_generators(module))
     cokernel = FPModule(ring, columns, len(target_degrees), target_degrees)
-    return Pushforward(
-        module=module,
-        free_rank=len(target_degrees),
-        evaluation_columns=tuple(columns),
-        cokernel=cokernel,
-    )
+    return Pushforward(module=module, free_rank=len(target_degrees), cokernel=cokernel)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@
 Resolutions are built by iterated syzygies over the quotient ring, with a
 greedy homogeneous minimal generating set at each step, so differentials
 automatically have entries in the irrelevant maximal ideal.  Depth comes
-from the vanishing pattern of Koszul homology; projective dimension is
-decided against the depth of the ring, which bounds any finite projective
-dimension in the graded setting.
+from the first vanishing Koszul homology H_1, H_2, ...: Koszul homology is
+rigid, so every later one vanishes too, and the depth is read off without
+computing them.  Projective dimension is decided against the depth of the
+ring, which bounds any finite projective dimension in the graded setting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InputError
 from .modules import (
@@ -197,20 +198,26 @@ def koszul_differentials(
     return diffs
 
 
-@dataclass
-class DepthResult:
-    depth: int
-    homologies: Dict[int, FPModule]
+def koszul_depth(sequence: Sequence[Polynomial], module: FPModule) -> int:
+    """Depth of the ideal J of the sequence x = x_1..x_d on M: d - i + 1 for
+    the first i >= 1 with H_i(x; M) = 0, or 0 when there is none.
 
+    Requires J M != M, which is checked through the minimal generator count
+    of M/JM = H_0(x; M).  Depth sensitivity gives depth = d - max{ i :
+    H_i(x; M) != 0 }, and the first zero is enough because Koszul homology
+    is rigid: H_i(x; M) = 0 forces H_j(x; M) = 0 for every j > i.  By
+    induction on d, with x' = x_1..x_{d-1}; for d = 1 there is no H_j with
+    j > 1.  The exact sequence of complexes 0 -> K(x') -> K(x) -> K(x')[-1]
+    -> 0 gives the exact sequence
 
-def koszul_depth(
-    sequence: Sequence[Polynomial], module: FPModule
-) -> DepthResult:
-    """Depth of the ideal generated by the sequence on M, by depth
-    sensitivity: depth = d - sup{ i : H_i(K (x) M) != 0 }.
+        H_i(x'; M) --(+-x_d)--> H_i(x'; M) -> H_i(x; M) -> H_{i-1}(x'; M),
 
-    Also returns every nonzero homology module (minimized).  Requires
-    J M != M, which is checked through the minimal generator count of M/JM.
+    so H_i(x; M) = 0 makes x_d act surjectively on the finitely generated
+    graded module H_i(x'; M), and graded Nakayama (x_d is homogeneous of
+    positive degree, or zero) gives H_i(x'; M) = 0.  By induction H_j(x'; M)
+    = 0 for every j >= i, and H_j(x'; M) -> H_j(x; M) -> H_{j-1}(x'; M) is
+    exact, so H_j(x; M) = 0 for j > i (Bruns-Herzog, Cohen-Macaulay Rings,
+    Section 1.6).
     """
     ring = module.ring
     if not sequence:
@@ -233,17 +240,14 @@ def koszul_depth(
         [sum(seq_degrees[s] for s in S) for S in combinations(range(d), i)]
         for i in range(d + 1)
     ]
-    homologies: Dict[int, FPModule] = {0: m_mod_jm.minimal()}
     for i in range(1, d + 1):
-        h = complex_homology(diffs, step_degrees, module, i)
-        if h.nu() > 0:
-            homologies[i] = h
-    top = max(homologies)
-    return DepthResult(depth=d - top, homologies=homologies)
+        if complex_homology(diffs, step_degrees, module, i).is_zero():
+            return d - i + 1
+    return 0
 
 
 def ring_depth(ring: RingContext) -> int:
     """Depth of R along the irrelevant maximal ideal."""
     variables = [ring.variable(i) for i in range(ring.nvars)]
     module = FPModule.free(ring, 1)
-    return koszul_depth(variables, module).depth
+    return koszul_depth(variables, module)

@@ -527,7 +527,7 @@ class Ideal:
 
 def is_regular_sequence(ring: RingContext, sequence: Sequence[Polynomial]) -> bool:
     """Koszul test: the sequence is regular on R iff its depth on R is its
-    length, that is iff H_i of the Koszul complex vanishes for i >= 1.
+    length, that is iff H_1 of the Koszul complex vanishes.
 
     Requires a nonempty, homogeneous sequence inside the irrelevant maximal
     ideal, so the generated ideal is proper.
@@ -549,4 +549,4 @@ def is_regular_sequence(ring: RingContext, sequence: Sequence[Polynomial]) -> bo
     from .homology import koszul_depth
     from .modules import FPModule
 
-    return koszul_depth(seq, FPModule.free(ring, 1)).depth == len(seq)
+    return koszul_depth(seq, FPModule.free(ring, 1)) == len(seq)

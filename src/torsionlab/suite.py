@@ -227,7 +227,7 @@ def criterion_5_depth_tor(seed: int) -> str:
     ]
     for ring, sequence, module in panel:
         _require(is_regular_sequence(ring, sequence), "panel sequence is not regular")
-        direct = koszul_depth(sequence, module).depth
+        direct = koszul_depth(sequence, module)
         quotient = FPModule.cyclic(ring, sequence)
         d = len(sequence)
         sup = 0

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torsionlab.errors import InputError
 from torsionlab.fields import GF, QQ
@@ -15,12 +20,36 @@ from torsionlab.homology import (
     pd,
     tor,
 )
-from torsionlab.modules import FPModule, annihilator, tensor_power
+from torsionlab.modules import (
+    FPModule,
+    _monomials_of_weighted_degree,
+    annihilator,
+    tensor_power,
+)
+from torsionlab.poly import FreeElement, Polynomial
 from torsionlab.rings import Ideal, make_ring
+from torsionlab.syntax import parse_polynomial
+
+from conftest import node_ring
 
 
 def koszul_module(ring, texts):
     return FPModule.from_rows(ring, [[ring.poly(t)] for t in texts])
+
+
+def koszul_homologies(ring, sequence, module):
+    """H_0 .. H_d of the Koszul complex of ``sequence`` tensored with
+    ``module``, each from ``complex_homology``."""
+    d = len(sequence)
+    degrees = [f.degree(ring.grading) for f in sequence]
+    step_degrees = [
+        [sum(degrees[s] for s in S) for S in combinations(range(d), i)]
+        for i in range(d + 1)
+    ]
+    differentials = koszul_differentials(ring, sequence)
+    return [
+        complex_homology(differentials, step_degrees, module, i) for i in range(d + 1)
+    ]
 
 
 class TestFreeResolution:
@@ -101,7 +130,7 @@ class TestPd:
         for m in panel:
             p = pd(m)
             assert p != PD_INFINITE
-            depth_m = koszul_depth(mvars, m).depth
+            depth_m = koszul_depth(mvars, m)
             assert p + depth_m == QQxy.depth()
 
 
@@ -148,21 +177,20 @@ class TestTor:
 class TestKoszulDepth:
     def test_regular_sequence_on_ring(self, QQxy):
         seq = [QQxy.poly("x"), QQxy.poly("y")]
-        result = koszul_depth(seq, FPModule.free(QQxy, 1))
-        assert result.depth == 2
-        assert set(result.homologies) == {0}
+        ring_module = FPModule.free(QQxy, 1)
+        assert koszul_depth(seq, ring_module) == 2
+        homologies = koszul_homologies(QQxy, seq, ring_module)
+        assert [h.is_zero() for h in homologies] == [False, True, True]
 
     def test_tensor_square_depth_drop(self, QQxyz):
         m = tensor_power(koszul_module(QQxyz, ["x", "y", "z"]), 2)
         seq = [QQxyz.poly(v) for v in ("x", "y", "z")]
-        result = koszul_depth(seq, m)
-        assert result.depth == 1
+        assert koszul_depth(seq, m) == 1
 
     def test_killed_module_depth_zero(self, QQxy):
         m = FPModule.cyclic(QQxy, [QQxy.poly("x")])
-        result = koszul_depth([QQxy.poly("x")], m)
-        assert result.depth == 0
-        assert 1 in result.homologies
+        assert koszul_depth([QQxy.poly("x")], m) == 0
+        assert not koszul_homologies(QQxy, [QQxy.poly("x")], m)[1].is_zero()
 
     def test_unit_action_rejected(self, QQxy):
         m = FPModule.cyclic(QQxy, [QQxy.poly("x")])
@@ -187,14 +215,79 @@ class TestKoszulDepth:
                 if not tor(quotient, module, i).is_zero():
                     sup = i
                     break
-            assert koszul_depth(seq, module).depth == d - sup
+            assert koszul_depth(seq, module) == d - sup
+
+
+def weighted_cusp():
+    cusp = parse_polynomial("y^2 - x^3", ("x", "y"), GF(5))
+    return make_ring(GF(5), ("x", "y"), ideal=[cusp], grading=(2, 3))
+
+
+DEPTH_RINGS = {
+    "QQ[x,y,z]": lambda: make_ring(QQ, ("x", "y", "z")),
+    "GF(5)[x,y,z]": lambda: make_ring(GF(5), ("x", "y", "z")),
+    "node GF(5)[x,y]/(xy)": lambda: node_ring(5),
+    "cusp GF(5)[x,y]/(y^2-x^3), weights (2,3)": weighted_cusp,
+}
+
+
+@st.composite
+def graded_modules(draw, ring):
+    """coker of 0-2 columns over 1-2 generators of degree 0 or 1, each
+    column homogeneous of its own degree 1-4, entries in normal form mod I."""
+    coeffs = (0, 1, -1, 2) if ring.field.characteristic else (0, 1, -1, Fraction(1, 2))
+    gen_degrees = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    columns = []
+    for _ in range(draw(st.integers(0, 2))):
+        degree = draw(st.integers(1, 4))
+        comps = []
+        for gen_degree in gen_degrees:
+            monos = _monomials_of_weighted_degree(
+                ring.nvars, ring.grading, degree - gen_degree
+            )
+            terms = {m: draw(st.sampled_from(coeffs)) for m in monos}
+            comps.append(ring.normal_form_poly(Polynomial(ring.field, ring.nvars, terms)))
+        columns.append(FreeElement.from_components(comps, rank=len(gen_degrees)))
+    return FPModule(ring, columns, len(gen_degrees), gen_degrees)
+
+
+@st.composite
+def variable_power_sequences(draw, ring):
+    """1 to nvars distinct variables in any order, each to the power 1 or 2."""
+    order = draw(st.permutations(range(ring.nvars)))
+    count = draw(st.integers(1, ring.nvars))
+    return [ring.variable(v) ** draw(st.integers(1, 2)) for v in order[:count]]
+
+
+class TestDepthAtTheFirstZeroHomology:
+    @pytest.mark.parametrize("ring_name", sorted(DEPTH_RINGS))
+    @given(data=st.data())
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_depth_is_d_minus_the_top_nonzero_homology(self, ring_name, data):
+        """koszul_depth stops at the first zero H_i; the answer is the one
+        read from every H_i, as depth sensitivity states it."""
+        ring = DEPTH_RINGS[ring_name]()
+        module = data.draw(graded_modules(ring), label="module")
+        sequence = data.draw(variable_power_sequences(ring), label="sequence")
+        if module.is_zero():
+            with pytest.raises(InputError):
+                koszul_depth(sequence, module)
+            return
+        homologies = koszul_homologies(ring, sequence, module)
+        top = max(i for i, h in enumerate(homologies) if not h.is_zero())
+        assert koszul_depth(sequence, module) == len(sequence) - top
 
 
 class TestHomologyCallers:
     @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
     def test_tor_against_residue_field_is_koszul_homology(self, field):
-        """tor(k, M, i) and koszul_depth on the variables both compute
-        H_i(K (x) M); complex_homology on the Koszul complex is a third way."""
+        """tor(k, M, i) and tor(M, k, i) both compute H_i(K (x) M), and
+        complex_homology on the Koszul complex is a third way; the depth of
+        M is 3 minus the top index where they are nonzero."""
         ring = make_ring(field, ("x", "y", "z"), reduced=True)
         variables = [ring.poly(v) for v in ("x", "y", "z")]
         residue_field = FPModule.cyclic(ring, variables)
@@ -209,11 +302,11 @@ class TestHomologyCallers:
         differentials = koszul_differentials(ring, variables)
         step_degrees = [[i] * rank for i, rank in enumerate((1, 3, 3, 1))]
         for module in modules:
-            homologies = koszul_depth(variables, module).homologies
+            nonzero = []
             for i in range(4):
                 computed = [
                     tor(residue_field, module, i),
-                    homologies.get(i, FPModule.zero_module(ring)),
+                    tor(module, residue_field, i),
                     complex_homology(differentials, step_degrees, module, i),
                 ]
                 invariants = {
@@ -221,6 +314,9 @@ class TestHomologyCallers:
                     for h in computed
                 }
                 assert len(invariants) == 1, (module, i, invariants)
+                if not computed[-1].is_zero():
+                    nonzero.append(i)
+            assert koszul_depth(variables, module) == 3 - max(nonzero)
 
 
 class TestKoszulComplex:

@@ -37,12 +37,13 @@ def test_no_global_or_nonlocal_statements():
     assert offending(lambda node: isinstance(node, (ast.Global, ast.Nonlocal))) == []
 
 
+def simple_name(node):
+    """The last name of a ``Name`` or ``Attribute`` node, else None."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def is_context_var_call(node) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name == "ContextVar"
+    return isinstance(node, ast.Call) and simple_name(node.func) == "ContextVar"
 
 
 def test_context_variables_only_in_limits():
@@ -83,6 +84,35 @@ def test_every_module_level_function_and_class_is_named_elsewhere():
         and uses[node.name] == (node.name in names)
     ]
     assert unused == []
+
+
+def is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        simple_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is state every instance carries for no
+    # answer.  An attribute load counts as a read, and so does a string
+    # constant, for a field read by its key through serialization.
+    fields, reads = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+            elif PACKAGE in path.parents and is_dataclass(node):
+                fields.extend(
+                    f"{path.relative_to(PACKAGE)}:{node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign)
+                    and isinstance(field.target, ast.Name)
+                )
+    assert [field for field in fields if field.rsplit(".", 1)[1] not in reads] == []
 
 
 ORACLE = ("dense_kernel_oracle", "in_oracle_span", "_echelon")
