@@ -1,10 +1,14 @@
 """Execution engine: runs parsed scripts and assembles deterministic reports.
 
-Statements run in order; a failing statement is recorded and execution
-continues, so independent later statements still produce results.  The
-JSON report is byte-stable for a fixed (script, seed, version) apart from
-the timing block.  Every function, claim and probe a script names is
-declared once, in the call tables below, and run by one binder.
+Statements run in order.  One runner, ``_Engine.run``, runs every
+statement kind and returns its status, summary and optional output or
+report; one loop in ``_execute`` builds every ``StatementResult`` from
+that.  A statement that raises a ``TorsionLabError`` is recorded there as
+an error and execution continues, so independent later statements still
+produce results.  The JSON report is byte-stable for a fixed (script,
+seed, version) apart from the timing block.  Every function, claim and
+probe a script names is declared once, in the call tables below, and run
+by one binder.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional
 
 from .cache import open_cache
@@ -53,7 +58,6 @@ from .modules import (
 from .poly import Polynomial
 from .rings import Ideal, RingContext, make_ring
 from .script import (
-    AssertStmt,
     LetStmt,
     ModuleStmt,
     PrintStmt,
@@ -199,6 +203,7 @@ class _Engine:
     def __init__(self, config: ExecConfig):
         self.config = config
         self.env: Dict[str, object] = {}
+        self.certificates: List[Certificate] = []
 
     # -- polynomial-context evaluation ---------------------------------
 
@@ -209,7 +214,7 @@ class _Engine:
             return ring.variable(ring.variables.index(name))
 
         return evaluate_polynomial(
-            expr, ring.field, ring.nvars, variable, self.eval_int
+            expr, ring.field, ring.nvars, variable, partial(self.read, "int")
         )
 
     def eval_poly_sequence(self, expr: Expr, ring: RingContext) -> List[Polynomial]:
@@ -217,22 +222,14 @@ class _Engine:
             return [self.eval_poly(e, ring) for e in expr.items]
         return [self.eval_poly(expr, ring)]
 
-    def eval_int(self, expr: Expr) -> int:
+    def read(self, kind: str, expr: Expr):
+        """The value of ``expr`` as an argument of ``kind``, a key of
+        ``_TYPED``; a value of another type, or a truth value, is an
+        ``InputError``."""
         value = self.eval_value(expr)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError("expected an integer")
-        return value
-
-    def eval_module(self, expr: Expr) -> FPModule:
-        value = self.eval_value(expr)
-        if not isinstance(value, FPModule):
-            raise InputError("expected a module-valued expression")
-        return value
-
-    def eval_ring(self, expr: Expr) -> RingContext:
-        value = self.eval_value(expr)
-        if not isinstance(value, RingContext):
-            raise InputError("expected a ring")
+        expected, message = _TYPED[kind]
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise InputError(message)
         return value
 
     def eval_element_list(self, expr: Expr, module: FPModule) -> List[ModuleElement]:
@@ -313,47 +310,62 @@ class _Engine:
             _FUNCTIONS, "function", "", call.function, call.args, call.kwargs
         )
 
-    # -- statements -----------------------------------------------------
+    # -- the one statement runner ---------------------------------------
 
-    def run_ring(self, stmt: RingStmt) -> RingContext:
-        field = QQ if stmt.field_kind == "QQ" else GF(stmt.characteristic)
-        shell = make_ring(field, stmt.variables, grading=stmt.grading)
-        ideal = [self.eval_poly(e, shell) for e in stmt.ideal]
-        primes = [
-            [self.eval_poly(g, shell) for g in prime] for prime in stmt.minimal_primes
-        ]
-        ring = make_ring(
-            field,
-            stmt.variables,
-            ideal=ideal,
-            grading=stmt.grading,
-            minimal_primes=primes,
-            reduced=stmt.reduced,
-            complete_intersection=stmt.complete_intersection,
-        )
-        self.env[stmt.name] = ring
-        return ring
-
-    def run_module(self, stmt: ModuleStmt) -> FPModule:
-        ring = self.env.get(stmt.ring_name)
-        if not isinstance(ring, RingContext):
-            raise InputError(f"{stmt.ring_name!r} is not a defined ring")
-        rows = [
-            [self.eval_poly(e, ring) for e in row] for row in stmt.matrix
-        ]
-        module = FPModule.from_rows(ring, rows, stmt.degrees)
-        self.env[stmt.name] = module
-        return module
-
-    def run_verify(self, stmt: VerifyStmt) -> Certificate:
-        return self.bind(
-            _CLAIMS, "claim", "verify ", stmt.claim, stmt.args, stmt.kwargs
-        )
-
-    def run_probe(self, stmt: ProbeStmt):
-        return self.bind(
-            _PROBES, "probe", "probe ", stmt.kind, stmt.args, stmt.kwargs
-        )
+    def run(self, stmt):
+        """Run one statement and return (status, summary, extra): ``extra``
+        holds the statement's optional ``output`` or ``report`` field.  A
+        certificate is appended to ``certificates``, the run report's list."""
+        if isinstance(stmt, RingStmt):
+            field = QQ if stmt.field_kind == "QQ" else GF(stmt.characteristic)
+            shell = make_ring(field, stmt.variables, grading=stmt.grading)
+            ring = make_ring(
+                field,
+                stmt.variables,
+                ideal=[self.eval_poly(e, shell) for e in stmt.ideal],
+                grading=stmt.grading,
+                minimal_primes=[
+                    [self.eval_poly(g, shell) for g in prime]
+                    for prime in stmt.minimal_primes
+                ],
+                reduced=stmt.reduced,
+                complete_intersection=stmt.complete_intersection,
+            )
+            self.env[stmt.name] = ring
+            return "ok", ring.descriptor(), {}
+        if isinstance(stmt, ModuleStmt):
+            ring = self.env.get(stmt.ring_name)
+            if not isinstance(ring, RingContext):
+                raise InputError(f"{stmt.ring_name!r} is not a defined ring")
+            rows = [[self.eval_poly(e, ring) for e in row] for row in stmt.matrix]
+            module = FPModule.from_rows(ring, rows, stmt.degrees)
+            self.env[stmt.name] = module
+            # not _value_summary: its nu would compute a minimal presentation
+            return "ok", module.descriptor(), {}
+        if isinstance(stmt, VerifyStmt):
+            outcome = self.bind(
+                _CLAIMS, "claim", "verify ", stmt.claim, stmt.args, stmt.kwargs
+            )
+        elif isinstance(stmt, ProbeStmt):
+            outcome = self.bind(
+                _PROBES, "probe", "probe ", stmt.kind, stmt.args, stmt.kwargs
+            )
+        else:  # let, print and assert: one expression each
+            value = self.eval_value(stmt.expr)
+            if isinstance(stmt, LetStmt):
+                self.env[stmt.name] = value
+                return "ok", _value_summary(value), {}
+            if isinstance(stmt, PrintStmt):
+                text = _value_summary(value)
+                return "ok", text, {"output": text}
+            if not isinstance(value, bool):
+                raise InputError("assert needs a boolean expression")
+            return ("pass" if value else "fail"), format_statement(stmt), {}
+        if isinstance(outcome, Certificate):
+            self.certificates.append(outcome)
+            return outcome.verdict, outcome.summary(), {}
+        entries = len(outcome["entries"])
+        return "ok", f"{outcome['claim']}: {entries} entries", {"report": outcome}
 
     # -- the one binder ---------------------------------------------------
 
@@ -377,14 +389,12 @@ class _Engine:
             if key not in defaults:
                 raise InputError(f"{label} has no keyword {key!r}")
         kinds = [param if isinstance(param, str) else param[0] for param in params]
-        readers = {
-            "module": self.eval_module,
-            "ring": self.eval_ring,
-            "int": self.eval_int,
-            "value": self.eval_value,
-        }
         values = [
-            readers[kind](expr) if kind in readers else expr
+            self.read(kind, expr)
+            if kind in _TYPED
+            else self.eval_value(expr)
+            if kind == "value"
+            else expr
             for kind, expr in zip(kinds, args)
         ]
         # polys and elements are read in the first module or ring argument
@@ -399,13 +409,21 @@ class _Engine:
                 values[index] = self.eval_element_list(args[index], context)
         values += [self.default(param[1]) for param in params[len(args) :]]
         keywords = {key: self.default(value) for key, value in defaults.items()}
-        keywords.update((key, self.eval_int(expr)) for key, expr in kwargs)
+        keywords.update((key, self.read("int", expr)) for key, expr in kwargs)
         return routine(*values, **keywords)
 
     def default(self, value):
         """A default of the call table: a value, or a callable read from
         the run's configuration."""
         return value(self.config) if callable(value) else value
+
+
+# the type an argument of each typed kind must have, and the error otherwise
+_TYPED = {
+    "module": (FPModule, "expected a module-valued expression"),
+    "ring": (RingContext, "expected a ring"),
+    "int": (int, "expected an integer"),
+}
 
 
 def _annihilator(value):
@@ -511,80 +529,21 @@ def _execute(script: Script, config: ExecConfig) -> RunReport:
     active = current().cache
     start = time.monotonic()
     engine = _Engine(config)
-    report = RunReport(seed=config.seed)
+    report = RunReport(certificates=engine.certificates, seed=config.seed)
     source_text = ""
     for index, stmt in enumerate(script.statements):
         source = format_statement(stmt)
         source_text += source + "\n"
         kind = type(stmt).__name__.replace("Stmt", "").lower()
         try:
-            if isinstance(stmt, RingStmt):
-                ring = engine.run_ring(stmt)
-                result = StatementResult(
-                    index, stmt.line, kind, "ok", ring.descriptor(), source
-                )
-            elif isinstance(stmt, ModuleStmt):
-                module = engine.run_module(stmt)
-                result = StatementResult(
-                    index, stmt.line, kind, "ok", module.descriptor(), source
-                )
-            elif isinstance(stmt, LetStmt):
-                value = engine.eval_value(stmt.expr)
-                engine.env[stmt.name] = value
-                result = StatementResult(
-                    index, stmt.line, kind, "ok", _value_summary(value), source
-                )
-            elif isinstance(stmt, (VerifyStmt, ProbeStmt)):
-                if isinstance(stmt, VerifyStmt):
-                    outcome = engine.run_verify(stmt)
-                else:
-                    outcome = engine.run_probe(stmt)
-                if isinstance(outcome, Certificate):
-                    report.certificates.append(outcome)
-                    result = StatementResult(
-                        index, stmt.line, kind, outcome.verdict, outcome.summary(), source
-                    )
-                else:
-                    result = StatementResult(
-                        index,
-                        stmt.line,
-                        kind,
-                        "ok",
-                        f"{outcome['claim']}: {len(outcome['entries'])} entries",
-                        source,
-                        report=outcome,
-                    )
-            elif isinstance(stmt, PrintStmt):
-                value = engine.eval_value(stmt.expr)
-                text = _value_summary(value)
-                result = StatementResult(
-                    index, stmt.line, kind, "ok", text, source, output=text
-                )
-            elif isinstance(stmt, AssertStmt):
-                value = engine.eval_value(stmt.expr)
-                if not isinstance(value, bool):
-                    raise InputError("assert needs a boolean expression")
-                result = StatementResult(
-                    index,
-                    stmt.line,
-                    kind,
-                    "pass" if value else "fail",
-                    format_statement(stmt),
-                    source,
-                )
-            else:
-                raise InputError(f"unhandled statement {stmt!r}")
+            status, summary, extra = engine.run(stmt)
         except TorsionLabError as exc:
-            result = StatementResult(
-                index,
-                stmt.line,
-                kind,
-                "error",
-                f"{type(exc).__name__}: {exc}",
-                source,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        report.results.append(result)
+            status = "error"
+            summary = f"{type(exc).__name__}: {exc}"
+            extra = {"error": summary}
+        report.results.append(
+            StatementResult(index, stmt.line, kind, status, summary, source, **extra)
+        )
     report.input_hash = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
     if active is not None:
         report.cache_hits = active.hits

@@ -362,14 +362,20 @@ def _check_universal_specialization(
     )
 
 
-def find_nonzerodivisor(ideal: Ideal, max_subset: int = 8) -> Optional[Polynomial]:
+# find_nonzerodivisor tries sums of at most this many minimal generators
+NONZERODIVISOR_SUBSET_CAP = 8
+
+
+def find_nonzerodivisor(ideal: Ideal) -> Optional[Polynomial]:
     """Deterministic search for a non-zerodivisor in the ideal: single
-    generators first, then subset sums in lexicographic order."""
+    generators first, then subset sums in lexicographic order.  None when
+    no sum of at most ``NONZERODIVISOR_SUBSET_CAP`` minimal generators is a
+    non-zerodivisor, which does not prove the ideal has none."""
     ring = ideal.ring
     gens = ideal.minimal_generators()
     if not gens:
         return None
-    k = min(len(gens), max_subset)
+    k = min(len(gens), NONZERODIVISOR_SUBSET_CAP)
     for size in range(1, k + 1):
         for subset in combinations(range(len(gens)), size):
             candidate = gens[subset[0]]
@@ -423,6 +429,12 @@ def verify_presentation_torsion_bound(
         chosen = list(range(nu))
         annihilating = ideal.minimal_generators()
         nzd = find_nonzerodivisor(ideal)
+        if nzd is None:
+            return cert.mark_inapplicable(
+                "no non-zerodivisor was found within the search bound: sums "
+                f"of at most {NONZERODIVISOR_SUBSET_CAP} minimal generators "
+                "of the presentation ideal"
+            )
     else:
         info = rank_info(module)
         cert.info("generic-ranks", per_prime=list(info.per_prime))
@@ -457,10 +469,9 @@ def verify_presentation_torsion_bound(
         "witness-outside-m-power",
         element_outside_max_ideal_multiple(power, tau.coords),
     )
-    have_nzd = cert.check(
-        "non-zerodivisor-annihilator-found",
-        nzd is not None,
-        witness=ring.format(nzd) if nzd is not None else None,
+    # each case has returned inapplicable unless its search found one
+    cert.check(
+        "non-zerodivisor-annihilator-found", True, witness=ring.format(nzd)
     )
 
     other_min = other.minimal()
@@ -471,12 +482,11 @@ def verify_presentation_torsion_bound(
         "tensor-witness-nonzero",
         element_outside_max_ideal_multiple(product, witness_coords),
     )
-    if have_nzd:
-        cert.check(
-            "tensor-witness-killed-by-non-zerodivisor",
-            product.element_is_zero(witness_coords.scaled(nzd)),
-            witness=ring.format(nzd),
-        )
+    cert.check(
+        "tensor-witness-killed-by-non-zerodivisor",
+        product.element_is_zero(witness_coords.scaled(nzd)),
+        witness=ring.format(nzd),
+    )
     split = torsion_split(product)
     cert.check(
         "torsion-nonzero-direct",

@@ -6,6 +6,7 @@ removed, differs from the report pinned when the benchmark was added
 panel and the seed-0 certify script through the CLI and apply the same
 check, with the benchmark's own code read from ``perfbench/`` unchanged,
 so a change that alters a certificate fails the test suite too.  The
+seed-0 certify script's standard output is pinned by a digest as well.  The
 thm2.8 certificate at d = 4, a larger input to the torsion split than
 either workload, is checked the same way against a digest of its own.
 """
@@ -42,10 +43,10 @@ def bench():
     return module
 
 
-def run_cli(bench, tmp_path, args):
+def cli(tmp_path, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("TORSIONLAB_CACHE", None)
-    completed = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "torsionlab.cli", *args],
         cwd=tmp_path,
         env=env,
@@ -53,6 +54,10 @@ def run_cli(bench, tmp_path, args):
         text=True,
         timeout=300,
     )
+
+
+def run_cli(bench, tmp_path, args):
+    completed = cli(tmp_path, args)
     return bench.Op(0.0, 0.0, completed.returncode, completed.stderr)
 
 
@@ -82,6 +87,21 @@ def test_the_seed_0_certify_report_matches_the_pinned_digest(bench, tmp_path):
         ["run", str(script), "--cache", str(cache_dir), "--json", str(json_path)],
     )
     check(bench, op, json_path, "certify-cold", 0)
+
+
+# The CLI's standard output for the seed-0 certify script: one
+# "[status] summary" line per statement, then a printed value's text when it
+# differs from the summary.  The digest is the SHA-256 of that output.
+CERTIFY_STDOUT_DIGEST = "bbe2437afb1109863a22f60eddb8fa077ea6415707a96a792a926d2a3f62ddeb"
+
+
+def test_the_seed_0_certify_stdout_matches_its_pinned_digest(bench, tmp_path):
+    script = tmp_path / "certify.tl"
+    script.write_text(bench.certify.certify_script(0), encoding="utf-8")
+    completed = cli(tmp_path, ["run", str(script)])
+    assert completed.returncode == 0, completed.stderr
+    digest = hashlib.sha256(completed.stdout.encode("utf-8")).hexdigest()
+    assert digest == CERTIFY_STDOUT_DIGEST, completed.stdout
 
 
 # thm2.8 at d = 4: one torsion split per power of the Koszul module on

@@ -155,6 +155,44 @@ class TestExecution:
         assert statuses[3] == "ok"
         assert report.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "kind, statement, error",
+        [
+            ("ring", "ring R = QQ[x] / (y);", "InputError: 'y' is not a variable of QQ[x]"),
+            (
+                "module",
+                "module M = coker [[x^100]] over Q;",
+                "ResourceLimitError: term degree 100 exceeds the degree cap 64 in "
+                "the polynomial power (2 variables, rank 1, generators: 1)",
+            ),
+            (
+                "let",
+                "let a = 2^5000;",
+                "ResourceLimitError: an integer exceeds the bound of 4096 bits",
+            ),
+            ("verify", "verify thm2.10 K K case=3;", "InputError: case must be 1 or 2"),
+            ("probe", "probe nosuch Q;", "InputError: unknown probe 'nosuch'"),
+            ("print", "print nu(Z);", "InputError: undefined identifier 'Z'"),
+            ("assert", "assert 1;", "InputError: assert needs a boolean expression"),
+        ],
+    )
+    def test_each_statement_kind_records_its_error_and_the_next_runs(
+        self, kind, statement, error
+    ):
+        source = (
+            "ring Q = QQ[x,y];\n"
+            "module K = coker [[x],[y]] over Q;\n"
+            f"{statement}\n"
+            "print 7;\n"
+        )
+        report = run_source(source)
+        failed, after = report.results[2:]
+        assert (failed.kind, failed.status) == (kind, "error")
+        assert failed.summary == failed.error == error
+        assert (after.status, after.summary, after.output) == ("ok", "7", "7")
+        assert report.certificates == []
+        assert report.exit_code == 3
+
     def test_inapplicable_exit_code(self, tmp_path):
         source = (
             NODE_HEADER

@@ -51,6 +51,17 @@ def test_context_variables_only_in_limits():
     assert offending(is_context_var_call, skip=("limits.py",)) == []
 
 
+def builds_statement_result(node) -> bool:
+    return isinstance(node, ast.Call) and simple_name(node.func) == "StatementResult"
+
+
+def test_one_site_builds_every_statement_result():
+    # each statement kind hands its status and summary to the one loop of
+    # engine._execute, so an error is recorded the same way for every kind
+    sites = offending(builds_statement_result)
+    assert [site.split(":")[0] for site in sites] == ["engine.py"], sites
+
+
 TESTS = Path(__file__).resolve().parent
 
 

@@ -410,6 +410,26 @@ class TestTheorem210:
         assert not cert.applicable
         assert "zerodivisor" in cert.inapplicable_reason
 
+    def test_case1_inapplicable_when_the_search_finds_no_nonzerodivisor(self):
+        # (x, y) holds the non-zerodivisor x^2 + xy + y^2, but x, y and x + y
+        # each lie in a declared minimal prime: a search that stops short is
+        # no failure of the theorem
+        report = run_source(
+            "ring R = GF(2)[x,y] / (x^2*y + x*y^2)"
+            " with minimal_primes [(x),(y),(x + y)] reduced;\n"
+            "module M = coker [[x, y]] over R;\n"
+            "module N = coker [[x]] over R;\n"
+            "verify thm2.10 M N case=1;\n"
+        )
+        assert report.results[-1].status == "inapplicable"
+        (cert,) = report.certificates
+        assert cert.inapplicable_reason == (
+            "no non-zerodivisor was found within the search bound: sums of at "
+            f"most {torsion.NONZERODIVISOR_SUBSET_CAP} minimal generators of "
+            "the presentation ideal"
+        )
+        assert report.exit_code == 2
+
     def test_free_module_inapplicable(self, QQxy):
         cert = verify_presentation_torsion_bound(
             FPModule.free(QQxy, 1), FPModule.free(QQxy, 1), 1
