@@ -38,6 +38,17 @@ class Certificate:
     applicable: bool = True
     inapplicable_reason: Optional[str] = None
 
+    @classmethod
+    def over(cls, claim: str, ring, *trusted: str, **context) -> "Certificate":
+        """A certificate for ``claim`` on an instance over ``ring``: its
+        context names the ring, then ``context``, and it trusts the ring's
+        warnings and ``trusted``."""
+        return cls(
+            claim,
+            context={"ring": ring.descriptor(), **context},
+            trusted_assumptions=[*ring.warnings, *trusted],
+        )
+
     def check(self, name: str, passed: bool, **witnesses) -> bool:
         self.subclaims.append(SubClaim(name, bool(passed), dict(witnesses)))
         return bool(passed)

@@ -49,10 +49,6 @@ class FieldSpec:
             )
 
     @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime-field"
-
-    @property
     def zero(self) -> Coefficient:
         return Fraction(0) if self.characteristic == 0 else 0
 

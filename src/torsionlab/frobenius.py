@@ -32,7 +32,7 @@ from .modules import (
     tensor,
 )
 from .poly import FreeElement, Polynomial, lifted_ideal, polynomial_to_element
-from .rings import RingContext, make_ring
+from .rings import RingContext
 from .torsion import residue_field_module, torsion_split
 
 
@@ -96,17 +96,11 @@ def tor_frobenius(module: FPModule, e: int, i: int) -> FPModule:
 
 def restricted_ring(ring: RingContext, e: int) -> RingContext:
     """The target copy of R for the e-th restriction: same presentation,
-    q-dilated grading (a degree-t element becomes degree q*t)."""
+    q-dilated grading (a degree-t element becomes degree q*t).  A form
+    homogeneous for the grading is homogeneous for its q-dilation, so the
+    copy shares R's Groebner data."""
     q = FrobeniusPower(ring.field.characteristic, e).q
-    return make_ring(
-        ring.field,
-        ring.variables,
-        ideal=list(ring.ideal_generators),
-        grading=tuple(q * w for w in ring.grading),
-        minimal_primes=[list(p) for p in ring.minimal_primes],
-        reduced=ring.reduced,
-        complete_intersection=ring.complete_intersection,
-    )
+    return ring.regraded(tuple(q * w for w in ring.grading))
 
 
 def restrict_scalars(module: FPModule, e: int) -> FPModule:
@@ -243,15 +237,7 @@ def verify_frobenius_torsion_equivalence(module: FPModule, e: int) -> Certificat
     over a reduced complete intersection, computed independently
     (claim id thm3.5), plus the sampled Tor-vanishing consequence."""
     ring = module.ring
-    cert = Certificate(
-        claim="thm3.5",
-        context={
-            "ring": ring.descriptor(),
-            "module": module.descriptor(),
-            "e": e,
-        },
-        trusted_assumptions=list(ring.warnings),
-    )
+    cert = Certificate.over("thm3.5", ring, module=module.descriptor(), e=e)
     if ring.field.characteristic == 0:
         return cert.mark_inapplicable("the ring has characteristic zero")
     if not ring.complete_intersection:
@@ -308,15 +294,8 @@ def verify_regularity_probe(
 ) -> Certificate:
     """Torsion-freeness of the twisted restriction against two independent
     regularity decisions (claim id cor3.7)."""
-    cert = Certificate(
-        claim="cor3.7",
-        context={
-            "ring": ring.descriptor(),
-            "module": module.descriptor(),
-            "e": e,
-            "e_prime": e_prime,
-        },
-        trusted_assumptions=list(ring.warnings),
+    cert = Certificate.over(
+        "cor3.7", ring, module=module.descriptor(), e=e, e_prime=e_prime
     )
     if ring.field.characteristic == 0:
         return cert.mark_inapplicable("the ring has characteristic zero")
@@ -374,15 +353,12 @@ def verify_integral_closure_carrier(
     The closure must come with its module structure, a unit, and structure
     constants; the tool verifies it is torsion-free and contains a copy of
     the ring, then certifies the implication on this instance."""
-    cert = Certificate(
-        claim="thm3.2",
-        context={
-            "ring": ring.descriptor(),
-            "closure": closure.module.descriptor(),
-            "module": module.descriptor(),
-        },
-        trusted_assumptions=list(ring.warnings)
-        + ["the supplied module is trusted to be the integral closure"],
+    cert = Certificate.over(
+        "thm3.2",
+        ring,
+        "the supplied module is trusted to be the integral closure",
+        closure=closure.module.descriptor(),
+        module=module.descriptor(),
     )
     if closure.products is None:
         return cert.mark_inapplicable(

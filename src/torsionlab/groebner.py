@@ -445,9 +445,10 @@ class Completion(_Divisors):
     monomial of degree <= D lies in the initial module exactly when a lead
     divides it.  The generators and pairs above D wait for a later call;
     ``complete()`` takes in every waiting generator.  A generator added
-    without a degree is taken in by the next ``complete``, whatever its
-    bound.  A call that raises may have dropped the pair it was reducing,
-    so the state must then be discarded.
+    without a degree makes the state ungraded: truncating inhomogeneous
+    generators is unsound, so from then on every ``complete`` ignores its
+    bound and runs to the end.  A call that raises may have dropped the
+    pair it was reducing, so the state must then be discarded.
     """
 
     def __init__(
@@ -465,6 +466,7 @@ class Completion(_Divisors):
             tuple(position_degrees) if position_degrees is not None else None
         )
         self.ngens = 0
+        self.graded = True
         self._fit(current().degree_cap)
         # (degree, insertion index, terms) of the generators not taken in;
         # a generator without a degree sorts first
@@ -491,8 +493,9 @@ class Completion(_Divisors):
         self._append(lt, terms.pop(lt), terms)
 
     def add(self, terms: TermDict, degree: Optional[int] = None) -> None:
-        """Record a nonzero generator of degree ``degree``; it waits for a
-        ``complete`` that takes it in."""
+        """Record a nonzero generator of degree ``degree``, None for an
+        inhomogeneous one; it waits for a ``complete`` that takes it in."""
+        self.graded = self.graded and degree is not None
         key = -math.inf if degree is None else degree
         heapq.heappush(self.waiting, (key, self.ngens, terms))
         self.ngens += 1
@@ -504,9 +507,11 @@ class Completion(_Divisors):
 
     def complete(self, up_to: Optional[int] = None) -> None:
         """Take in the waiting generators of degree <= ``up_to`` (all of
-        them without it), then reduce queued S-pairs, adding each nonzero
-        remainder, until the queue is empty or, with ``up_to``, until every
-        pair left has a key above it."""
+        them without it, or once the state is ungraded), then reduce queued
+        S-pairs, adding each nonzero remainder, until the queue is empty
+        or, with ``up_to``, until every pair left has a key above it."""
+        if not self.graded:
+            up_to = None
         waiting = self.waiting
         if waiting:
             cap = current().degree_cap

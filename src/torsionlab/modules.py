@@ -766,17 +766,15 @@ def annihilator(module: FPModule, element: Optional[ModuleElement] = None) -> Id
     return Ideal(ring, Ideal(ring, gens).minimal_generators())
 
 
-def presentation_ideal(module: FPModule) -> Tuple[Ideal, bool]:
-    """The ideal of entries of a minimal relation matrix, and whether it
-    contains a non-zerodivisor (tested against the declared minimal primes)."""
+def presentation_ideal(module: FPModule) -> Ideal:
+    """The ideal of entries of a minimal relation matrix."""
     relations = module.minimal().relations
     if not relations:
         raise DegenerateError(
             "the presentation ideal is only defined for non-free modules"
         )
     entries = [c for col in relations for c in col.nonzero_components().values()]
-    ideal = Ideal(module.ring, Ideal(module.ring, entries).minimal_generators())
-    return ideal, ideal.contains_nonzerodivisor()
+    return Ideal(module.ring, Ideal(module.ring, entries).minimal_generators())
 
 
 @dataclass
@@ -795,12 +793,10 @@ def rank_info(module: FPModule) -> RankInfo:
     ring = module.ring
     if not ring.reduced:
         raise UnsupportedError("rank needs a declared-reduced ring")
-    primes = ring.effective_minimal_primes()
+    primes = ring.prime_bases()
     mm = module.minimal()
     k = mm.ngens
-    ranks = [
-        k - ring.rank_at_prime(mm.relations, k, pi) for pi in range(len(primes))
-    ]
+    ranks = [k - ring.rank_at_prime(mm.relations, k, prime) for prime in primes]
     has_rank = len(set(ranks)) == 1
     return RankInfo(tuple(ranks), has_rank, ranks[0] if has_rank else None)
 

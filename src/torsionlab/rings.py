@@ -3,8 +3,9 @@
 A ``RingContext`` is immutable and freely shareable.  The defining ideal
 must be homogeneous for the declared grading.  The irrelevant maximal
 ideal (x_1, ..., x_n) plays the role of the maximal ideal in every local
-statement; minimal primes are user-declared and only their containment of
-I is verified, which the context records as a trust warning.
+statement; minimal primes are user-declared, the context holds their
+Groebner bases, and only their containment of I is verified, which the
+context records as a trust warning.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ class RingContext:
         variables: Sequence[str],
         ideal_generators: Sequence[Polynomial],
         grading: Sequence[int],
-        minimal_primes: Sequence[Sequence[Polynomial]],
         reduced: bool,
         complete_intersection: bool,
         warnings: Sequence[str],
@@ -52,9 +52,6 @@ class RingContext:
         self.nvars = len(self.variables)
         self.grading: Tuple[int, ...] = tuple(grading)
         self.ideal_generators: Tuple[Polynomial, ...] = tuple(ideal_generators)
-        self.minimal_primes: Tuple[Tuple[Polynomial, ...], ...] = tuple(
-            tuple(p) for p in minimal_primes
-        )
         self.reduced = reduced
         self.complete_intersection = complete_intersection
         self.warnings: Tuple[str, ...] = tuple(warnings)
@@ -106,9 +103,6 @@ class RingContext:
                 terms[(pos, mono)] = c
         return FreeElement(self.field, self.nvars, vec.rank, terms, _normalized=True)
 
-    def is_zero_in_ring(self, f: Polynomial) -> bool:
-        return self.normal_form_poly(f).is_zero()
-
     def is_in_maximal_ideal(self, f: Polynomial) -> bool:
         r = self.normal_form_poly(f)
         return not r.constant_value()
@@ -156,11 +150,10 @@ class RingContext:
         canonical and never reach the cache.
 
         The completion is keyed by ``position_degrees``, and each
-        generator joins it with its degree for them.  While <modulo> and
-        the kept vectors are homogeneous, it is taken only up to the top
-        degree of the vector tested, which decides its membership (see
-        ``Completion``), so generators of a higher degree wait; after
-        that, to the end.
+        generator joins it with its degree for them.  It is taken up to the
+        top degree of the vector tested, which decides its membership, so
+        generators of a higher degree wait; once an inhomogeneous generator
+        has joined, ``Completion`` takes it to the end.
         """
         candidates = sorted((v for v in vectors if not v.is_zero()), key=key)
         base = [g for g in modulo if not g.is_zero()]
@@ -177,26 +170,19 @@ class RingContext:
         def degree_of(vec: FreeElement) -> Optional[int]:
             return vec.homogeneous_degree(self.grading, position_degrees)
 
-        graded = True
         for g in (*base, *self.ideal_block(rank)):
-            degree = degree_of(g)
-            graded = graded and degree is not None
-            state.add(g.terms, degree)
+            state.add(g.terms, degree_of(g))
         picked: List[FreeElement] = []
         kept: TermDict = {}
         kept_degree: Optional[int] = None
         for vec in candidates:
             if kept:
                 state.add(kept, kept_degree)
-            if graded:
-                state.complete(up_to=vec.degree(self.grading, position_degrees))
-            else:
-                state.complete()
+            state.complete(up_to=vec.degree(self.grading, position_degrees))
             kept = state.reduce(vec.terms)
             if kept:
                 picked.append(vec)
                 kept_degree = degree_of(vec)
-                graded = graded and kept_degree is not None
         return picked
 
     def syzygies(
@@ -225,34 +211,25 @@ class RingContext:
 
     # -- declared minimal primes -----------------------------------------
 
-    def effective_minimal_primes(self) -> Tuple[Tuple[Polynomial, ...], ...]:
-        """Declared primes; a polynomial ring defaults to the zero ideal."""
-        if self.minimal_primes:
-            return self.minimal_primes
-        if not self.ideal_generators:
-            return ((),)
-        raise UnsupportedError(
-            "this operation needs declared minimal primes on a proper quotient"
-        )
-
-    def prime_basis(self, index: int) -> GroebnerBasis:
-        """Groebner basis of the effective minimal prime ``index``, built
-        once by ``make_ring``."""
-        return self._prime_bases[index]
-
-    def in_prime(self, f: Polynomial, index: int) -> bool:
-        """Does f lie in the declared minimal prime ``index``?
+    def prime_bases(self) -> Tuple[GroebnerBasis, ...]:
+        """Groebner bases of the declared minimal primes, built once by
+        ``make_ring``; a polynomial ring defaults to the zero ideal.
 
         ``make_ring`` checks that every declared prime contains the defining
-        ideal, so f needs no reduction modulo the ideal first.
+        ideal, so an element needs no reduction modulo the ideal before a
+        membership test.
         """
-        return self.prime_basis(index).contains(polynomial_to_element(f))
+        if not self._prime_bases:
+            raise UnsupportedError(
+                "this operation needs declared minimal primes on a proper quotient"
+            )
+        return self._prime_bases
 
     def rank_at_prime(
-        self, columns: Sequence[FreeElement], rank: int, index: int
+        self, columns: Sequence[FreeElement], rank: int, prime: GroebnerBasis
     ) -> int:
         """Rank over Frac(R/p) of the matrix with these columns in R^rank,
-        for the declared minimal prime p with index ``index``.
+        for the declared minimal prime p with Groebner basis ``prime``.
 
         One position-over-term completion of <columns> + p*R^rank over k[x]
         (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
@@ -267,7 +244,6 @@ class RingContext:
         for col in columns:
             if col.field != self.field or col.nvars != self.nvars or col.rank != rank:
                 raise DimensionError("column does not match the ambient module")
-        prime = self.prime_basis(index)
         state = Completion(self.field, self.nvars, rank, "rank-at-prime completion")
         prime_polys = [element_to_polynomial(g) for g in prime]
         for vec in (*columns, *lifted_ideal(prime_polys, rank)):
@@ -290,10 +266,8 @@ class RingContext:
         r = self.normal_form_poly(f)
         if r.is_zero():
             return False
-        return all(
-            not self.in_prime(r, i)
-            for i in range(len(self.effective_minimal_primes()))
-        )
+        element = polynomial_to_element(r)
+        return not any(prime.contains(element) for prime in self.prime_bases())
 
     # -- invariants -------------------------------------------------------
 
@@ -312,11 +286,28 @@ class RingContext:
             self.grading,
             tuple(self.format(g) for g in self.ideal_basis_polys()),
             tuple(
-                tuple(sorted(self.format(g) for g in prime))
-                for prime in self.minimal_primes
+                tuple(self.format(element_to_polynomial(g)) for g in prime)
+                for prime in self._prime_bases
             ),
             self.reduced,
             self.complete_intersection,
+        )
+
+    def regraded(self, grading: Sequence[int]) -> "RingContext":
+        """This ring with another positive grading for which its defining
+        ideal is homogeneous.  It shares the Groebner bases of the ideal and
+        of the primes, which degrevlex computes without the grading, and
+        the flags and warnings, which do not depend on it."""
+        return RingContext(
+            field=self.field,
+            variables=self.variables,
+            ideal_generators=self.ideal_generators,
+            grading=grading,
+            reduced=self.reduced,
+            complete_intersection=self.complete_intersection,
+            warnings=self.warnings,
+            ideal_basis=self.ideal_basis,
+            prime_bases=self._prime_bases,
         )
 
     def ideal_basis_polys(self) -> List[Polynomial]:
@@ -387,7 +378,6 @@ def make_ring(
         ideal_basis = empty_basis(field, nvars, 1)
 
     warnings: List[str] = []
-    primes: List[Tuple[Polynomial, ...]] = []
     prime_bases: List[GroebnerBasis] = []
     for prime in minimal_primes:
         checked: List[Polynomial] = []
@@ -412,9 +402,8 @@ def make_ring(
             )
         else:
             prime_gb = empty_basis(field, nvars, 1)
-        primes.append(tuple(checked))
         prime_bases.append(prime_gb)
-    if primes:
+    if prime_bases:
         warnings.append(
             "minimal primes are declared: primality and completeness of the "
             "list are trusted, containment of the ideal was verified"
@@ -424,8 +413,8 @@ def make_ring(
         # intersection: both flags hold without trust
         reduced = True
         complete_intersection = True
-        if not primes:
-            # its effective minimal prime is the zero ideal
+        if not prime_bases:
+            # its minimal prime is the zero ideal
             prime_bases.append(empty_basis(field, nvars, 1))
     elif reduced:
         warnings.append("reduced flag is declared and trusted, not verified")
@@ -435,7 +424,6 @@ def make_ring(
         variables=names,
         ideal_generators=tuple(gens),
         grading=weights,
-        minimal_primes=tuple(primes),
         reduced=reduced,
         complete_intersection=complete_intersection,
         warnings=tuple(warnings),
@@ -489,9 +477,6 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def is_whole_ring(self) -> bool:
-        return self.contains(self.ring.one())
-
     def minimal_generators(self) -> List[Polynomial]:
         """Greedy homogeneous minimal generating set (graded Nakayama)."""
         ring = self.ring
@@ -510,11 +495,11 @@ class Ideal:
             raise UnsupportedError(
                 "non-zerodivisor detection needs a declared-reduced ring"
             )
-        primes = self.ring.effective_minimal_primes()
-        for i in range(len(primes)):
-            if all(self.ring.in_prime(g, i) for g in self.generators):
-                return False
-        return True
+        elements = [polynomial_to_element(g) for g in self.generators]
+        return not any(
+            all(prime.contains(g) for g in elements)
+            for prime in self.ring.prime_bases()
+        )
 
     def descriptor(self) -> str:
         if not self.generators:

@@ -55,10 +55,6 @@ class TorsionSplit:
     def is_torsion_free(self) -> bool:
         return self.torsion.is_zero()
 
-    @property
-    def is_torsion(self) -> bool:
-        return self.torsion_free_part.is_zero()
-
 
 def torsion_split(module: FPModule) -> TorsionSplit:
     """Split off the torsion submodule of M over a declared-reduced ring.
@@ -217,14 +213,11 @@ def check_relation_annihilates(
         relation = piece if relation is None else relation + piece
     if not module.element_is_zero(relation):
         raise InputError("the claimed relation does not hold in the module")
-    cert = Certificate(
-        claim="prop2.2",
-        context={
-            "ring": ring.descriptor(),
-            "module": module.descriptor(),
-            "coefficients": [ring.format(r) for r in coefficients],
-        },
-        trusted_assumptions=list(ring.warnings),
+    cert = Certificate.over(
+        "prop2.2",
+        ring,
+        module=module.descriptor(),
+        coefficients=[ring.format(r) for r in coefficients],
     )
     tau = alternating_tensor(module, elements)
     power = tau.module
@@ -261,14 +254,8 @@ def verify_koszul_tensor_powers(
     seq = [ring.normal_form_poly(r) for r in sequence]
     module = koszul_syzygy_module(ring, seq)  # raises on non-regular input
     d = len(seq)
-    cert = Certificate(
-        claim="thm2.8",
-        context={
-            "ring": ring.descriptor(),
-            "sequence": [ring.format(r) for r in seq],
-            "d": d,
-        },
-        trusted_assumptions=list(ring.warnings),
+    cert = Certificate.over(
+        "thm2.8", ring, sequence=[ring.format(r) for r in seq], d=d
     )
     for n in range(1, d):
         split = torsion_split(tensor_power(module, n))
@@ -402,14 +389,11 @@ def verify_presentation_torsion_bound(
     ring = module.ring
     if case not in (1, 2):
         raise InputError("case must be 1 or 2")
-    cert = Certificate(
-        claim=f"thm2.10-case{case}",
-        context={
-            "ring": ring.descriptor(),
-            "module": module.descriptor(),
-            "other": other.descriptor(),
-        },
-        trusted_assumptions=list(ring.warnings),
+    cert = Certificate.over(
+        f"thm2.10-case{case}",
+        ring,
+        module=module.descriptor(),
+        other=other.descriptor(),
     )
     if module.is_free():
         return cert.mark_inapplicable("the module is free")
@@ -419,9 +403,9 @@ def verify_presentation_torsion_bound(
     minimal = module.minimal()
     nu = minimal.ngens
     if case == 1:
-        ideal, has_nzd = presentation_ideal(module)
+        ideal = presentation_ideal(module)
         cert.info("presentation-ideal", ideal=ideal.descriptor())
-        if not has_nzd:
+        if not ideal.contains_nonzerodivisor():
             return cert.mark_inapplicable(
                 "the presentation ideal consists of zerodivisors"
             )
@@ -506,9 +490,8 @@ def _matrix_spans_generically(
     nu = minimal.ngens
     columns = list(minimal.relations)
     columns.extend(FreeElement.unit(ring.field, ring.nvars, nu, s) for s in subset)
-    primes = ring.effective_minimal_primes()
     return all(
-        ring.rank_at_prime(columns, nu, pi) == nu for pi in range(len(primes))
+        ring.rank_at_prime(columns, nu, prime) == nu for prime in ring.prime_bases()
     )
 
 
@@ -558,10 +541,8 @@ def verify_maximal_ideal_carrier(module: FPModule) -> Certificate:
     and tensoring a non-free M with the maximal ideal creates torsion
     (claim id carrier-maximal-ideal)."""
     ring = module.ring
-    cert = Certificate(
-        claim="carrier-maximal-ideal",
-        context={"ring": ring.descriptor(), "module": module.descriptor()},
-        trusted_assumptions=list(ring.warnings),
+    cert = Certificate.over(
+        "carrier-maximal-ideal", ring, module=module.descriptor()
     )
     if ring.depth() < 1:
         return cert.mark_inapplicable("the ring has depth zero")
@@ -607,8 +588,7 @@ def explore_torsion_onset(
 ) -> dict:
     """Exploratory report: for random non-free modules, the least tensor
     power with nonzero torsion, or none up to the cap.  Asserts nothing."""
-    primes = ring.effective_minimal_primes()
-    if not ring.reduced or len(primes) != 1:
+    if len(ring.prime_bases()) != 1 or not ring.reduced:
         raise InputError(
             "the exploration needs a declared domain (reduced, one minimal prime)"
         )

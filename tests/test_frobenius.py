@@ -17,6 +17,7 @@ from torsionlab.frobenius import (
     _powered_column,
     frobenius_functor,
     restrict_scalars,
+    restricted_ring,
     ring_is_regular_linear_forms,
     tor_frobenius,
     universal_pushforward,
@@ -240,6 +241,16 @@ class TestRestrictScalars:
     def test_dilated_grading(self, node2):
         result = restrict_scalars(FPModule.free(node2, 1), 1)
         assert result.ring.grading == (2, 2)
+
+    @pytest.mark.parametrize("ring_name", sorted(RESTRICTION_RINGS))
+    def test_the_target_ring_shares_the_groebner_data(self, ring_name):
+        ring = RESTRICTION_RINGS[ring_name]()
+        target = restricted_ring(ring, 1)
+        q = ring.field.characteristic
+        assert target.grading == tuple(q * w for w in ring.grading)
+        assert target.ideal_basis is ring.ideal_basis
+        assert list(map(id, target.prime_bases())) == list(map(id, ring.prime_bases()))
+        assert target.warnings == ring.warnings
 
     def test_hilbert_series_identity(self, node2):
         # dimension in each degree equals that of the source module: the

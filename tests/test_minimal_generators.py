@@ -13,6 +13,7 @@ from torsionlab import cache
 from torsionlab.engine import run_source
 from torsionlab.errors import AbortedError, InputError, ResourceLimitError
 from torsionlab.fields import GF, QQ
+from torsionlab.groebner import Completion
 from torsionlab.limits import run_scope
 from torsionlab.modules import (
     FPModule,
@@ -141,6 +142,10 @@ def from_scratch_greedy(ring, vectors, rank, key, modulo):
     return picked
 
 
+def vector_pair(ring, first, second):
+    return FreeElement.from_components([ring.poly(first), ring.poly(second)])
+
+
 class TestIncrementalCompletion:
     @pytest.mark.parametrize("ring_name", sorted(RINGS))
     @given(data=st.data())
@@ -178,16 +183,26 @@ class TestIncrementalCompletion:
         # (0, 0); y^2 e2 lies in the span only through the S-polynomial
         # y * (x^2 e1 + y e2) - x * (x*y e1), whose key for (0, 0) is 3,
         # above the degree 2 of y^2 e2
-        def vec(first, second):
-            return FreeElement.from_components([QQxy.poly(first), QQxy.poly(second)])
-
-        mixed, y2, xy = vec("x^2", "y"), vec("0", "y^2"), vec("x*y", "0")
+        mixed, y2, xy = (
+            vector_pair(QQxy, *texts)
+            for texts in (("x^2", "y"), ("0", "y^2"), ("x*y", "0"))
+        )
         mixed_first = lambda v: v != mixed  # noqa: E731
         for degrees in ((0, 1), (0, 0)):
             # in <modulo>, and as a kept vector tried first
             assert QQxy.minimal_subset([y2], 2, degrees, mixed_first, [xy, mixed]) == []
             kept = QQxy.minimal_subset([y2, mixed], 2, degrees, mixed_first, [xy])
             assert kept == [mixed]
+
+    def test_an_ungraded_completion_ignores_its_bound(self, QQxy):
+        # the same S-polynomial, with the generators added to the
+        # completion itself: x^2 e1 + y e2 has no degree, so the pair keyed
+        # 3 is reduced although the bound is 2
+        state = Completion(QQ, 2, 2, "completion test")
+        state.add(vector_pair(QQxy, "x*y", "0").terms, 2)
+        state.add(vector_pair(QQxy, "x^2", "y").terms)
+        state.complete(up_to=2)
+        assert state.reduce(vector_pair(QQxy, "0", "y^2").terms) == {}
 
     def capped(self, ring, texts):
         vectors = [polynomial_to_element(ring.poly(t)) for t in texts]
@@ -279,9 +294,10 @@ def presentations(draw, ring):
     return FPModule(ring, columns, ngens, (0,) * ngens)
 
 
-def minor_rank(ring, columns, rank, index):
+def minor_rank(ring, columns, rank, prime):
     """The largest k with a k x k minor of the matrix nonzero modulo the
-    prime ``index``, by Laplace expansion over every row and column subset."""
+    prime with Groebner basis ``prime``, by Laplace expansion over every
+    row and column subset."""
 
     def det(matrix):
         if len(matrix) == 1:
@@ -297,7 +313,7 @@ def minor_rank(ring, columns, rank, index):
         for r in combinations(range(rank), size):
             for c in combinations(range(len(columns)), size):
                 minor = [[rows[i][j] for j in c] for i in r]
-                if not ring.in_prime(det(minor), index):
+                if not prime.contains(polynomial_to_element(det(minor))):
                     return size
     return 0
 
@@ -315,7 +331,7 @@ class TestRankAtPrime:
         module = data.draw(presentations(ring), label="module")
         minimal = module.minimal()
         nu = minimal.ngens
-        primes = range(len(ring.effective_minimal_primes()))
+        primes = ring.prime_bases()
         relations = list(minimal.relations)
         expected = tuple(nu - minor_rank(ring, relations, nu, p) for p in primes)
         assert rank_info(module).per_prime == expected

@@ -42,10 +42,6 @@ def f5_polys():
 
 
 class TestFieldSpec:
-    def test_kind_matches_characteristic(self):
-        assert QQ.kind == "rationals"
-        assert GF(7).kind == "prime-field"
-
     def test_composite_characteristic_rejected(self):
         with pytest.raises(InputError):
             FieldSpec(6)

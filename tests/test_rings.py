@@ -22,10 +22,10 @@ class TestMakeRing:
 
     def test_node_example(self, node5):
         # GF(5)[x,y]/(xy) with branches (x) and (y): the graded node
-        assert len(node5.minimal_primes) == 2
+        assert len(node5.prime_bases()) == 2
         assert node5.reduced and node5.complete_intersection
-        assert node5.is_zero_in_ring(node5.poly("x*y"))
-        assert not node5.is_zero_in_ring(node5.poly("x^2"))
+        assert node5.normal_form_poly(node5.poly("x*y")).is_zero()
+        assert not node5.normal_form_poly(node5.poly("x^2")).is_zero()
 
     def test_inhomogeneous_ideal_rejected(self):
         from torsionlab.syntax import parse_polynomial
@@ -78,6 +78,34 @@ class TestMakeRing:
         assert [g.terms for g in other.ideal_basis] == [
             g.terms for g in node5.ideal_basis
         ]
+
+    def test_a_prime_is_compared_by_its_reduced_basis(self):
+        from torsionlab.syntax import parse_polynomial
+
+        # (x, y) and (x + y, y) are one prime of GF(5)[x,y,z]/(xz, yz)
+        names = ("x", "y", "z")
+
+        def ring(*primes):
+            def poly(text):
+                return parse_polynomial(text, names, GF(5))
+
+            return make_ring(
+                GF(5),
+                names,
+                ideal=[poly("x*z"), poly("y*z")],
+                minimal_primes=[[poly(t) for t in prime] for prime in primes],
+                reduced=True,
+            )
+
+        assert ring(["z"], ["x", "y"]) == ring(["z"], ["x + y", "y"])
+        assert ring(["z"], ["x", "y"]) != ring(["x", "y"], ["z"])
+
+    def test_the_polynomial_ring_declares_the_zero_prime_by_default(self):
+        declared = make_ring(QQ, ("x", "y"), minimal_primes=[[]])
+        default = make_ring(QQ, ("x", "y"))
+        assert declared == default
+        assert default.warnings == ()
+        assert declared.warnings != ()
 
 
 class TestRegularSequences:

@@ -65,18 +65,24 @@ def test_one_site_builds_every_statement_result():
 TESTS = Path(__file__).resolve().parent
 
 
+def name_counts(node) -> Counter:
+    """How often an import, ``ast.Name`` or ``ast.Attribute`` in ``node``
+    refers to each name."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            counts.update(alias.name.split(".")[-1] for alias in child.names)
+    return counts
+
+
 def names_used(statement) -> set:
     """Every name an import, ``ast.Name`` or ``ast.Attribute`` in
     ``statement`` refers to."""
-    used = set()
-    for node in ast.walk(statement):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            used.update(alias.name.split(".")[-1] for alias in node.names)
-    return used
+    return set(name_counts(statement))
 
 
 def test_every_module_level_function_and_class_is_named_elsewhere():
@@ -174,3 +180,24 @@ def test_the_oracle_names_nothing_from_the_engine():
         todo.extend(used & functions.keys())
     assert checked >= set(ORACLE)
     assert found == []
+
+
+def test_every_method_is_named_in_the_package():
+    # a method that only its own body, or only a test, names is code the
+    # certificates never run
+    trees = [
+        (path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    ]
+    uses = sum((name_counts(tree) for _, tree in trees), Counter())
+    unused = [
+        f"{path.relative_to(PACKAGE)}:{node.name}.{method.name}"
+        for path, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and uses[method.name] == name_counts(method)[method.name]
+    ]
+    assert unused == []
