@@ -1,32 +1,33 @@
 """Content-addressed on-disk cache for Groebner computations.
 
-``groebner_basis`` caches the reduced bases it computes (request op
-``"groebner"``), and ``syzygy_generators`` caches the syzygies it reads
-off the completion of a graph (request op ``"syzygies"``, whose generators
-are the graph's): together they cover most expensive computations in the
-engine.  The op is part of the request, so a graph's reduced basis and its
-syzygies are different entries.  The incremental completions behind
-``RingContext.minimal_subset`` are not cached: their intermediate bases are
-not reduced, so not canonical, and a warm rerun recomputes them.  That is
-cheaper than caching a reduced basis of the span per kept vector: on the
-seed-0 certify benchmark script, the 115 calls take about 0.25 s on a warm
-rerun, and looking those bases up instead takes about 0.7 s (2-CPU Xeon).
-The membership completion of an ``FPModule`` (its relations plus I*R^n,
-completed only up to the degree each element test needs) is not cached
-either, for the same reason.  Syzygies modulo a submodule put its vectors
-in the graph's lift, untagged, so a request names only the tagged columns.
-Entries are JSON files named by the SHA-256 of a canonical request payload
-(op, field, ambient module, order, generators, engine version), whose text
-``groebner_request`` builds once per call for the lookup and the store:
-each generator's text is written once by ``element_text``, which gives
-what ``json.dumps`` gives for ``encode_element`` in the canonical form,
-and the same texts sort the generators and make up the payload.
-Writes go through a temp file plus atomic rename under an advisory lock on
-the directory's one ``.lock`` file, so concurrent processes sharing a cache
-directory stay consistent and an interrupted run never leaves a partial
-entry.  ``open_cache`` opens the cache a run asks for; the cache in use is
-the ``cache`` field of the run settings (``limits.run_scope``), so it is
-scoped to the current context like the degree cap.
+``groebner_basis`` (request op ``"groebner"``) and ``syzygy_generators``
+(op ``"syzygies"``, over the generators of a graph) reach the cache by one
+route, ``groebner._reduced_completion``, which looks a request up and
+stores what a miss computes: together they cover most expensive
+computations in the engine.  The op is part of the request, so a graph's
+reduced basis and its syzygies are different entries.  The incremental
+completions behind ``RingContext.minimal_subset`` are not cached: their
+intermediate bases are not reduced, so not canonical, and a warm rerun
+recomputes them.  That is cheaper than caching a reduced basis of the span
+per kept vector: on the seed-0 certify benchmark script, the 115 calls take
+about 0.25 s on a warm rerun, and looking those bases up instead takes
+about 0.7 s (2-CPU Xeon).  The membership completion of an ``FPModule``
+(its relations plus I*R^n, completed only up to the degree each element
+test needs) is not cached either, for the same reason.  Syzygies modulo a
+submodule put its vectors in the graph's lift, untagged, so a request names
+only the tagged columns.  Entries are JSON files named by the SHA-256 of a
+canonical request payload (op, field, ambient module, order, generators,
+engine version), whose text ``groebner_request`` builds once per call for
+the lookup and the store: each generator's text is written once by
+``element_text``, which gives what ``json.dumps`` gives for
+``encode_element`` in the canonical form, and the same texts sort the
+generators and make up the payload.  Writes go through a temp file plus
+atomic rename under an advisory lock on the directory's one ``.lock`` file,
+so concurrent processes sharing a cache directory stay consistent and an
+interrupted run never leaves a partial entry.  ``open_cache`` opens the
+cache a run asks for; the cache in use is the ``cache`` field of the run
+settings (``limits.run_scope``), so it is scoped to the current context
+like the degree cap.
 """
 
 from __future__ import annotations

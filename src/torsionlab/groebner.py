@@ -6,7 +6,12 @@ the generating set).  The engine is deterministic: identical inputs yield
 identical reduced bases, element for element.
 
 Vectors enter and leave as the term dicts of ``FreeElement``; the public
-surface wraps them back into value objects.
+surface wraps them back into value objects.  One routine,
+``_reduced_completion``, leads from generators to a cached reduced basis:
+it looks the request up and, on a miss, completes the generators and
+autoreduces and stores the elements leading in the wanted positions, all
+of them for ``groebner_basis`` and a graph's tag block for
+``syzygy_generators``.
 
 One class, ``_Divisors``, holds every set of divisors the kernel reduces
 by: the elements of a ``GroebnerBasis``, the growing basis of a
@@ -47,11 +52,11 @@ degree with the cap before forming any sum, and only when that passes the
 cap does a slow path walk the tail in dict order to raise the error.  An
 S-polynomial whose products may pass the cap is built in a layout widened
 to hold them, and its first term over the cap, in dict order, raises.  A
-layout holds degrees up to ``top`` >= max(degree cap, input degrees); a
-later call with a higher cap or a higher input degree re-encodes the
-divisor set in a wider layout (``_fit``), because a ``GroebnerBasis``
-outlives a ``run_scope``.  Terms are decoded where they leave the kernel:
-remainders, reduced bases and ``lead_terms``.
+layout holds degrees up to ``top`` >= max(degree cap, input degrees),
+fitted when the divisor set is built; a later call with a higher cap or a
+higher input degree re-encodes the set in a wider layout (``_fit``),
+because a ``GroebnerBasis`` outlives a ``run_scope``.  Terms are decoded
+where they leave the kernel: remainders, reduced bases and ``lead_terms``.
 """
 
 from __future__ import annotations
@@ -194,10 +199,10 @@ class _Divisors:
     of ``tails[i]`` minus the degree of ``leads[i]``: a multiple of the
     element by x^s has no term above deg s + ``rises[i]`` + deg lead."""
 
-    def __init__(self, field: FieldSpec, nvars: int):
+    def __init__(self, field: FieldSpec, layout: _Layout):
         self.field = field
-        self.nvars = nvars
-        self.layout: Optional[_Layout] = None
+        self.nvars = layout.nvars
+        self.layout = layout
         self.leads: List[int] = []
         self.lcs: List[int] = []
         self.tails: List[Packed] = []
@@ -208,24 +213,19 @@ class _Divisors:
         """Make the layout hold degrees up to ``bound``, re-encoding the
         elements when it has to widen."""
         old = self.layout
-        if old is not None and bound <= old.top:
+        if bound <= old.top:
             return
         new = _Layout(self.nvars, bound)
-        if old is not None:
-            decode, encode = old.decode, new.encode
-            self.leads = [encode(decode(t)) for t in self.leads]
-            self.tails = [
-                {encode(decode(t)): c for t, c in tail.items()} for tail in self.tails
-            ]
+        decode, encode = old.decode, new.encode
+        self.leads = [encode(decode(t)) for t in self.leads]
+        self.tails = [
+            {encode(decode(t)): c for t, c in tail.items()} for tail in self.tails
+        ]
         self.layout = new
-
-    def _ready(self, bound: int) -> None:
-        """Bring the elements into a layout that holds degree ``bound``."""
-        self._fit(bound)
 
     def _pack(self, terms: TermDict, cap: int) -> Packed:
         """``terms`` packed, the layout first made to hold them and ``cap``."""
-        self._ready(max(cap, _max_degree(terms)))
+        self._fit(max(cap, _max_degree(terms)))
         return self.layout.pack(terms)
 
     def _rise(self, lead: int, tail: Packed) -> int:
@@ -245,14 +245,13 @@ class _Divisors:
         self.rises.append(self._rise(lead, tail))
 
     def lead_terms(self) -> List[Term]:
-        self._ready(0)
         decode = self.layout.decode
         return [decode(t) for t in self.leads]
 
     def reducer(self, term: Term) -> int:
         """The first element whose lead divides ``term``, or -1 when
         ``term`` lies outside the initial module of the set."""
-        self._ready(sum(term[1]))
+        self._fit(sum(term[1]))
         return self._find(self.layout.encode(term))
 
     def _find(self, t: int) -> int:
@@ -278,10 +277,12 @@ class _Divisors:
         and s is the product of these factors, so the routine never divides.
 
         Each lead comes from a heap of the packed terms kept beside
-        ``work``: a term is pushed when it enters ``work``, and an entry
-        whose term has cancelled since is skipped.  Every term a reduction
-        step adds is smaller than the lead it removes, so terms leave
-        ``work`` largest first and a popped lead never comes back.
+        ``work``: a term is pushed once, when it first enters ``work``.  A
+        term that cancels stays in ``work`` as 0 until it is popped, so a
+        later step that re-creates it finds it there and pushes nothing,
+        and a popped 0 is skipped.  Every term a reduction step adds is
+        smaller than the lead it removes, so terms leave ``work`` largest
+        first and a popped term never comes back.
         ``where`` names the layer and its input shape for a degree-cap
         error.
         """
@@ -301,8 +302,8 @@ class _Divisors:
         scale = 1
         while heap:
             t = heappop(heap)
-            c = work.pop(t, None)
-            if c is None:
+            c = work.pop(t)
+            if not c:
                 continue
             if hook is not None and hook():
                 raise AbortedError("computation cancelled")
@@ -333,11 +334,7 @@ class _Divisors:
                     work[tt] = -c * gc % p if p else -c * gc
                     heappush(heap, tt)
                     continue
-                v = (old - c * gc) % p if p else old - c * gc
-                if v:
-                    work[tt] = v
-                else:
-                    del work[tt]
+                work[tt] = (old - c * gc) % p if p else old - c * gc
         return remainder, scale
 
     def _check_cap(self, t: int, reducer: int, cap: int, where) -> None:
@@ -374,7 +371,8 @@ class GroebnerBasis(_Divisors):
     Elements are monic, pairwise autoreduced, and sorted by descending lead
     term, which makes the object canonical for its submodule.  Over QQ
     reduction runs on one integer copy of each element, d * g with d the
-    lcm of g's denominators.  The divisor set is packed on first use.
+    lcm of g's denominators.  The divisor set is packed when the basis is
+    built, in a layout that holds its elements and the degree cap.
     """
 
     def __init__(
@@ -384,21 +382,15 @@ class GroebnerBasis(_Divisors):
         rank: int,
         elements: Sequence[FreeElement],
     ):
-        super().__init__(field, nvars)
-        self.rank = rank
         self.elements: Tuple[FreeElement, ...] = tuple(elements)
-        self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
-
-    def _ready(self, bound: int) -> None:
-        if self.layout is not None:
-            self._fit(bound)
-            return
         top = max([_max_degree(g.terms) for g in self.elements], default=0)
-        self._fit(max(bound, top, current().degree_cap))
+        super().__init__(field, _Layout(nvars, max(top, current().degree_cap)))
+        self.rank = rank
+        self._where = ("reduction of normal_form", nvars, rank, len(self.elements))
         for g in self.elements:
             terms = self.layout.pack(g.terms)
             lead = min(terms)
-            terms = _normalized(self.field, terms, lead)
+            terms = _normalized(field, terms, lead)
             self._append(lead, terms.pop(lead), terms)
 
     def normal_form(self, f: FreeElement) -> FreeElement:
@@ -459,7 +451,7 @@ class Completion(_Divisors):
         layer: str,
         position_degrees: Optional[Sequence[int]] = None,
     ):
-        super().__init__(field, nvars)
+        super().__init__(field, _Layout(nvars, current().degree_cap))
         self.rank = rank
         self.layer = layer
         self.position_degrees = (
@@ -467,7 +459,6 @@ class Completion(_Divisors):
         )
         self.ngens = 0
         self.graded = True
-        self._fit(current().degree_cap)
         # (degree, insertion index, terms) of the generators not taken in;
         # a generator without a degree sorts first
         self.waiting: List[Tuple[float, int, TermDict]] = []
@@ -619,8 +610,7 @@ def _autoreduce(
     are monic with field coefficients and packed in ``state``'s layout."""
     field = state.field
     leads = state.leads
-    kept = _Divisors(field, state.nvars)
-    kept.layout = state.layout
+    kept = _Divisors(field, state.layout)
     # smallest lead first, so a lead is dropped when a kept lead divides it
     for i in sorted(indices, key=leads.__getitem__, reverse=True):
         if kept._find(leads[i]) < 0:
@@ -647,6 +637,45 @@ def _autoreduce(
     return out[::-1]
 
 
+def _reduced_completion(
+    field: FieldSpec,
+    nvars: int,
+    rank: int,
+    gens: Sequence[FreeElement],
+    op: str,
+    layer: str,
+    first: int,
+) -> List[FreeElement]:
+    """The elements, shifted down to rank ``rank - first``, of the reduced
+    basis of the nonzero vectors ``gens`` in ``k[x]^rank`` that lead in
+    positions >= ``first``: cached under request op ``op``, else computed
+    by ``_buchberger`` (``layer`` names it in a degree-cap error) and
+    ``_autoreduce``.  Under position over term such an element lies wholly
+    in those positions, and only such elements divide its lead or reduce
+    its tail, so autoreducing them alone gives them in the basis's order.
+    """
+    out_rank = rank - first
+    request = cache.groebner_request(field, nvars, rank, gens, op=op)
+    cached = cache.lookup_groebner(request, field, nvars, out_rank)
+    if cached is not None:
+        return cached
+    state = _buchberger(field, nvars, rank, [g.terms for g in gens], layer)
+    layout = state.layout
+    offset = first << layout.pshift
+    kept = [i for i, lt in enumerate(state.leads) if lt >= offset]
+    where = (f"autoreduction of {layer}", nvars, rank, len(gens))
+    decode = layout.decode
+    out = [
+        FreeElement(
+            field, nvars, out_rank, {decode(t - offset): c for t, c in terms.items()},
+            _normalized=True,
+        )
+        for terms in _autoreduce(state, kept, where)
+    ]
+    cache.store_groebner(request, out)
+    return out
+
+
 def groebner_basis(gens: Sequence[FreeElement]) -> GroebnerBasis:
     """The reduced Groebner basis of the submodule generated by ``gens``.
 
@@ -659,20 +688,9 @@ def groebner_basis(gens: Sequence[FreeElement]) -> GroebnerBasis:
     for g in live:
         if g.field != field or g.nvars != nvars or g.rank != rank:
             raise DimensionError("generators live in different modules")
-    request = cache.groebner_request(field, nvars, rank, live)
-    cached = cache.lookup_groebner(request, field, nvars, rank)
-    if cached is not None:
-        return GroebnerBasis(field, nvars, rank, cached)
-    state = _buchberger(
-        field, nvars, rank, [g.terms for g in live], "Groebner completion"
+    elements = _reduced_completion(
+        field, nvars, rank, live, "groebner", "Groebner completion", 0
     )
-    where = ("autoreduction of Groebner completion", nvars, rank, len(live))
-    unpack = state.layout.unpack
-    elements = [
-        FreeElement(field, nvars, rank, unpack(terms), _normalized=True)
-        for terms in _autoreduce(state, range(len(state.leads)), where)
-    ]
-    cache.store_groebner(request, elements)
     return GroebnerBasis(field, nvars, rank, elements)
 
 
@@ -689,13 +707,10 @@ def syzygy_generators(
     With an empty ``lift`` this is the kernel of the map defined by the
     columns.  The lift slot is how quotient rings feed in ``I * e_j``.
     The graph of the map, the augmented vectors ``columns[i] (+) e_i`` and
-    the lift vectors in rank ``rank + s``, is completed under position over
-    term, where the column block comes first.  So an element whose lead
-    lies in the tag block has every term there, and only other such
-    elements can divide its lead or reduce its tail: autoreducing those
-    elements alone gives the tag-only elements of the reduced basis of the
-    graph, in its order.  They are the syzygies, shifted down to rank s,
-    and only they are reduced and cached (request op ``"syzygies"``).
+    the lift vectors in rank ``rank + s``, takes the route of
+    ``groebner_basis``, ``_reduced_completion`` (request op
+    ``"syzygies"``), from the first tag position: the tag-lead elements of
+    its reduced basis, shifted down to rank s, are the syzygies.
     """
     if not columns:
         return []
@@ -713,25 +728,7 @@ def syzygy_generators(
             raise DimensionError("lift vectors live in a different module")
         if not extra.is_zero():
             aug.append(extra.embedded(total))
-    request = cache.groebner_request(field, nvars, total, aug, op="syzygies")
-    cached = cache.lookup_groebner(request, field, nvars, s)
-    if cached is not None:
-        return cached
-    state = _buchberger(field, nvars, total, [g.terms for g in aug], "syzygies")
-    layout = state.layout
-    first_tag = rank << layout.pshift
-    tags = [i for i, lt in enumerate(state.leads) if lt >= first_tag]
-    where = ("autoreduction of syzygies", nvars, total, len(aug))
-    decode = layout.decode
-    out = [
-        FreeElement(
-            field, nvars, s, {decode(t - first_tag): c for t, c in terms.items()},
-            _normalized=True,
-        )
-        for terms in _autoreduce(state, tags, where)
-    ]
-    cache.store_groebner(request, out)
-    return out
+    return _reduced_completion(field, nvars, total, aug, "syzygies", "syzygies", rank)
 
 
 def syzygy_matrix(

@@ -14,6 +14,12 @@ from .modules import FPModule, _monomials_of_weighted_degree
 from .poly import FreeElement, Polynomial
 from .rings import RingContext
 
+# a planted relation's entry degree; the extra relations' is one higher
+PLANTED_DEGREE = 1
+EXTRA_RELATIONS = 1
+# how many draws random_nonfree_module makes before it gives up
+MAX_ATTEMPTS = 20
+
 
 def random_coefficient(ring: RingContext, rng: random.Random, nonzero: bool = False):
     p = ring.field.characteristic
@@ -52,8 +58,6 @@ def random_module_with_planted_relation(
     ring: RingContext,
     rng: random.Random,
     ngens: int = 2,
-    entry_degree: int = 1,
-    extra_relations: int = 1,
 ) -> Tuple[FPModule, List[Polynomial]]:
     """A module whose first relation column is a chosen homogeneous relation.
 
@@ -61,20 +65,18 @@ def random_module_with_planted_relation(
     sum r_i g_i = 0 by construction.
     """
     planted = [
-        random_homogeneous_polynomial(ring, entry_degree, rng) for _ in range(ngens)
+        random_homogeneous_polynomial(ring, PLANTED_DEGREE, rng) for _ in range(ngens)
     ]
     if all(p.is_zero() for p in planted):
         planted[0] = ring.variable(0)
     columns = [FreeElement.from_components(planted, rank=ngens)]
-    for _ in range(extra_relations):
-        entries = []
-        for _ in range(ngens):
-            if rng.random() < 0.6:
-                entries.append(
-                    random_homogeneous_polynomial(ring, entry_degree + 1, rng, nonzero=False)
-                )
-            else:
-                entries.append(ring.zero())
+    for _ in range(EXTRA_RELATIONS):
+        entries = [
+            random_homogeneous_polynomial(ring, PLANTED_DEGREE + 1, rng, nonzero=False)
+            if rng.random() < 0.6
+            else ring.zero()
+            for _ in range(ngens)
+        ]
         col = FreeElement.from_components(entries, rank=ngens)
         if not col.is_zero():
             columns.append(col)
@@ -82,13 +84,9 @@ def random_module_with_planted_relation(
     return module, planted
 
 
-def random_nonfree_module(
-    ring: RingContext,
-    rng: random.Random,
-    max_attempts: int = 20,
-) -> Optional[FPModule]:
+def random_nonfree_module(ring: RingContext, rng: random.Random) -> Optional[FPModule]:
     """A random non-free, nonzero module, or None if the draw keeps failing."""
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         ngens = rng.randint(1, 3)
         ncols = rng.randint(1, 2)
         columns = []

@@ -58,6 +58,7 @@ class RingContext:
         self.ideal_basis = ideal_basis
         self._prime_bases: Tuple[GroebnerBasis, ...] = tuple(prime_bases)
         self._depth: Optional[int] = None
+        self._key: Optional[tuple] = None
 
     # -- constructors for elements -------------------------------------
 
@@ -280,18 +281,20 @@ class RingContext:
         return self._depth
 
     def key(self) -> tuple:
-        return (
-            self.field.characteristic,
-            self.variables,
-            self.grading,
-            tuple(self.format(g) for g in self.ideal_basis_polys()),
-            tuple(
-                tuple(self.format(element_to_polynomial(g)) for g in prime)
-                for prime in self._prime_bases
-            ),
-            self.reduced,
-            self.complete_intersection,
-        )
+        if self._key is None:
+            self._key = (
+                self.field.characteristic,
+                self.variables,
+                self.grading,
+                tuple(self.format(g) for g in self.ideal_basis_polys()),
+                tuple(
+                    tuple(self.format(element_to_polynomial(g)) for g in prime)
+                    for prime in self._prime_bases
+                ),
+                self.reduced,
+                self.complete_intersection,
+            )
+        return self._key
 
     def regraded(self, grading: Sequence[int]) -> "RingContext":
         """This ring with another positive grading for which its defining

@@ -208,6 +208,32 @@ def test_reducer_is_the_first_element_whose_lead_divides_the_term(problem):
             assert divisors.reducer(t) == (dividing[0] if dividing else -1)
 
 
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_a_term_that_cancels_and_comes_back_is_pushed_once(field, monkeypatch):
+    # reducing x^2 by the first element brings in z, reducing y^2 cancels
+    # it and reducing w^2 brings it back: the heap holds z once throughout
+    names = ("x", "y", "z", "w")
+    gb = groebner_basis(
+        [
+            polynomial_to_element(parse_polynomial(text, names, field))
+            for text in ("x^2 - z", "y^2 + z", "w^2 - z")
+        ]
+    )
+    f = polynomial_to_element(parse_polynomial("x^2 + y^2 + w^2", names, field))
+    pushed = []
+    real = groebner.heapq.heappush
+
+    def counting(heap, item):
+        pushed.append(item)
+        real(heap, item)
+
+    monkeypatch.setattr(groebner.heapq, "heappush", counting)
+    remainder = gb.normal_form(f)
+    assert remainder == naive_normal_form(f, list(gb))
+    assert remainder == polynomial_to_element(parse_polynomial("z", names, field))
+    assert pushed == [gb.layout.encode((0, (0, 0, 1, 0)))]
+
+
 def test_buchberger_reduces_no_pair_twice(monkeypatch):
     # the twisted cubic: its S-polynomials are distinct up to sign, and the
     # S-polynomials of (i, j) and (j, i) differ only by sign
@@ -410,8 +436,7 @@ def test_guard_test_divides_and_a_shift_sum_multiplies(data):
         t = (lead[0], tuple(a + b for a, b in zip(lead[1], extra)))
     else:
         t = data.draw(terms_of(layout))
-    divisors = groebner._Divisors(GF(7), layout.nvars)
-    divisors.layout = layout
+    divisors = groebner._Divisors(GF(7), layout)
     divisors._append(layout.encode(lead), 1, {})
     divides = lead[0] == t[0] and mono_divides(lead[1], t[1])
     assert (divisors._find(layout.encode(t)) == 0) == divides

@@ -27,6 +27,14 @@ class TestMakeRing:
         assert node5.normal_form_poly(node5.poly("x*y")).is_zero()
         assert not node5.normal_form_poly(node5.poly("x^2")).is_zero()
 
+    def test_a_ring_computes_its_key_once(self):
+        # equality and hashing read the key, which formats every basis
+        first, second = node_ring(), node_ring()
+        assert first.key() is first.key()
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert first != node_ring(7)
+
     def test_inhomogeneous_ideal_rejected(self):
         from torsionlab.syntax import parse_polynomial
 

@@ -201,3 +201,29 @@ def test_every_method_is_named_in_the_package():
         and uses[method.name] == name_counts(method)[method.name]
     ]
     assert unused == []
+
+
+ONE_ROUTE = ("groebner_request", "lookup_groebner", "store_groebner", "_autoreduce")
+
+
+def test_one_function_in_groebner_holds_the_cache_route_and_autoreduction():
+    # groebner_basis and syzygy_generators share one lookup, completion,
+    # autoreduction and store step, so the two routes cannot drift apart
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    functions = [
+        node
+        for top in tree.body
+        for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    callers = {name: [] for name in ONE_ROUTE}
+    for function in functions:
+        called = {
+            simple_name(node.func)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+        }
+        for name in called & set(ONE_ROUTE):
+            callers[name].append(function.name)
+    assert len({tuple(names) for names in callers.values()}) == 1, callers
+    assert all(len(names) == 1 for names in callers.values()), callers
