@@ -37,7 +37,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .errors import InputError
 from .fields import FieldSpec
@@ -49,6 +49,8 @@ CACHE_FORMAT = 1
 ENGINE_VERSION = "0.1.0"
 ENV_VAR = "TORSIONLAB_CACHE"
 LOCK_NAME = ".lock"
+
+T = TypeVar("T")
 
 try:
     import fcntl
@@ -75,9 +77,21 @@ def _encode_coeff(c, characteristic: int):
 
 
 def _decode_coeff(data, characteristic: int):
+    """The nonzero field element stored as ``data``; ValueError when
+    ``data`` is not one: an int in [1, p), or [num, den] ints, num nonzero
+    and den positive."""
     if characteristic:
-        return data
-    return Fraction(data[0], data[1])
+        if type(data) is int and 0 < data < characteristic:
+            return data
+    elif (
+        type(data) is list
+        and len(data) == 2
+        and all(type(x) is int for x in data)
+        and data[0]
+        and data[1] > 0
+    ):
+        return Fraction(data[0], data[1])
+    raise ValueError("a stored coefficient is not a nonzero field element")
 
 
 def encode_element(f: FreeElement) -> list:
@@ -108,9 +122,29 @@ def element_text(f: FreeElement) -> str:
 def decode_element(
     data: list, field: FieldSpec, nvars: int, rank: int
 ) -> FreeElement:
+    """The element ``encode_element`` wrote as ``data``; ValueError when
+    ``data`` is not a nonempty list of distinct terms [pos, exponents,
+    coefficient] with pos in [0, rank) and ``nvars`` nonnegative int
+    exponents."""
+    if type(data) is not list or not data:
+        raise ValueError("a stored element is not a nonempty list of terms")
     terms = {}
-    for pos, mono, c in data:
-        terms[(pos, tuple(mono))] = _decode_coeff(c, field.characteristic)
+    for term in data:
+        if type(term) is not list or len(term) != 3:
+            raise ValueError("a stored term is not [pos, exponents, coefficient]")
+        pos, mono, c = term
+        if (
+            type(pos) is not int
+            or not 0 <= pos < rank
+            or type(mono) is not list
+            or len(mono) != nvars
+            or not all(type(x) is int and x >= 0 for x in mono)
+        ):
+            raise ValueError("a stored term does not fit the request's module")
+        key = (pos, tuple(mono))
+        if key in terms:
+            raise ValueError("a stored element repeats a term")
+        terms[key] = _decode_coeff(c, field.characteristic)
     return FreeElement(field, nvars, rank, terms, _normalized=True)
 
 
@@ -135,19 +169,22 @@ class ComputationCache:
     def _path(self, digest: str) -> str:
         return os.path.join(self.directory, f"{digest}.json")
 
-    def get(self, request: "Request") -> Optional[dict]:
+    def get(self, request: "Request", decode: Callable[[object], T]) -> Optional[T]:
+        """``decode`` of the stored result of ``request``: a hit.  A miss,
+        and None, when there is no entry, or it is not one this cache wrote
+        for the request, or ``decode`` raises ``ValueError`` on its result."""
         try:
             with open(self._path(request.digest), "r", encoding="utf-8") as handle:
                 body = handle.read()
             # an entry this cache wrote starts with its canonical request
-            stored = json.loads(body) if body.startswith(request.head) else None
+            if not body.startswith(request.head):
+                raise ValueError("the entry is for another request")
+            value = decode(json.loads(body)["result"])
         except (OSError, ValueError):
-            stored = None
-        if stored is None:
             self.misses += 1
             return None
         self.hits += 1
-        return stored["result"]
+        return value
 
     def put(self, request: "Request", result: str) -> None:
         """Store ``result``, the canonical text of the result object."""
@@ -224,10 +261,13 @@ def lookup_groebner(
 ) -> Optional[List[FreeElement]]:
     if request is None:
         return None
-    result = request.cache.get(request)
-    if result is None:
-        return None
-    return [decode_element(e, field, nvars, rank) for e in result["elements"]]
+
+    def decode(result) -> List[FreeElement]:
+        if type(result) is not dict or type(result.get("elements")) is not list:
+            raise ValueError("the stored result is not a list of elements")
+        return [decode_element(e, field, nvars, rank) for e in result["elements"]]
+
+    return request.cache.get(request, decode)
 
 
 def store_groebner(

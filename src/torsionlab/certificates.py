@@ -9,17 +9,18 @@ can rely on the schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 CERTIFICATE_SCHEMA = 1
 
 
-@dataclass
 class SubClaim:
-    name: str
-    passed: Optional[bool]  # None marks informational entries
-    witnesses: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("name", "passed", "witnesses")
+
+    def __init__(self, name: str, passed: Optional[bool], witnesses: Dict[str, object]):
+        self.name = name
+        self.passed = passed  # None marks informational entries
+        self.witnesses = witnesses
 
     def to_json_dict(self) -> dict:
         return {
@@ -29,14 +30,21 @@ class SubClaim:
         }
 
 
-@dataclass
 class Certificate:
-    claim: str
-    context: Dict[str, object] = field(default_factory=dict)
-    subclaims: List[SubClaim] = field(default_factory=list)
-    trusted_assumptions: List[str] = field(default_factory=list)
-    applicable: bool = True
-    inapplicable_reason: Optional[str] = None
+    __slots__ = (
+        "claim", "context", "subclaims", "trusted_assumptions", "applicable",
+        "inapplicable_reason",
+    )
+
+    def __init__(
+        self, claim: str, context: Dict[str, object], trusted_assumptions: List[str]
+    ):
+        self.claim = claim
+        self.context = context
+        self.subclaims: List[SubClaim] = []
+        self.trusted_assumptions = trusted_assumptions
+        self.applicable = True
+        self.inapplicable_reason: Optional[str] = None
 
     @classmethod
     def over(cls, claim: str, ring, *trusted: str, **context) -> "Certificate":

@@ -16,10 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .cache import open_cache
 from .certificates import Certificate
@@ -95,15 +94,13 @@ TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA = 1
 
 
-@dataclass
-class ExecConfig:
+class ExecConfig(NamedTuple):
     seed: int = 0
     degree_cap: Optional[int] = None
     cache_dir: Optional[str] = None
 
 
-@dataclass
-class StatementResult:
+class StatementResult(NamedTuple):
     index: int
     line: int
     kind: str
@@ -132,15 +129,23 @@ class StatementResult:
         return data
 
 
-@dataclass
 class RunReport:
-    results: List[StatementResult] = field(default_factory=list)
-    certificates: List[Certificate] = field(default_factory=list)
-    input_hash: str = ""
-    seed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    elapsed_seconds: float = 0.0
+    """What a run produced: one result per statement, the certificates
+    its statements made, and the run's metadata, filled in as it runs."""
+
+    __slots__ = (
+        "results", "certificates", "input_hash", "seed", "cache_hits",
+        "cache_misses", "elapsed_seconds",
+    )
+
+    def __init__(self, certificates: List[Certificate], seed: int):
+        self.results: List[StatementResult] = []
+        self.certificates = certificates
+        self.input_hash = ""
+        self.seed = seed
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.elapsed_seconds = 0.0
 
     @property
     def exit_code(self) -> int:

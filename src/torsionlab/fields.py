@@ -9,7 +9,6 @@ becomes ``Fraction``s again where it leaves the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -33,20 +32,36 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """A coefficient field, either the rationals or F_p for a prime p."""
+    """A coefficient field, either the rationals or F_p for a prime p.
+    Immutable; two fields are equal, and hash alike, when their
+    characteristics are."""
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self) -> None:
-        c = self.characteristic
-        if c == 0:
-            return
-        if c >= _MAX_CHARACTERISTIC or not _is_prime(c):
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
+        if c and (c >= _MAX_CHARACTERISTIC or not _is_prime(c)):
             raise InputError(
                 f"characteristic must be 0 or a prime below 2^31, got {c}"
             )
+        object.__setattr__(self, "characteristic", c)
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError("a FieldSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self) -> int:
+        return hash((self.characteristic,))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(characteristic={self.characteristic!r})"
 
     @property
     def zero(self) -> Coefficient:

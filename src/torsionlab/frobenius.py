@@ -13,10 +13,9 @@ copy of the ring, which carries the q-dilated grading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .certificates import Certificate
 from .errors import InputError, ResourceLimitError, UnsupportedError
@@ -36,18 +35,18 @@ from .rings import RingContext
 from .torsion import residue_field_module, torsion_split
 
 
-@dataclass(frozen=True)
 class FrobeniusPower:
     """The e-th power of the p-th power endomorphism; q = p^e."""
 
-    p: int
-    e: int
+    __slots__ = ("p", "e")
 
-    def __post_init__(self):
-        if self.p <= 0:
+    def __init__(self, p: int, e: int):
+        if p <= 0:
             raise UnsupportedError("Frobenius powers need positive characteristic")
-        if self.e < 1:
+        if e < 1:
             raise InputError("the twist exponent must be a positive integer")
+        self.p = p
+        self.e = e
 
     @property
     def q(self) -> int:
@@ -171,8 +170,7 @@ def restrict_scalars(module: FPModule, e: int) -> FPModule:
 # universal pushforward
 
 
-@dataclass
-class Pushforward:
+class Pushforward(NamedTuple):
     """The exact sequence 0 -> M -> R^nu -> N -> 0 built from dual generators."""
 
     module: FPModule
@@ -334,8 +332,7 @@ def verify_regularity_probe(
     return cert
 
 
-@dataclass
-class ModuleAlgebra:
+class ModuleAlgebra(NamedTuple):
     """A module-finite ring extension presented as an R-module with
     declared multiplication structure constants and a unit generator."""
 

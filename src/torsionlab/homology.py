@@ -11,7 +11,6 @@ ring, which bounds any finite projective dimension in the graded setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
@@ -30,14 +29,23 @@ from .rings import RingContext
 PD_INFINITE = float("inf")
 
 
-@dataclass
 class FreeResolution:
-    """A bounded minimal graded complex of free modules over R."""
+    """A bounded minimal graded complex of free modules over R.  The one a
+    module keeps grows in place as longer resolutions are asked for."""
 
-    module: FPModule
-    differentials: Tuple[Tuple[FreeElement, ...], ...]
-    step_degrees: Tuple[Tuple[int, ...], ...]
-    complete: bool
+    __slots__ = ("module", "differentials", "step_degrees", "complete")
+
+    def __init__(
+        self,
+        module: FPModule,
+        differentials: Tuple[Tuple[FreeElement, ...], ...],
+        step_degrees: Tuple[Tuple[int, ...], ...],
+        complete: bool,
+    ):
+        self.module = module
+        self.differentials = differentials
+        self.step_degrees = step_degrees
+        self.complete = complete
 
     @property
     def betti(self) -> Tuple[int, ...]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
@@ -48,17 +47,37 @@ def checked_degree_cap(cap: int) -> int:
     return cap
 
 
-@dataclass(frozen=True)
 class RunSettings:
     """The settings of a run.  ``abort_hook`` is a cooperative cancellation
-    hook (return True to abort); ``cache`` is None when no cache is used."""
+    hook (return True to abort); ``cache`` is None when no cache is used.
+    Immutable, and compared by value."""
 
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    abort_hook: Optional[AbortHook] = None
-    cache: Optional["ComputationCache"] = None
+    __slots__ = ("degree_cap", "abort_hook", "cache")
 
-    def __post_init__(self):
-        checked_degree_cap(self.degree_cap)
+    def __init__(
+        self,
+        degree_cap: int = DEFAULT_DEGREE_CAP,
+        abort_hook: Optional[AbortHook] = None,
+        cache: Optional["ComputationCache"] = None,
+    ):
+        store = object.__setattr__
+        store(self, "degree_cap", checked_degree_cap(degree_cap))
+        store(self, "abort_hook", abort_hook)
+        store(self, "cache", cache)
+
+    def __setattr__(self, *_) -> None:
+        raise AttributeError("run settings are immutable; change them with run_scope")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.degree_cap, self.abort_hook, self.cache) == (
+            other.degree_cap,
+            other.abort_hook,
+            other.cache,
+        )
 
 
 _settings: ContextVar[RunSettings] = ContextVar("run_settings", default=RunSettings())
@@ -72,7 +91,10 @@ def current() -> RunSettings:
 def run_scope(**changes) -> Iterator[RunSettings]:
     """Replace the named fields of the current settings for the block; a
     cap below 1 raises ``InputError`` before anything is replaced."""
-    settings = replace(current(), **changes)
+    old = current()
+    fields = {name: getattr(old, name) for name in RunSettings.__slots__}
+    fields.update(changes)
+    settings = RunSettings(**fields)
     token = _settings.set(settings)
     try:
         yield settings

@@ -15,9 +15,8 @@ values) instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateError,
@@ -118,7 +117,14 @@ class FPModule:
         relations: Sequence[FreeElement],
         ngens: int,
         gen_degrees: Optional[Sequence[int]] = None,
+        *,
+        relation_degrees: Optional[Sequence[int]] = None,
     ):
+        """``relation_degrees``, when given, vouches that ``relations`` are
+        nonzero, in normal form mod I, and homogeneous of those degrees, so
+        they are taken as they are; ``tensor`` passes them for its columns,
+        which are re-indexed relations of its factors.  Every other caller
+        leaves it out, and each relation is reduced and its degree checked."""
         self.ring = ring
         self.ngens = ngens
         if gen_degrees is None:
@@ -126,23 +132,29 @@ class FPModule:
         if len(gen_degrees) != ngens:
             raise DimensionError("one degree per generator required")
         self.gen_degrees: Tuple[int, ...] = tuple(gen_degrees)
-        cleaned: List[FreeElement] = []
-        degrees: List[int] = []
-        for col in relations:
-            if col.rank != ngens or col.nvars != ring.nvars or col.field != ring.field:
-                raise DimensionError("relation column does not match the module")
-            vec = ring.normal_form_vector(col)
-            if vec.is_zero():
-                continue
-            degree = vec.homogeneous_degree(ring.grading, self.gen_degrees)
-            if degree is None:
-                raise InputError(
-                    "relation columns must be homogeneous for the generator degrees"
-                )
-            cleaned.append(vec)
-            degrees.append(degree)
-        self.relations: Tuple[FreeElement, ...] = tuple(cleaned)
-        self._relation_degrees: Tuple[int, ...] = tuple(degrees)
+        if relation_degrees is None:
+            cleaned: List[FreeElement] = []
+            degrees: List[int] = []
+            for col in relations:
+                if (
+                    col.rank != ngens
+                    or col.nvars != ring.nvars
+                    or col.field != ring.field
+                ):
+                    raise DimensionError("relation column does not match the module")
+                vec = ring.normal_form_vector(col)
+                if vec.is_zero():
+                    continue
+                degree = vec.homogeneous_degree(ring.grading, self.gen_degrees)
+                if degree is None:
+                    raise InputError(
+                        "relation columns must be homogeneous for the generator degrees"
+                    )
+                cleaned.append(vec)
+                degrees.append(degree)
+            relations, relation_degrees = cleaned, degrees
+        self.relations: Tuple[FreeElement, ...] = tuple(relations)
+        self._relation_degrees: Tuple[int, ...] = tuple(relation_degrees)
         self._membership: Optional[Completion] = None
         self._minimal: Optional["FPModule"] = None
         self._dual_syzygies: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
@@ -561,7 +573,14 @@ def tensor(left: FPModule, right: FPModule) -> FPModule:
         )
     rank, degrees, relations = block_ambient(right, left.gen_degrees)
     cols = induced_columns(left.relations, right) + relations
-    return FPModule(left.ring, cols, rank, degrees)
+    # column (c, t) has the degree of relation c of M plus that of f_t, and
+    # a copy of relation r of N in block i that of r plus that of e_i
+    relation_degrees = [
+        dc + dt for dc in left.relation_degrees() for dt in right.gen_degrees
+    ] + [di + dr for di in left.gen_degrees for dr in right.relation_degrees()]
+    return FPModule(
+        left.ring, cols, rank, degrees, relation_degrees=relation_degrees
+    )
 
 
 def tensor_power(module: FPModule, t: int) -> FPModule:
@@ -777,8 +796,7 @@ def presentation_ideal(module: FPModule) -> Ideal:
     return Ideal(module.ring, Ideal(module.ring, entries).minimal_generators())
 
 
-@dataclass
-class RankInfo:
+class RankInfo(NamedTuple):
     per_prime: Tuple[int, ...]
     has_rank: bool
     value: Optional[int]

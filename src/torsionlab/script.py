@@ -27,8 +27,7 @@ back to canonical text that reparses to an equal script.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, NamedTuple, Optional, Set, Tuple, Union
 
 from .errors import ScriptParseError
 from .syntax import (
@@ -49,8 +48,7 @@ from .syntax import (
 # statement AST
 
 
-@dataclass(frozen=True)
-class RingStmt:
+class RingStmt(NamedTuple):
     name: str
     field_kind: str  # "QQ" or "GF"
     characteristic: int
@@ -63,8 +61,7 @@ class RingStmt:
     line: int
 
 
-@dataclass(frozen=True)
-class ModuleStmt:
+class ModuleStmt(NamedTuple):
     name: str
     matrix: Tuple[Tuple[Expr, ...], ...]
     ring_name: str
@@ -72,37 +69,32 @@ class ModuleStmt:
     line: int
 
 
-@dataclass(frozen=True)
-class LetStmt:
+class LetStmt(NamedTuple):
     name: str
     expr: Expr
     line: int
 
 
-@dataclass(frozen=True)
-class VerifyStmt:
+class VerifyStmt(NamedTuple):
     claim: str
     args: Tuple[Expr, ...]
     kwargs: Tuple[Tuple[str, Expr], ...]
     line: int
 
 
-@dataclass(frozen=True)
-class ProbeStmt:
+class ProbeStmt(NamedTuple):
     kind: str
     args: Tuple[Expr, ...]
     kwargs: Tuple[Tuple[str, Expr], ...]
     line: int
 
 
-@dataclass(frozen=True)
-class PrintStmt:
+class PrintStmt(NamedTuple):
     expr: Expr
     line: int
 
 
-@dataclass(frozen=True)
-class AssertStmt:
+class AssertStmt(NamedTuple):
     expr: Expr
     line: int
 
@@ -112,8 +104,7 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     statements: Tuple[Statement, ...]
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 import tempfile
-from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .engine import ExecConfig, run_source
 from .fields import GF, QQ
@@ -42,8 +41,7 @@ from .torsion import (
 )
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     identifier: str
     passed: bool
     detail: str

@@ -8,15 +8,30 @@ grammar, restricted to what a polynomial holds: ring variables, literals,
 signs, ``+ - * ^`` and parentheses, with integer-literal exponents.
 Formatting is canonical: terms are sorted largest first in degrevlex, the
 engine's one monomial order, so parse/format round-trips are stable.
+
+Tokens and expression nodes are ``NamedTuple``s, as are the script's
+statement nodes.  They compare as tuples, so two kinds with the same fields
+(``ListLit`` and ``TupleLit`` of the same items) are equal: code tells the
+kinds apart with ``isinstance``, and a check that must see the kinds
+compares ``repr``s, which name them.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Set, Tuple, TypeVar, Union
+from typing import (
+    Callable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from .errors import InputError, ScriptParseError
 from .fields import FieldSpec
@@ -38,8 +53,7 @@ _TOKEN_RE = re.compile(
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | "op" | "end"
     text: str
     line: int
@@ -94,48 +108,40 @@ def denominator_literal(tok: Token) -> int:
 # Expressions
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     identifier: str
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class RationalLit:
+class RationalLit(NamedTuple):
     numerator: int
     denominator: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # + - * ^ == !=
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     function: str
     args: Tuple["Expr", ...]
     kwargs: Tuple[Tuple[str, "Expr"], ...] = ()
 
 
-@dataclass(frozen=True)
-class ListLit:
+class ListLit(NamedTuple):
     items: Tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class TupleLit:
+class TupleLit(NamedTuple):
     items: Tuple["Expr", ...]
 
 

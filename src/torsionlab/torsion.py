@@ -14,9 +14,8 @@ general statements.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .certificates import Certificate
 from .errors import AbortedError, InputError, UnsupportedError
@@ -42,8 +41,7 @@ from .randgen import random_nonfree_module
 from .rings import Ideal, RingContext, is_regular_sequence, make_ring
 
 
-@dataclass
-class TorsionSplit:
+class TorsionSplit(NamedTuple):
     """The exact sequence 0 -> t(M) -> M -> tf(M) -> 0."""
 
     module: FPModule

@@ -244,6 +244,43 @@ class TestCacheStore:
 
 
 class TestRunSoundness:
+    @pytest.mark.parametrize(
+        "result",
+        [
+            "[]",
+            "null",
+            '{"elements":5}',
+            '{"elements":[[]]}',
+            '{"elements":[[[0,[1],1]]]}',  # one exponent for two variables
+            '{"elements":[[[99,[1,0],1]]]}',  # a position past the rank
+            '{"elements":[[[0,[1,-1],1]]]}',  # a negative exponent
+            '{"elements":[[[0,[1,0],0]]]}',  # a zero coefficient over GF(5)
+            '{"elements":[[[0,[1,0],[1,2]]]]}',  # a QQ coefficient over GF(5)
+            '{"elements":[[[0,[1,0],1],[0,[1,0],2]]]}',  # a repeated term
+        ],
+    )
+    def test_an_entry_whose_result_has_the_wrong_shape_is_a_miss(
+        self, tmp_path, result
+    ):
+        # each entry keeps its request, so only the shape of its result
+        # can tell that it is not what this cache wrote
+        config = ExecConfig(cache_dir=str(tmp_path))
+        cold = run_source(SCRIPT, config)
+        for path in tmp_path.glob("*.json"):
+            body = path.read_text(encoding="utf-8")
+            head = body[: body.index('"result":') + len('"result":')]
+            path.write_text(head + result + "}", encoding="utf-8")
+        again = run_source(SCRIPT, config)
+        assert again.to_json(include_timing=False) == cold.to_json(
+            include_timing=False
+        )
+        assert (again.cache_hits, again.cache_misses) == (
+            cold.cache_hits,
+            cold.cache_misses,
+        )
+        # the misses stored their results again
+        assert run_source(SCRIPT, config).cache_misses == 0
+
     def test_report_identical_with_and_without_cache(self, tmp_path):
         baseline = run_source(SCRIPT, ExecConfig()).to_json(include_timing=False)
         cached_cfg = ExecConfig(cache_dir=str(tmp_path / "cache"))

@@ -106,6 +106,19 @@ class TestPrinter:
         script = Script((PrintStmt(tree, line=1),))
         assert parse_script(format_script(script)) == script
 
+    def test_a_reparsed_script_keeps_every_node_kind(self):
+        # the nodes compare as tuples, so a list reparsed as a tuple, or an
+        # assert as a print, would still be ==; their reprs name the kinds
+        script = parse_script(
+            "print f([x, y], (x, y));\n"
+            "assert [1, 2] == (1, 2);\n"
+            "verify prop2.2 M [e1, e2] (x, y);\n"
+            "probe regularity R M e=1;\n"
+        )
+        assert repr(parse_script(format_script(script))) == repr(script)
+        call = script.statements[0].expr
+        assert [type(arg).__name__ for arg in call.args] == ["ListLit", "TupleLit"]
+
 
 LONG_SUM = "print " + " + ".join(["1"] * 3000) + ";\n"
 LONG_SIGNS = "print " + "-" * 3000 + "1;\n"

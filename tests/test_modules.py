@@ -31,6 +31,7 @@ from torsionlab.modules import (
     transpose,
 )
 from torsionlab.poly import FreeElement, Polynomial
+from torsionlab.randgen import random_homogeneous_polynomial
 from torsionlab.rings import Ideal, make_ring
 from torsionlab.suite import dense_kernel_oracle, in_oracle_span
 from torsionlab.syntax import parse_polynomial
@@ -77,7 +78,58 @@ class TestMinimalPresentation:
                 assert comp.is_zero() or not comp.constant_value()
 
 
+def graded_random_module(ring, rng):
+    """A module on two or three generators of degrees 0..2, with two or
+    three random homogeneous relations of degree up to 4."""
+    gen_degrees = [rng.randint(0, 2) for _ in range(rng.randint(2, 3))]
+    columns = []
+    for _ in range(rng.randint(2, 3)):
+        degree = rng.randint(max(gen_degrees), 4)
+        entries = [
+            random_homogeneous_polynomial(ring, degree - d, rng, nonzero=False)
+            for d in gen_degrees
+        ]
+        columns.append(FreeElement.from_components(entries, rank=len(gen_degrees)))
+    return FPModule(ring, columns, len(gen_degrees), gen_degrees)
+
+
+TENSOR_RINGS = {
+    "quotient GF(5)": lambda: make_ring(
+        GF(5),
+        ("x", "y", "z"),
+        ideal=[parse_polynomial("x*y - z^2", ("x", "y", "z"), GF(5))],
+    ),
+    "weighted QQ": lambda: make_ring(QQ, ("x", "y"), grading=(1, 2)),
+    "weighted quotient GF(7)": lambda: make_ring(
+        GF(7), ("x", "y"), ideal=[parse_polynomial("x^3 + y^2", ("x", "y"), GF(7))],
+        grading=(2, 3),
+    ),
+}
+
+
 class TestTensor:
+    @pytest.mark.parametrize("name", TENSOR_RINGS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_product_takes_its_relation_degrees_from_its_factors(self, name, seed):
+        # tensor passes each column's degree instead of recomputing it;
+        # the checked constructor must find the same columns and degrees
+        ring = TENSOR_RINGS[name]()
+        rng = random.Random(seed)
+        left = graded_random_module(ring, rng)
+        right = graded_random_module(ring, rng)
+        product = tensor(left, right)
+        degrees = [
+            col.homogeneous_degree(ring.grading, product.gen_degrees)
+            for col in product.relations
+        ]
+        assert degrees == list(product.relation_degrees())
+        assert len(degrees) == (
+            len(left.relations) * right.ngens + left.ngens * len(right.relations)
+        )
+        checked = FPModule(ring, product.relations, product.ngens, product.gen_degrees)
+        assert checked.relations == product.relations
+        assert checked.relation_degrees() == product.relation_degrees()
+
     def test_unit_of_tensor(self, QQxy):
         m = koszul_module(QQxy, ["x", "y"])
         r_free = FPModule.free(QQxy, 1)

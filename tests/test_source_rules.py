@@ -103,32 +103,57 @@ def test_every_module_level_function_and_class_is_named_elsewhere():
     assert unused == []
 
 
-def is_dataclass(node) -> bool:
-    return isinstance(node, ast.ClassDef) and any(
-        simple_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
-        for d in node.decorator_list
+def record_fields(node):
+    """The nodes that name the fields of a record class: the targets of
+    the annotated fields of a ``NamedTuple``, or the strings of the
+    ``__slots__`` of a class with an ``__init__``; None for any other
+    node."""
+    if not isinstance(node, ast.ClassDef):
+        return None
+    if any(simple_name(base) == "NamedTuple" for base in node.bases):
+        return [
+            field.target
+            for field in node.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        ]
+    slots = [
+        statement.value
+        for statement in node.body
+        if isinstance(statement, ast.Assign)
+        and [simple_name(target) for target in statement.targets] == ["__slots__"]
+    ]
+    init = any(
+        isinstance(statement, ast.FunctionDef) and statement.name == "__init__"
+        for statement in node.body
     )
+    return slots[0].elts if slots and init else None
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     # a field that nothing reads is state every instance carries for no
     # answer.  An attribute load counts as a read, and so does a string
-    # constant, for a field read by its key through serialization.
-    fields, reads = [], set()
+    # constant, for a field read by its key through serialization; the
+    # strings of a ``__slots__`` declaration do not.  ast.walk visits a
+    # class before the strings in its body.
+    fields, reads, records, declared = [], set(), [], set()
     for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                reads.add(node.value)
-            elif PACKAGE in path.parents and is_dataclass(node):
-                fields.extend(
-                    f"{path.relative_to(PACKAGE)}:{node.name}.{field.target.id}"
-                    for field in node.body
-                    if isinstance(field, ast.AnnAssign)
-                    and isinstance(field.target, ast.Name)
-                )
+                if id(node) not in declared:
+                    reads.add(node.value)
+            elif PACKAGE in path.parents and record_fields(node) is not None:
+                record = f"{path.relative_to(PACKAGE)}:{node.name}"
+                records.append(record)
+                for field in record_fields(node):
+                    declared.add(id(field))
+                    name = field.id if isinstance(field, ast.Name) else field.value
+                    fields.append(f"{record}.{name}")
+    # 24 NamedTuples (the script's tokens and syntax tree among them) and
+    # 10 slotted classes: 7 records, Polynomial, FreeElement and _Layout
+    assert len(records) == 34, records
     assert [field for field in fields if field.rsplit(".", 1)[1] not in reads] == []
 
 
