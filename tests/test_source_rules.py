@@ -129,12 +129,13 @@ def record_fields(node):
     return slots[0].elts if slots and init else None
 
 
-def test_every_record_field_is_read():
-    # a field that nothing reads is state every instance carries for no
-    # answer.  An attribute load counts as a read, and so does a string
-    # constant, for a field read by its key through serialization; the
-    # strings of a ``__slots__`` declaration do not.  ast.walk visits a
-    # class before the strings in its body.
+def test_every_dataclass_field_is_read():
+    # a field of a record (a NamedTuple or a slotted class; the package's
+    # records were dataclasses once, hence the name) that nothing reads is
+    # state every instance carries for no answer.  An attribute load counts
+    # as a read, and so does a string constant, for a field read by its key
+    # through serialization; the strings of a ``__slots__`` declaration do
+    # not.  ast.walk visits a class before the strings in its body.
     fields, reads, records, declared = [], set(), [], set()
     for path in sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
