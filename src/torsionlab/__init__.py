@@ -15,7 +15,6 @@ from .errors import (
 )
 from .fields import GF, QQ, FieldSpec
 from .frobenius import (
-    FrobeniusPower,
     ModuleAlgebra,
     Pushforward,
     frobenius_functor,

@@ -88,10 +88,6 @@ class FieldSpec:
         c = a + b
         return c % self.characteristic if self.characteristic else c
 
-    def sub(self, a: Coefficient, b: Coefficient) -> Coefficient:
-        c = a - b
-        return c % self.characteristic if self.characteristic else c
-
     def mul(self, a: Coefficient, b: Coefficient) -> Coefficient:
         c = a * b
         return c % self.characteristic if self.characteristic else c

@@ -19,6 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .certificates import Certificate
 from .errors import InputError, ResourceLimitError, UnsupportedError
+from .fields import FieldSpec
 from .groebner import Completion
 from .homology import PD_INFINITE, complex_homology, free_resolution, pd
 from .limits import GENERATOR_CAP
@@ -35,22 +36,15 @@ from .rings import RingContext
 from .torsion import residue_field_module, torsion_split
 
 
-class FrobeniusPower:
-    """The e-th power of the p-th power endomorphism; q = p^e."""
-
-    __slots__ = ("p", "e")
-
-    def __init__(self, p: int, e: int):
-        if p <= 0:
-            raise UnsupportedError("Frobenius powers need positive characteristic")
-        if e < 1:
-            raise InputError("the twist exponent must be a positive integer")
-        self.p = p
-        self.e = e
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.e
+def frobenius_q(field: FieldSpec, e: int) -> int:
+    """q = p^e for the e-th power of the p-th power endomorphism of a field
+    of characteristic p."""
+    p = field.characteristic
+    if p <= 0:
+        raise UnsupportedError("Frobenius powers need positive characteristic")
+    if e < 1:
+        raise InputError("the twist exponent must be a positive integer")
+    return p**e
 
 
 def _powered_column(col: FreeElement, q: int) -> FreeElement:
@@ -67,8 +61,7 @@ def frobenius_functor(module: FPModule, e: int) -> FPModule:
     """The twist of M by the e-th power endomorphism: entrywise q-th powers
     of the presentation matrix, with generator degrees dilated by q."""
     ring = module.ring
-    power = FrobeniusPower(ring.field.characteristic, e)
-    q = power.q
+    q = frobenius_q(ring.field, e)
     cols = [_powered_column(c, q) for c in module.relations]
     return FPModule(
         ring, cols, module.ngens, tuple(q * d for d in module.gen_degrees)
@@ -79,10 +72,9 @@ def tor_frobenius(module: FPModule, e: int, i: int) -> FPModule:
     """Tor_i(M, twisted R): homology of the entrywise-powered minimal
     resolution of M.  Exact for any i once the resolution reaches i + 1."""
     ring = module.ring
-    power = FrobeniusPower(ring.field.characteristic, e)
+    q = frobenius_q(ring.field, e)
     if i < 1:
         raise InputError("the twisted Tor check starts at homological degree 1")
-    q = power.q
     res = free_resolution(module, i + 1)
     diffs = [[_powered_column(c, q) for c in cols] for cols in res.differentials]
     degrees = [tuple(q * d for d in degs) for degs in res.step_degrees]
@@ -98,7 +90,7 @@ def restricted_ring(ring: RingContext, e: int) -> RingContext:
     q-dilated grading (a degree-t element becomes degree q*t).  A form
     homogeneous for the grading is homogeneous for its q-dilation, so the
     copy shares R's Groebner data."""
-    q = FrobeniusPower(ring.field.characteristic, e).q
+    q = frobenius_q(ring.field, e)
     return ring.regraded(tuple(q * w for w in ring.grading))
 
 
@@ -116,7 +108,7 @@ def restrict_scalars(module: FPModule, e: int) -> FPModule:
     """
     ring = module.ring
     field = ring.field
-    q = FrobeniusPower(field.characteristic, e).q
+    q = frobenius_q(field, e)
     n = ring.nvars
     m = module.ngens
     block = q**n

@@ -694,10 +694,6 @@ def groebner_basis(gens: Sequence[FreeElement]) -> GroebnerBasis:
     return GroebnerBasis(field, nvars, rank, elements)
 
 
-def empty_basis(field: FieldSpec, nvars: int, rank: int) -> GroebnerBasis:
-    return GroebnerBasis(field, nvars, rank, ())
-
-
 def syzygy_generators(
     columns: Sequence[FreeElement],
     lift: Sequence[FreeElement] = (),
@@ -756,6 +752,5 @@ def ideal_groebner_basis(gens: Sequence[Polynomial]) -> GroebnerBasis:
     if not live:
         if not gens:
             raise DimensionError("cannot infer the ring from no generators")
-        g0 = gens[0]
-        return empty_basis(g0.field, g0.nvars, 1)
+        return GroebnerBasis(gens[0].field, gens[0].nvars, 1, ())
     return groebner_basis(live)

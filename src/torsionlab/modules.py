@@ -37,58 +37,44 @@ def infer_generator_degrees(
 ) -> Tuple[int, ...]:
     """Assign generator degrees making every relation column homogeneous.
 
-    Walks the bipartite incidence graph of generators and relations; free
-    choices are pinned to zero.  Fails if the constraints are inconsistent,
-    in which case explicit degrees are required.
+    Walks the incidence graph on the m generators and the relations: an
+    entry of degree d in row i and column j is the edge g_i -> r_j of
+    weight +d and r_j -> g_i of weight -d.  The first generator of each
+    component is pinned to zero, which fixes the rest of it.  Fails if the
+    constraints are inconsistent, in which case explicit degrees are
+    required.
     """
     m = len(rows)
     a = len(rows[0]) if m else 0
-    gen_deg: List[Optional[int]] = [None] * m
-    rel_deg: List[Optional[int]] = [None] * a
-    weights = ring.grading
-
-    entry_degree: Dict[Tuple[int, int], int] = {}
-    for i in range(m):
-        for j in range(a):
-            e = rows[i][j]
+    edges: List[List[Tuple[int, int]]] = [[] for _ in range(m + a)]
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
             if e.is_zero():
                 continue
-            d = e.homogeneous_degree(weights)
+            d = e.homogeneous_degree(ring.grading)
             if d is None:
                 raise InputError("matrix entries must be homogeneous")
-            entry_degree[(i, j)] = d
-
+            edges[i].append((m + j, d))
+            edges[m + j].append((i, -d))
+    degree: List[Optional[int]] = [None] * len(edges)
     for start in range(m):
-        if gen_deg[start] is not None:
+        if degree[start] is not None:
             continue
-        gen_deg[start] = 0
-        stack = [("g", start)]
+        degree[start] = 0
+        stack = [start]
         while stack:
-            kind, idx = stack.pop()
-            if kind == "g":
-                for j in range(a):
-                    if (idx, j) in entry_degree:
-                        want = gen_deg[idx] + entry_degree[(idx, j)]
-                        if rel_deg[j] is None:
-                            rel_deg[j] = want
-                            stack.append(("r", j))
-                        elif rel_deg[j] != want:
-                            raise InputError(
-                                "cannot infer consistent generator degrees; "
-                                "supply them explicitly"
-                            )
-            else:
-                for i in range(m):
-                    if (i, idx) in entry_degree:
-                        want = rel_deg[idx] - entry_degree[(i, idx)]
-                        if gen_deg[i] is None:
-                            gen_deg[i] = want
-                            stack.append(("g", i))
-                        elif gen_deg[i] != want:
-                            raise InputError(
-                                "cannot infer consistent generator degrees; "
-                                "supply them explicitly"
-                            )
+            node = stack.pop()
+            for other, d in edges[node]:
+                want = degree[node] + d
+                if degree[other] is None:
+                    degree[other] = want
+                    stack.append(other)
+                elif degree[other] != want:
+                    raise InputError(
+                        "cannot infer consistent generator degrees; "
+                        "supply them explicitly"
+                    )
+    gen_deg = degree[:m]
     shift = min(gen_deg) if gen_deg else 0
     return tuple(d - shift for d in gen_deg)
 

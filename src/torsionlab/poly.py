@@ -415,16 +415,6 @@ class FreeElement(_Sparse):
             _normalized=True,
         )
 
-    def restricted(self, positions: Sequence[int]) -> "FreeElement":
-        """Project onto the listed positions, reindexed in the given order."""
-        index = {pos: i for i, pos in enumerate(positions)}
-        out = {
-            (index[p], m): c for (p, m), c in self.terms.items() if p in index
-        }
-        return FreeElement(
-            self.field, self.nvars, len(positions), out, _normalized=True
-        )
-
     def __repr__(self) -> str:
         from .syntax import format_vector
 

@@ -5,7 +5,8 @@ must be homogeneous for the declared grading.  The irrelevant maximal
 ideal (x_1, ..., x_n) plays the role of the maximal ideal in every local
 statement; minimal primes are user-declared, the context holds their
 Groebner bases, and only their containment of I is verified, which the
-context records as a trust warning.
+context records as a trust warning.  The polynomial ring's one minimal
+prime is the zero ideal, and no other may be declared on it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .groebner import (
     Completion,
     GroebnerBasis,
     TermDict,
-    empty_basis,
     groebner_basis,
+    ideal_groebner_basis,
     syzygy_generators,
 )
 from .poly import (
@@ -56,6 +57,9 @@ class RingContext:
         self.complete_intersection = complete_intersection
         self.warnings: Tuple[str, ...] = tuple(warnings)
         self.ideal_basis = ideal_basis
+        self._ideal_polys: Tuple[Polynomial, ...] = tuple(
+            element_to_polynomial(g) for g in ideal_basis
+        )
         self._prime_bases: Tuple[GroebnerBasis, ...] = tuple(prime_bases)
         self._depth: Optional[int] = None
         self._key: Optional[tuple] = None
@@ -112,7 +116,7 @@ class RingContext:
 
     def ideal_block(self, rank: int) -> List[FreeElement]:
         """The lift I * e_j of the defining ideal into k[x]^rank."""
-        return lifted_ideal(self.ideal_basis_polys(), rank)
+        return lifted_ideal(self._ideal_polys, rank)
 
     def submodule_basis(
         self, columns: Sequence[FreeElement], rank: int
@@ -125,7 +129,7 @@ class RingContext:
         gens = [c for c in columns if not c.is_zero()]
         gens.extend(self.ideal_block(rank))
         if not gens:
-            return empty_basis(self.field, self.nvars, rank)
+            return GroebnerBasis(self.field, self.nvars, rank, ())
         return groebner_basis(gens)
 
     def minimal_subset(
@@ -286,7 +290,7 @@ class RingContext:
                 self.field.characteristic,
                 self.variables,
                 self.grading,
-                tuple(self.format(g) for g in self.ideal_basis_polys()),
+                tuple(self.format(g) for g in self._ideal_polys),
                 tuple(
                     tuple(self.format(element_to_polynomial(g)) for g in prime)
                     for prime in self._prime_bases
@@ -312,9 +316,6 @@ class RingContext:
             ideal_basis=self.ideal_basis,
             prime_bases=self._prime_bases,
         )
-
-    def ideal_basis_polys(self) -> List[Polynomial]:
-        return [element_to_polynomial(g) for g in self.ideal_basis]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RingContext):
@@ -348,10 +349,14 @@ def make_ring(
 ) -> RingContext:
     """Validate and build a ring context.
 
-    Rejects inhomogeneous defining ideals, complete-intersection flags whose
-    generators fail the Koszul regularity test in k[x], and declared minimal
-    primes that do not contain the ideal.  Reducedness and primality of the
-    declared primes are trusted, with a recorded warning.
+    One routine checks the generators of the defining ideal and of each
+    declared minimal prime and builds the reduced basis of what they
+    generate.  Rejects inhomogeneous generators, complete-intersection flags
+    whose generators fail the Koszul regularity test in k[x], declared
+    minimal primes that do not contain the ideal, the zero prime on a
+    proper quotient and a nonzero prime on a polynomial ring.  Reducedness
+    and primality of the declared primes are trusted, with a recorded
+    warning.
     """
     names = tuple(variables)
     if not names:
@@ -363,50 +368,45 @@ def make_ring(
         raise InputError("grading must assign a positive degree to each variable")
     nvars = len(names)
 
-    gens: List[Polynomial] = []
-    for g in ideal:
-        if g.field != field or g.nvars != nvars:
-            raise InputError("ideal generator lives in a different ring")
-        if g.is_zero():
-            continue
-        if not g.is_homogeneous(weights):
-            raise InputError(
-                f"defining ideal generator is not homogeneous for grading {weights}"
-            )
-        gens.append(g)
-
-    if gens:
-        ideal_basis = groebner_basis([polynomial_to_element(g) for g in gens])
-    else:
-        ideal_basis = empty_basis(field, nvars, 1)
-
-    warnings: List[str] = []
-    prime_bases: List[GroebnerBasis] = []
-    for prime in minimal_primes:
+    def intake(
+        kind: str, polys: Sequence[Polynomial]
+    ) -> Tuple[List[Polynomial], GroebnerBasis]:
+        """The nonzero generators among ``polys``, each checked to lie in
+        this ring and to be homogeneous, and the reduced Groebner basis of
+        the ideal they generate; ``kind`` names a generator in an error."""
         checked: List[Polynomial] = []
-        for g in prime:
+        for g in polys:
             if g.field != field or g.nvars != nvars:
-                raise InputError("minimal prime generator lives in a different ring")
+                raise InputError(f"{kind} lives in a different ring")
             if g.is_zero():
                 continue
             if not g.is_homogeneous(weights):
-                raise InputError("minimal prime generators must be homogeneous")
+                raise InputError(f"{kind} is not homogeneous for grading {weights}")
             checked.append(g)
-        if checked:
-            prime_gb = groebner_basis([polynomial_to_element(g) for g in checked])
-            for g in gens:
-                if not prime_gb.normal_form(polynomial_to_element(g)).is_zero():
-                    raise StructuralError(
-                        "declared minimal prime does not contain the defining ideal"
-                    )
-        elif gens:
+        if not checked:
+            return checked, GroebnerBasis(field, nvars, 1, ())
+        return checked, ideal_groebner_basis(checked)
+
+    gens, ideal_basis = intake("defining ideal generator", ideal)
+    warnings: List[str] = []
+    prime_bases: List[GroebnerBasis] = []
+    # the one minimal prime of the polynomial ring is the zero ideal
+    for prime in minimal_primes or ([] if gens else [()]):
+        prime_gens, prime_basis = intake("minimal prime generator", prime)
+        if gens and not prime_gens:
             raise StructuralError(
                 "the zero ideal cannot be a minimal prime of a proper quotient"
             )
-        else:
-            prime_gb = empty_basis(field, nvars, 1)
-        prime_bases.append(prime_gb)
-    if prime_bases:
+        if prime_gens and not gens:
+            raise StructuralError(
+                "the zero ideal is the only minimal prime of a polynomial ring"
+            )
+        if not all(prime_basis.contains(polynomial_to_element(g)) for g in gens):
+            raise StructuralError(
+                "declared minimal prime does not contain the defining ideal"
+            )
+        prime_bases.append(prime_basis)
+    if minimal_primes:
         warnings.append(
             "minimal primes are declared: primality and completeness of the "
             "list are trusted, containment of the ideal was verified"
@@ -416,9 +416,6 @@ def make_ring(
         # intersection: both flags hold without trust
         reduced = True
         complete_intersection = True
-        if not prime_bases:
-            # its minimal prime is the zero ideal
-            prime_bases.append(empty_basis(field, nvars, 1))
     elif reduced:
         warnings.append("reduced flag is declared and trusted, not verified")
 

@@ -253,7 +253,10 @@ def graph_syzygies(columns, lift=()):
     ]
     aug += [extra.embedded(total) for extra in lift if not extra.is_zero()]
     return [
-        g.restricted(range(rank, total))
+        FreeElement(
+            field, nvars, len(columns),
+            {(pos - rank, mono): c for (pos, mono), c in g.terms.items()},
+        )
         for g in groebner_basis(aug)
         if all(pos >= rank for pos, _ in g.terms)
     ]

@@ -97,7 +97,7 @@ def naive_normal_form(f: FreeElement, basis) -> FreeElement:
                 if (gp, gm) == (lp, lm):
                     continue
                 tt = (gp, tuple(x + y for x, y in zip(gm, shift)))
-                v = field.sub(work.get(tt, field.zero), field.mul(q, gc))
+                v = field.add(work.get(tt, field.zero), field.neg(field.mul(q, gc)))
                 if v:
                     work[tt] = v
                 else:

@@ -589,11 +589,11 @@ class TestKernelOracle:
         # gens part of the syzygies of gens + modulo, where each modulo
         # vector has a tag position, vector for vector and in that order
         heads = (
-            vec.restricted(range(len(gens)))
+            {(pos, mono): c for (pos, mono), c in vec.terms.items() if pos < len(gens)}
             for vec in ring.syzygies(gens + modulo, rank)
         )
         assert [list(v.terms.items()) for v in relations] == [
-            list(h.terms.items()) for h in heads if not h.is_zero()
+            list(h.items()) for h in heads if h
         ]
         # each relation maps into <modulo> + I
         target = ring.submodule_basis(modulo, rank)

@@ -38,7 +38,7 @@ def dense_echelon(matrix, ncols, field):
             f = matrix[r][col]
             if r != rank and f:
                 pairs = zip(matrix[r], matrix[rank])
-                matrix[r] = [field.sub(a, field.mul(f, b)) for a, b in pairs]
+                matrix[r] = [field.add(a, field.neg(field.mul(f, b))) for a, b in pairs]
         pivots[col] = rank
         rank += 1
     return pivots

@@ -10,8 +10,58 @@ from torsionlab.errors import InputError, StructuralError
 from torsionlab.fields import GF, QQ
 from torsionlab.poly import FreeElement
 from torsionlab.rings import Ideal, is_regular_sequence, make_ring
+from torsionlab.syntax import parse_polynomial
 
 from conftest import node_ring
+
+
+def qq(*texts):
+    return [parse_polynomial(text, ("x", "y"), QQ) for text in texts]
+
+
+def gf5(*texts):
+    return [parse_polynomial(text, ("x", "y", "z"), GF(5)) for text in texts]
+
+
+# every input make_ring refuses, over QQ[x,y]: keyword arguments, the
+# error type and its message
+REFUSED_INTAKES = {
+    "ideal from another ring": (
+        {"ideal": gf5("x*y")},
+        InputError,
+        "defining ideal generator lives in a different ring",
+    ),
+    "prime from another ring": (
+        {"ideal": qq("x*y"), "minimal_primes": [gf5("x")]},
+        InputError,
+        "minimal prime generator lives in a different ring",
+    ),
+    "inhomogeneous ideal": (
+        {"ideal": qq("x^2 + y")},
+        InputError,
+        r"defining ideal generator is not homogeneous for grading \(1, 1\)",
+    ),
+    "inhomogeneous prime": (
+        {"ideal": qq("x*y"), "minimal_primes": [qq("x + y^2")]},
+        InputError,
+        r"minimal prime generator is not homogeneous for grading \(1, 1\)",
+    ),
+    "zero prime on a quotient": (
+        {"ideal": qq("x*y"), "minimal_primes": [qq("x"), []]},
+        StructuralError,
+        "the zero ideal cannot be a minimal prime of a proper quotient",
+    ),
+    "prime without the ideal": (
+        {"ideal": qq("x*y"), "minimal_primes": [qq("x"), qq("x + y")]},
+        StructuralError,
+        "declared minimal prime does not contain the defining ideal",
+    ),
+    "nonzero prime on a polynomial ring": (
+        {"minimal_primes": [qq("x")]},
+        StructuralError,
+        "the zero ideal is the only minimal prime of a polynomial ring",
+    ),
+}
 
 
 class TestMakeRing:
@@ -114,6 +164,33 @@ class TestMakeRing:
         assert declared == default
         assert default.warnings == ()
         assert declared.warnings != ()
+
+    def test_a_nonzero_prime_on_a_polynomial_ring_is_refused(self):
+        # the one minimal prime of GF(7)[x,y] is (0); declaring (x) would
+        # make x a zerodivisor and read the rank of coker [[x]] as 1
+        x = parse_polynomial("x", ("x", "y"), GF(7))
+        with pytest.raises(StructuralError, match="only minimal prime"):
+            make_ring(GF(7), ("x", "y"), minimal_primes=[[x]])
+        # a prime whose generators are all zero is the zero prime
+        zero = make_ring(GF(7), ("x", "y"), minimal_primes=[[x - x]])
+        assert zero == make_ring(GF(7), ("x", "y"))
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_INTAKES))
+    def test_every_refused_intake(self, case):
+        kwargs, error, message = REFUSED_INTAKES[case]
+        with pytest.raises(error, match=message):
+            make_ring(QQ, ("x", "y"), **kwargs)
+
+    def test_the_ideal_is_checked_before_the_primes_in_their_order(self):
+        with pytest.raises(InputError, match="defining ideal generator"):
+            make_ring(QQ, ("x", "y"), ideal=qq("x^2 + y"), minimal_primes=[gf5("x")])
+        with pytest.raises(StructuralError, match="does not contain"):
+            make_ring(
+                QQ,
+                ("x", "y"),
+                ideal=qq("x*y"),
+                minimal_primes=[qq("x + y"), qq("x + y^2")],
+            )
 
 
 class TestRegularSequences:
