@@ -56,7 +56,7 @@ from .modules import (
 from .poly import FreeElement, Polynomial
 from .rings import Ideal, RingContext, is_regular_sequence, make_ring
 from .script import Script, format_script, parse_script
-from .engine import ExecConfig, RunReport, execute, run_source
+from .engine import RunReport, execute, run_source
 from .torsion import (
     TorsionSplit,
     alternating_tensor,

@@ -24,10 +24,10 @@ the lookup and the store: each generator's text is written once by
 generators and make up the payload.  Writes go through a temp file plus
 atomic rename under an advisory lock on the directory's one ``.lock`` file,
 so concurrent processes sharing a cache directory stay consistent and an
-interrupted run never leaves a partial entry.  ``open_cache`` opens the
-cache a run asks for; the cache in use is the ``cache`` field of the run
-settings (``limits.run_scope``), so it is scoped to the current context
-like the degree cap.
+interrupted run never leaves a partial entry.  The cache in use is the
+``cache`` field of the run settings (``limits.run_scope``), so it is scoped
+to the current context like the degree cap; the command line opens one for
+``--cache``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .poly import FreeElement
 
 CACHE_FORMAT = 1
 ENGINE_VERSION = "0.1.0"
-ENV_VAR = "TORSIONLAB_CACHE"
 LOCK_NAME = ".lock"
 
 T = TypeVar("T")
@@ -216,14 +215,6 @@ class Request:
         self.cache = cache
         self.digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self.head = f'{{"format":{CACHE_FORMAT},"request":{text},"result":'
-
-
-def open_cache(directory: Optional[str]) -> Optional[ComputationCache]:
-    """The cache in ``directory`` (or $TORSIONLAB_CACHE); None when neither
-    is set."""
-    if directory is None:
-        directory = os.environ.get(ENV_VAR)
-    return ComputationCache(directory) if directory else None
 
 
 def groebner_request(

@@ -7,17 +7,23 @@
 Exit codes: 0 all claims pass, 1 some claim fails, 2 inapplicable results
 only, 3 resource, parse, or input errors, or a --cache or --json path that
 cannot be used.
+
+``run`` builds the run's scope: the degree cap is checked first, then the
+cache directory (``--cache``, by default ``$TORSIONLAB_CACHE``) is opened.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
-from .engine import ExecConfig, execute
+from .cache import ComputationCache
+from .engine import execute
 from .errors import ScriptParseError, TorsionLabError
+from .limits import DEFAULT_DEGREE_CAP, run_scope
 from .script import parse_script
 
 
@@ -33,10 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("script", help="path to the script")
     run.add_argument("--json", dest="json_path", help="write the JSON report here")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--degree-cap", type=int, default=None)
+    run.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP)
     run.add_argument(
         "--cache",
-        default=None,
+        default=os.environ.get("TORSIONLAB_CACHE"),
         help="cache directory (default: $TORSIONLAB_CACHE when set)",
     )
 
@@ -60,11 +66,12 @@ def _cmd_run(args) -> int:
     except ScriptParseError as exc:
         print(f"{args.script}:{exc}", file=sys.stderr)
         return 3
-    config = ExecConfig(
-        seed=args.seed, degree_cap=args.degree_cap, cache_dir=args.cache
-    )
     try:
-        report = execute(script, config)
+        # the cap is checked before the cache directory is made
+        with run_scope(degree_cap=args.degree_cap), run_scope(
+            cache=ComputationCache(args.cache) if args.cache else None
+        ):
+            report = execute(script, args.seed)
     except TorsionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

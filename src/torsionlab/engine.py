@@ -2,7 +2,7 @@
 
 Statements run in order.  One runner, ``_Engine.run``, runs every
 statement kind and returns its status, summary and optional output or
-report; one loop in ``_execute`` builds every ``StatementResult`` from
+report; one loop in ``execute`` builds every ``StatementResult`` from
 that.  A statement that raises a ``TorsionLabError`` is recorded there as
 an error and execution continues, so independent later statements still
 produce results.  The JSON report is byte-stable for a fixed (script,
@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional
 
-from .cache import open_cache
 from .certificates import Certificate
 from .errors import InputError, TorsionLabError
 from .fields import GF, QQ
@@ -40,13 +39,7 @@ from .homology import (
     pd,
     tor,
 )
-from .limits import (
-    check_power_size,
-    checked_degree_cap,
-    checked_integer,
-    current,
-    run_scope,
-)
+from .limits import check_power_size, checked_integer, current
 from .modules import (
     FPModule,
     ModuleElement,
@@ -92,12 +85,6 @@ from .torsion import (
 
 TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA = 1
-
-
-class ExecConfig(NamedTuple):
-    seed: int = 0
-    degree_cap: Optional[int] = None
-    cache_dir: Optional[str] = None
 
 
 class StatementResult(NamedTuple):
@@ -205,8 +192,8 @@ def _value_summary(value) -> str:
 
 
 class _Engine:
-    def __init__(self, config: ExecConfig):
-        self.config = config
+    def __init__(self, seed: int):
+        self.seed = seed
         self.env: Dict[str, object] = {}
         self.certificates: List[Certificate] = []
 
@@ -412,15 +399,13 @@ class _Engine:
                 values[index] = self.eval_poly_sequence(args[index], ring)
             elif kind == "elements":
                 values[index] = self.eval_element_list(args[index], context)
-        values += [self.default(param[1]) for param in params[len(args) :]]
-        keywords = {key: self.default(value) for key, value in defaults.items()}
+        values += [param[1] for param in params[len(args) :]]
+        keywords = {
+            key: value(self) if callable(value) else value
+            for key, value in defaults.items()
+        }
         keywords.update((key, self.read("int", expr)) for key, expr in kwargs)
         return routine(*values, **keywords)
-
-    def default(self, value):
-        """A default of the call table: a value, or a callable read from
-        the run's configuration."""
-        return value(self.config) if callable(value) else value
 
 
 # the type an argument of each typed kind must have, and the error otherwise
@@ -450,10 +435,11 @@ def _resolve(module: FPModule, bound: Optional[int]) -> FreeResolution:
 # (any value), "polys" (a polynomial or a tuple of them) or "elements" (a
 # list of module elements); the last two are read in the first module or
 # ring argument.  A trailing (kind, default) pair may be left out.  Every
-# keyword is an integer.  A callable default is read from the run's
-# ExecConfig.  A routine reaches the library through this module's globals
-# when it runs, not when the table is built (a lambda, or a helper here), so
-# a wrapper bound to a module-level name sees every call.
+# keyword is an integer.  A callable keyword default is read from the
+# engine when the call runs (the run's seed).  A routine reaches the
+# library through this module's globals when it runs, not when the table is
+# built (a lambda, or a helper here), so a wrapper bound to a module-level
+# name sees every call.
 _FUNCTIONS = {
     "tensor": (("module", "module"), {}, lambda a, b: tensor(a, b)),
     "tensor_power": (("module", "int"), {}, lambda m, n: tensor_power(m, n)),
@@ -510,31 +496,23 @@ _PROBES = {
     ),
     "question2.12": (
         ("ring",),
-        {"panel": 4, "seed": lambda c: c.seed, "cap": 4},
+        {"panel": 4, "seed": lambda engine: engine.seed, "cap": 4},
         lambda r, panel, seed, cap: explore_torsion_onset(r, panel, seed, cap),
     ),
 }
 
 
-def execute(script: Script, config: Optional[ExecConfig] = None) -> RunReport:
-    """Run every statement; resource and input errors are recorded per
-    statement and later independent statements still execute.  The cache
-    of ``config``, and its degree cap when set, hold for this run only; the
-    abort hook is the caller's."""
-    config = config or ExecConfig()
-    changes = {}
-    if config.degree_cap is not None:
-        # checked before open_cache makes the cache directory
-        changes["degree_cap"] = checked_degree_cap(config.degree_cap)
-    with run_scope(cache=open_cache(config.cache_dir), **changes):
-        return _execute(script, config)
-
-
-def _execute(script: Script, config: ExecConfig) -> RunReport:
+def execute(script: Script, seed: int = 0) -> RunReport:
+    """Run every statement under the caller's run settings
+    (``limits.current()``); the run sets none of its own.  Resource and
+    input errors are recorded per statement and later independent
+    statements still execute.  The report counts this run's own cache hits
+    and misses."""
     active = current().cache
+    hits, misses = (active.hits, active.misses) if active is not None else (0, 0)
     start = time.monotonic()
-    engine = _Engine(config)
-    report = RunReport(certificates=engine.certificates, seed=config.seed)
+    engine = _Engine(seed)
+    report = RunReport(certificates=engine.certificates, seed=seed)
     source_text = ""
     for index, stmt in enumerate(script.statements):
         source = format_statement(stmt)
@@ -551,11 +529,11 @@ def _execute(script: Script, config: ExecConfig) -> RunReport:
         )
     report.input_hash = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
     if active is not None:
-        report.cache_hits = active.hits
-        report.cache_misses = active.misses
+        report.cache_hits = active.hits - hits
+        report.cache_misses = active.misses - misses
     report.elapsed_seconds = time.monotonic() - start
     return report
 
 
-def run_source(text: str, config: Optional[ExecConfig] = None) -> RunReport:
-    return execute(parse_script(text), config)
+def run_source(text: str, seed: int = 0) -> RunReport:
+    return execute(parse_script(text), seed)

@@ -6,7 +6,10 @@ variable, so they are scoped to the current context and no run leaves state
 behind.  Every long-running loop reads ``current()`` once per call, compares
 each new term's degree with the cap (raising ``degree_cap_error``) and calls
 the hook once per step, so a single setting bounds the whole engine;
-``groebner_basis`` reads the cache from the same settings.
+``cache.groebner_request``, on the one route
+``groebner._reduced_completion``, reads the cache from the same settings.
+These are the only run settings: ``engine.execute`` runs under the
+caller's and sets none of its own.
 
 ``run_scope(**changes)`` replaces the named fields for its block, inherits
 the rest, and puts the enclosing settings back when the block ends, also

@@ -146,7 +146,7 @@ class FPModule:
         self._dual_syzygies: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
         self._dual: Optional[Tuple[Tuple[FreeElement, ...], Tuple[int, ...]]] = None
         self._tensor_powers: Dict[int, "FPModule"] = {}
-        self._resolution = None  # filled by homology.free_resolution
+        self._resolution = None  # filled by homology._extend_resolution
 
     # -- constructors ----------------------------------------------------
 

@@ -353,10 +353,10 @@ def make_ring(
     declared minimal prime and builds the reduced basis of what they
     generate.  Rejects inhomogeneous generators, complete-intersection flags
     whose generators fail the Koszul regularity test in k[x], declared
-    minimal primes that do not contain the ideal, the zero prime on a
-    proper quotient and a nonzero prime on a polynomial ring.  Reducedness
-    and primality of the declared primes are trusted, with a recorded
-    warning.
+    minimal primes that do not contain the ideal or that contain one
+    another, the zero prime on a proper quotient and a nonzero prime on a
+    polynomial ring.  Reducedness and primality of the declared primes are
+    trusted, with a recorded warning.
     """
     names = tuple(variables)
     if not names:
@@ -387,6 +387,9 @@ def make_ring(
             return checked, GroebnerBasis(field, nvars, 1, ())
         return checked, ideal_groebner_basis(checked)
 
+    def contains(outer: GroebnerBasis, inner: GroebnerBasis) -> bool:
+        return all(outer.contains(g) for g in inner)
+
     gens, ideal_basis = intake("defining ideal generator", ideal)
     warnings: List[str] = []
     prime_bases: List[GroebnerBasis] = []
@@ -401,10 +404,15 @@ def make_ring(
             raise StructuralError(
                 "the zero ideal is the only minimal prime of a polynomial ring"
             )
-        if not all(prime_basis.contains(polynomial_to_element(g)) for g in gens):
+        if not contains(prime_basis, ideal_basis):
             raise StructuralError(
                 "declared minimal prime does not contain the defining ideal"
             )
+        # minimal primes are pairwise incomparable: a repeated prime, or
+        # one inside another, would count a component twice or not at all
+        for earlier in prime_bases:
+            if contains(earlier, prime_basis) or contains(prime_basis, earlier):
+                raise StructuralError("a declared minimal prime contains another")
         prime_bases.append(prime_basis)
     if minimal_primes:
         warnings.append(

@@ -15,7 +15,8 @@ import tempfile
 from itertools import product as iter_product
 from typing import List, NamedTuple, Optional
 
-from .engine import ExecConfig, run_source
+from .cache import ComputationCache
+from .engine import run_source
 from .fields import GF, QQ
 from .frobenius import (
     frobenius_functor,
@@ -25,6 +26,7 @@ from .frobenius import (
 )
 from .groebner import groebner_basis, syzygy_matrix
 from .homology import PD_INFINITE, koszul_depth, pd, tor
+from .limits import run_scope
 from .modules import FPModule, annihilator, tensor, tensor_power
 from .poly import FreeElement, Polynomial
 from .randgen import random_module_with_planted_relation
@@ -604,14 +606,14 @@ assert pd(K) == 1;
 @_criterion("criterion-12-cli-determinism")
 def criterion_12_cli_determinism(seed: int) -> str:
     """Byte-identical reports across reruns and across cold/warm cache."""
-    config = ExecConfig(seed=seed)
-    first = run_source(_DETERMINISM_SCRIPT, config).to_json(include_timing=False)
-    second = run_source(_DETERMINISM_SCRIPT, config).to_json(include_timing=False)
+    first = run_source(_DETERMINISM_SCRIPT, seed).to_json(include_timing=False)
+    second = run_source(_DETERMINISM_SCRIPT, seed).to_json(include_timing=False)
     _require(first == second, "plain reruns differ")
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cold_config = ExecConfig(seed=seed, cache_dir=cache_dir)
-        cold = run_source(_DETERMINISM_SCRIPT, cold_config)
-        warm = run_source(_DETERMINISM_SCRIPT, cold_config)
+    with tempfile.TemporaryDirectory() as cache_dir, run_scope(
+        cache=ComputationCache(cache_dir)
+    ):
+        cold = run_source(_DETERMINISM_SCRIPT, seed)
+        warm = run_source(_DETERMINISM_SCRIPT, seed)
         _require(warm.cache_hits != 0, "warm run had no cache hits")
         cold_json = cold.to_json(include_timing=False)
         warm_json = warm.to_json(include_timing=False)

@@ -1,4 +1,5 @@
-"""Shared ring fixtures for the test suite."""
+"""Shared ring fixtures for the test suite, and a test environment without
+``$TORSIONLAB_CACHE``."""
 
 from __future__ import annotations
 
@@ -7,6 +8,13 @@ import pytest
 from torsionlab.fields import GF, QQ
 from torsionlab.rings import make_ring
 from torsionlab.syntax import parse_polynomial
+
+
+@pytest.fixture(autouse=True)
+def no_cache_from_the_environment(monkeypatch):
+    # in-process CLI runs read $TORSIONLAB_CACHE as the default of --cache,
+    # so no test writes into the cache the developer's shell names
+    monkeypatch.delenv("TORSIONLAB_CACHE", raising=False)
 
 
 def ring_qq_xy():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionlab import cache, limits
-from torsionlab.engine import ExecConfig, run_source
+from torsionlab.engine import run_source
 from torsionlab.errors import AbortedError
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis, ideal_groebner_basis, syzygy_generators
@@ -32,7 +32,7 @@ SCRIPT = (
 
 
 def cache_in(directory):
-    return run_scope(cache=cache.open_cache(str(directory)))
+    return run_scope(cache=cache.ComputationCache(str(directory)))
 
 
 class TestElementCodec:
@@ -264,13 +264,15 @@ class TestRunSoundness:
     ):
         # each entry keeps its request, so only the shape of its result
         # can tell that it is not what this cache wrote
-        config = ExecConfig(cache_dir=str(tmp_path))
-        cold = run_source(SCRIPT, config)
-        for path in tmp_path.glob("*.json"):
-            body = path.read_text(encoding="utf-8")
-            head = body[: body.index('"result":') + len('"result":')]
-            path.write_text(head + result + "}", encoding="utf-8")
-        again = run_source(SCRIPT, config)
+        with cache_in(tmp_path):
+            cold = run_source(SCRIPT)
+            for path in tmp_path.glob("*.json"):
+                body = path.read_text(encoding="utf-8")
+                head = body[: body.index('"result":') + len('"result":')]
+                path.write_text(head + result + "}", encoding="utf-8")
+            again = run_source(SCRIPT)
+            # the misses stored their results again
+            assert run_source(SCRIPT).cache_misses == 0
         assert again.to_json(include_timing=False) == cold.to_json(
             include_timing=False
         )
@@ -278,29 +280,27 @@ class TestRunSoundness:
             cold.cache_hits,
             cold.cache_misses,
         )
-        # the misses stored their results again
-        assert run_source(SCRIPT, config).cache_misses == 0
 
     def test_report_identical_with_and_without_cache(self, tmp_path):
-        baseline = run_source(SCRIPT, ExecConfig()).to_json(include_timing=False)
-        cached_cfg = ExecConfig(cache_dir=str(tmp_path / "cache"))
-        cold = run_source(SCRIPT, cached_cfg)
-        warm = run_source(SCRIPT, cached_cfg)
+        baseline = run_source(SCRIPT).to_json(include_timing=False)
+        with cache_in(tmp_path / "cache"):
+            cold = run_source(SCRIPT)
+            warm = run_source(SCRIPT)
         assert cold.to_json(include_timing=False) == baseline
         assert warm.to_json(include_timing=False) == baseline
         assert warm.cache_hits > 0
 
     def test_deleting_the_cache_reproduces_certificates(self, tmp_path):
-        cfg = ExecConfig(cache_dir=str(tmp_path / "cache"))
-        first = run_source(SCRIPT, cfg).to_json(include_timing=False)
-        for name in os.listdir(tmp_path / "cache"):
-            os.unlink(tmp_path / "cache" / name)
-        second = run_source(SCRIPT, cfg).to_json(include_timing=False)
+        with cache_in(tmp_path / "cache"):
+            first = run_source(SCRIPT).to_json(include_timing=False)
+            for name in os.listdir(tmp_path / "cache"):
+                os.unlink(tmp_path / "cache" / name)
+            second = run_source(SCRIPT).to_json(include_timing=False)
         assert first == second
 
     def test_run_leaves_no_cache_active(self):
-        with tempfile.TemporaryDirectory() as directory:
-            run_source(SCRIPT, ExecConfig(cache_dir=directory))
+        with tempfile.TemporaryDirectory() as directory, cache_in(directory):
+            run_source(SCRIPT)
         assert current().cache is None
         # the run's cache directory is gone: a later computation must not
         # try to write into it
@@ -309,18 +309,37 @@ class TestRunSoundness:
 
     def test_run_restores_the_caller_cache(self, tmp_path):
         with cache_in(tmp_path / "outer") as settings:
-            run_source(SCRIPT, ExecConfig(cache_dir=str(tmp_path / "inner")))
+            run_source(SCRIPT)
             assert current().cache is settings.cache
 
-    def test_run_leaves_the_degree_cap_alone(self):
-        run_source(SCRIPT, ExecConfig(degree_cap=3))
-        assert current().degree_cap == limits.DEFAULT_DEGREE_CAP
+    def test_runs_use_the_cache_of_the_enclosing_scope(self, tmp_path):
+        with cache_in(tmp_path / "shared") as settings:
+            cold = run_source(SCRIPT)
+            warm = run_source(SCRIPT)
+        # each report counts its own run; the cache counts both
+        assert cold.cache_misses > 0 and warm.cache_hits > 0
+        assert (settings.cache.hits, settings.cache.misses) == (
+            cold.cache_hits + warm.cache_hits,
+            cold.cache_misses + warm.cache_misses,
+        )
+        # a warm rerun with a separately opened cache counts the same
+        with cache_in(tmp_path / "separate"):
+            run_source(SCRIPT)
+        with cache_in(tmp_path / "separate"):
+            rerun = run_source(SCRIPT)
+        assert (warm.cache_hits, warm.cache_misses) == (
+            rerun.cache_hits,
+            rerun.cache_misses,
+        )
 
-    def test_env_var_activation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "envcache"))
-        run_source(SCRIPT, ExecConfig())
-        assert os.path.isdir(tmp_path / "envcache")
-        assert os.listdir(tmp_path / "envcache")
+    def test_a_run_sets_no_setting_of_its_own(self):
+        seen = []
+        hook = lambda: seen.append(current()) or False  # noqa: E731
+        with run_scope(degree_cap=40, abort_hook=hook) as outer:
+            run_source(SCRIPT)
+        # every step of the run read the caller's settings themselves
+        assert seen and all(settings is outer for settings in seen)
+        assert current().degree_cap == limits.DEFAULT_DEGREE_CAP
 
 
 class TestCancellation:
@@ -353,7 +372,7 @@ class TestCancellation:
         def run():
             # the scope is entered in the copied context and left open
             scope.__enter__()
-            run_source(SCRIPT, ExecConfig())
+            run_source(SCRIPT)
 
         context.run(run)
         # the run read the hook, and the hook did not outlive its context

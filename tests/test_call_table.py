@@ -108,7 +108,7 @@ class TestResolveAnnAndTheRunSeed:
     def test_the_question_probe_seed_defaults_to_the_run_seed(self):
         source = "ring Q = QQ[x,y];\nprobe question2.12 Q panel=2 cap=2;\n"
         seeded = "ring Q = QQ[x,y];\nprobe question2.12 Q panel=2 seed=7 cap=2;\n"
-        default = run_source(source, engine.ExecConfig(seed=7)).results[-1].report
+        default = run_source(source, seed=7).results[-1].report
         assert default == run_source(seeded).results[-1].report
 
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from torsionlab import cache, groebner
-from torsionlab.engine import ExecConfig, run_source
+from torsionlab.engine import run_source
 from torsionlab.errors import ResourceLimitError
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis
@@ -364,7 +364,7 @@ def test_qq_coefficients_leave_the_kernel_as_fractions(tmp_path):
     def all_fractions(terms):
         return all(type(c) is Fraction for c in terms.values())
 
-    with run_scope(cache=cache.open_cache(str(tmp_path))) as scope:
+    with run_scope(cache=cache.ComputationCache(str(tmp_path))) as scope:
         cold = groebner_basis(gens)
         warm = groebner_basis(gens)
     assert (scope.cache.misses, scope.cache.hits) == (1, 1)
@@ -486,7 +486,8 @@ def test_a_power_of_degree_100_runs_under_a_cap_of_128():
         "ring R = QQ[x,y];\nmodule M = coker [[x^100]] over R;\n"
         "print nu(M);\nprint torsion_free(M);\n"
     )
-    report = run_source(text, ExecConfig(degree_cap=128))
+    with run_scope(degree_cap=128):
+        report = run_source(text)
     assert [r.status for r in report.results] == ["ok"] * 4
     assert [r.output for r in report.results[2:]] == ["1", "False"]
 

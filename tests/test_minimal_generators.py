@@ -240,7 +240,8 @@ class TestIncrementalCompletion:
         consulted = []
 
         def run(hook):
-            with run_scope(cache=cache.open_cache(str(tmp_path)), abort_hook=hook):
+            store = cache.ComputationCache(str(tmp_path))
+            with run_scope(cache=store, abort_hook=hook):
                 return ring.minimal_subset(vectors, 1, (0,), key)
 
         run(lambda: consulted.append(1) or False)

@@ -56,6 +56,16 @@ REFUSED_INTAKES = {
         StructuralError,
         "declared minimal prime does not contain the defining ideal",
     ),
+    "nested primes": (
+        {"ideal": qq("x*y"), "minimal_primes": [qq("x"), qq("y"), qq("x", "y")]},
+        StructuralError,
+        "a declared minimal prime contains another",
+    ),
+    "repeated prime": (
+        {"ideal": qq("x*y"), "minimal_primes": [qq("x"), qq("x"), qq("y")]},
+        StructuralError,
+        "a declared minimal prime contains another",
+    ),
     "nonzero prime on a polynomial ring": (
         {"minimal_primes": [qq("x")]},
         StructuralError,

@@ -29,7 +29,7 @@ class TestRunScope:
             current().degree_cap = 3
 
     def test_unnamed_fields_are_inherited(self, tmp_path):
-        store = cache.open_cache(str(tmp_path))
+        store = cache.ComputationCache(str(tmp_path))
         with run_scope(abort_hook=hook, cache=store):
             with run_scope(degree_cap=5) as inner:
                 assert inner is current()

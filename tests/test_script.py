@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import os
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,20 @@ class TestCli:
         argv += ["--cache", str(cache_dir)]
         self.assert_input_error(argv, capsys, "degree cap must be positive")
         assert not cache_dir.exists()
+
+    def test_env_var_activation(self, tmp_path, monkeypatch):
+        from torsionlab.cli import build_parser, main
+
+        directory = str(tmp_path / "envcache")
+        monkeypatch.setenv("TORSIONLAB_CACHE", directory)
+        script = tmp_path / "node.tl"
+        script.write_text(
+            NODE_HEADER + "module M = coker [[x]] over R;\nverify carrier M;\n"
+        )
+        argv = ["run", str(script)]
+        assert build_parser().parse_args(argv).cache == directory
+        assert main(argv) == 0
+        assert os.listdir(directory)
 
     def test_run_degree_too_long_to_print_exit_three(self, tmp_path, capsys):
         # 2^15000 has 4516 digits, over what str() converts

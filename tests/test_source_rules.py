@@ -57,9 +57,21 @@ def builds_statement_result(node) -> bool:
 
 def test_one_site_builds_every_statement_result():
     # each statement kind hands its status and summary to the one loop of
-    # engine._execute, so an error is recorded the same way for every kind
+    # engine.execute, so an error is recorded the same way for every kind
     sites = offending(builds_statement_result)
     assert [site.split(":")[0] for site in sites] == ["engine.py"], sites
+
+
+def reads_the_environment(node) -> bool:
+    return isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and (
+        getattr(node, "name", None) or simple_name(node)
+    ) in ("environ", "environb", "getenv", "getenvb")
+
+
+def test_only_the_command_line_reads_the_environment():
+    # a run depends only on its script, its seed and its run scope; the
+    # command line turns $TORSIONLAB_CACHE into the default of --cache
+    assert offending(reads_the_environment, skip=("cli.py",)) == []
 
 
 TESTS = Path(__file__).resolve().parent
@@ -152,9 +164,9 @@ def test_every_dataclass_field_is_read():
                     declared.add(id(field))
                     name = field.id if isinstance(field, ast.Name) else field.value
                     fields.append(f"{record}.{name}")
-    # 24 NamedTuples (the script's tokens and syntax tree among them) and
+    # 23 NamedTuples (the script's tokens and syntax tree among them) and
     # 9 slotted classes: 6 records, Polynomial, FreeElement and _Layout
-    assert len(records) == 33, records
+    assert len(records) == 32, records
     assert [field for field in fields if field.rsplit(".", 1)[1] not in reads] == []
 
 
