@@ -24,7 +24,14 @@ the lookup and the store: each generator's text is written once by
 generators and make up the payload.  Writes go through a temp file plus
 atomic rename under an advisory lock on the directory's one ``.lock`` file,
 so concurrent processes sharing a cache directory stay consistent and an
-interrupted run never leaves a partial entry.  The cache in use is the
+interrupted run never leaves a partial entry; a directory that cannot be
+written is an ``InputError``, as one that cannot be made is.  Every SHA-256
+in the package, entry names and the report's ``input_hash`` alike, is
+``text_digest``, which takes the interpreter's built-in ``sha256``
+(``_sha256``, or ``_sha2`` from Python 3.12) and falls back to
+``hashlib`` only when neither module exists: ``hashlib`` loads
+``_hashlib``, which maps OpenSSL's libcrypto, about 3 MB of each process's
+peak RSS.  The digests are the same either way.  The cache in use is the
 ``cache`` field of the run settings (``limits.run_scope``), so it is scoped
 to the current context like the degree cap; the command line opens one for
 ``--cache``.
@@ -32,7 +39,6 @@ to the current context like the degree cap; the command line opens one for
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -67,6 +73,19 @@ except ImportError:  # non-POSIX fallback: atomic rename still protects readers
 
     def _unlock(handle):
         pass
+
+try:
+    from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
+def text_digest(text: str) -> str:
+    """The hex SHA-256 of the UTF-8 bytes of ``text``."""
+    return _sha256(text.encode("utf-8")).hexdigest()
 
 
 def _encode_coeff(c, characteristic: int):
@@ -159,11 +178,14 @@ class ComputationCache:
         try:
             os.makedirs(directory, exist_ok=True)
         except OSError as exc:
-            raise InputError(
-                f"cannot use cache directory {directory}: {exc.strerror}"
-            ) from exc
+            raise self._unusable(exc) from exc
         self.hits = 0
         self.misses = 0
+
+    def _unusable(self, exc: OSError) -> InputError:
+        return InputError(
+            f"cannot use cache directory {self.directory}: {exc.strerror}"
+        )
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.directory, f"{digest}.json")
@@ -186,23 +208,27 @@ class ComputationCache:
         return value
 
     def put(self, request: "Request", result: str) -> None:
-        """Store ``result``, the canonical text of the result object."""
+        """Store ``result``, the canonical text of the result object;
+        ``InputError`` when the directory cannot be written."""
         path = self._path(request.digest)
         body = request.head + result + "}"
         lock_path = os.path.join(self.directory, LOCK_NAME)
-        with open(lock_path, "w", encoding="utf-8") as lock_handle:
-            _lock(lock_handle)
-            try:
-                fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with open(lock_path, "w", encoding="utf-8") as lock_handle:
+                _lock(lock_handle)
                 try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        handle.write(body)
-                    os.replace(tmp, path)
+                    fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+                    try:
+                        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                            handle.write(body)
+                        os.replace(tmp, path)
+                    finally:
+                        if os.path.exists(tmp):
+                            os.unlink(tmp)
                 finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-            finally:
-                _unlock(lock_handle)
+                    _unlock(lock_handle)
+        except OSError as exc:
+            raise self._unusable(exc) from exc
 
 
 class Request:
@@ -213,7 +239,7 @@ class Request:
 
     def __init__(self, cache: ComputationCache, text: str):
         self.cache = cache
-        self.digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        self.digest = text_digest(text)
         self.head = f'{{"format":{CACHE_FORMAT},"request":{text},"result":'
 
 

@@ -13,13 +13,13 @@ by one binder.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from fractions import Fraction
 from functools import partial
 from typing import Dict, List, NamedTuple, Optional
 
+from .cache import text_digest
 from .certificates import Certificate
 from .errors import InputError, TorsionLabError
 from .fields import GF, QQ
@@ -527,7 +527,7 @@ def execute(script: Script, seed: int = 0) -> RunReport:
         report.results.append(
             StatementResult(index, stmt.line, kind, status, summary, source, **extra)
         )
-    report.input_hash = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
+    report.input_hash = text_digest(source_text)
     if active is not None:
         report.cache_hits = active.hits - hits
         report.cache_misses = active.misses - misses

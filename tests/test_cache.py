@@ -6,6 +6,7 @@ import contextvars
 import hashlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from torsionlab import cache, limits
 from torsionlab.engine import run_source
-from torsionlab.errors import AbortedError
+from torsionlab.errors import AbortedError, InputError
 from torsionlab.fields import GF, QQ
 from torsionlab.groebner import groebner_basis, ideal_groebner_basis, syzygy_generators
 from torsionlab.limits import current, run_scope
@@ -242,6 +243,21 @@ class TestCacheStore:
             again = ideal_groebner_basis(list(gens))
         assert [g.terms for g in again] == [g.terms for g in first]
 
+    def test_a_failed_write_is_an_input_error_and_leaves_no_temp_file(
+        self, tmp_path
+    ):
+        store = cache.ComputationCache(str(tmp_path))
+        request = cache.Request(store, '{"op":"test"}')
+        # a directory where the entry goes: the rename fails
+        (tmp_path / f"{request.digest}.json").mkdir()
+        message = re.escape(f"cannot use cache directory {tmp_path}: ")
+        with pytest.raises(InputError, match=message):
+            store.put(request, "{}")
+        assert sorted(os.listdir(tmp_path)) == [
+            cache.LOCK_NAME,
+            f"{request.digest}.json",
+        ]
+
 
 class TestRunSoundness:
     @pytest.mark.parametrize(
@@ -297,6 +313,24 @@ class TestRunSoundness:
                 os.unlink(tmp_path / "cache" / name)
             second = run_source(SCRIPT).to_json(include_timing=False)
         assert first == second
+
+    def test_a_cache_directory_removed_during_a_run_is_an_input_error(
+        self, tmp_path
+    ):
+        # the store cannot reach the directory: the statement records the
+        # error that opening an unusable directory gives, no raw OSError
+        directory = tmp_path / "cache"
+        with cache_in(directory):
+            directory.rmdir()
+            report = run_source(
+                "ring R = GF(5)[x,y,z];\n"
+                "module K = coker [[x],[y],[z]] over R;\n"
+                "print nu(torsion(tensor_power(K, 2)));\n"
+            )
+        assert [r.status for r in report.results] == ["ok", "ok", "error"]
+        assert report.results[-1].summary.startswith(
+            f"InputError: cannot use cache directory {directory}: "
+        )
 
     def test_run_leaves_no_cache_active(self):
         with tempfile.TemporaryDirectory() as directory, cache_in(directory):
