@@ -645,6 +645,21 @@ def present_submodule(
     return FPModule(ring, rel_cols, len(gens), degrees), gens
 
 
+def present_classes(
+    module: FPModule, vectors: Sequence[FreeElement]
+) -> Tuple[FPModule, List[FreeElement]]:
+    """Present the submodule of M that the classes of ``vectors``, vectors
+    of its cover, generate: their normal forms in M, the zero ones dropped,
+    go to ``present_submodule`` modulo the relations.  Returns the module
+    and its minimal generators as vectors of the cover."""
+    candidates = [
+        vec for vec in map(module.element_normal_form, vectors) if not vec.is_zero()
+    ]
+    return present_submodule(
+        module.ring, module.ngens, module.gen_degrees, candidates, module.relations
+    )
+
+
 def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
     """The kernel of a module map, with its inclusion into the source.
 
@@ -652,16 +667,8 @@ def kernel_of_map(phi: ModuleMap) -> Tuple[FPModule, ModuleMap]:
     they sweep out every class mapping into the image of those relations.
     """
     source, target = phi.source, phi.target
-    ring = source.ring
-    heads = ring.syzygies(phi.columns, target.ngens, target.relations)
-    candidates = [
-        head
-        for head in map(source.element_normal_form, heads)
-        if not head.is_zero()
-    ]
-    kernel, gens = present_submodule(
-        ring, source.ngens, source.gen_degrees, candidates, source.relations
-    )
+    heads = source.ring.syzygies(phi.columns, target.ngens, target.relations)
+    kernel, gens = present_classes(source, heads)
     for g in gens:
         if not target.element_is_zero(phi.push_coords(g)):
             raise InputError("kernel generator does not map to zero")

@@ -295,3 +295,60 @@ def test_one_function_in_groebner_holds_the_cache_route_and_autoreduction():
             callers[name].append(function.name)
     assert len({tuple(names) for names in callers.values()}) == 1, callers
     assert all(len(names) == 1 for names in callers.values()), callers
+
+
+def freeing_callers():
+    """``path:function`` of every call of ``torsion_split`` in the package
+    that passes ``freeing=`` or a ``**`` mapping, named by the innermost
+    function around it ("<module>" at the top level, where the script's
+    call tables hold their lambdas)."""
+    found = []
+
+    def visit(node, owner, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, path)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and simple_name(child.func) == "torsion_split"
+                and any(kw.arg in ("freeing", None) for kw in child.keywords)
+            ):
+                found.append(f"{path.name}:{owner}")
+            visit(child, owner, path)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", path)
+    return found
+
+
+def test_only_thm28_frees_the_torsion_split():
+    # a freeing element f whose M_f is not projective gives a torsion
+    # module that is too small, and so a wrong "torsion-free" verdict.  The
+    # thm2.8 verifier's r_1 frees every tensor power of its Koszul module by
+    # the theorem; no other caller has such a proof, so none passes one
+    assert freeing_callers() == [
+        "torsion.py:verify_koszul_tensor_powers",
+        "torsion.py:verify_koszul_tensor_powers",
+    ]
+
+
+def test_no_script_operation_takes_a_freeing_element():
+    # a freeing element must never come from script input: no function,
+    # claim or probe of the call tables declares it as a keyword, and every
+    # keyword a script passes must be declared (engine._Engine.bind)
+    from torsionlab import engine
+
+    for table in (engine._FUNCTIONS, engine._CLAIMS, engine._PROBES):
+        for name, (params, defaults, _) in table.items():
+            assert "freeing" not in defaults, name
+            kinds = [param if isinstance(param, str) else param[0] for param in params]
+            assert "freeing" not in kinds, name
+    report = engine.run_source(
+        "ring R = QQ[x,y];\n"
+        "module M = coker [[x]] over R;\n"
+        "print torsion_free(M, freeing=1);\n"
+    )
+    assert report.results[-1].summary == (
+        "InputError: torsion_free has no keyword 'freeing'"
+    )
