@@ -3,10 +3,12 @@
 A ``RingContext`` is immutable and freely shareable.  The defining ideal
 must be homogeneous for the declared grading.  The irrelevant maximal
 ideal (x_1, ..., x_n) plays the role of the maximal ideal in every local
-statement; minimal primes are user-declared, the context holds their
-Groebner bases, and only their containment of I is verified, which the
-context records as a trust warning.  The polynomial ring's one minimal
-prime is the zero ideal, and no other may be declared on it.
+statement.  Minimal primes are user-declared, and the context holds their
+Groebner bases.  ``make_ring`` refuses a prime that does not contain I or
+contains another, a nonzero prime on a polynomial ring and the zero prime
+on a quotient; primality and completeness stay trusted, with a warning.
+The primes serve only the generic ranks and question2.12's domain check:
+a non-zerodivisor is decided by the colon (0 :_R J) = 0.
 """
 
 from __future__ import annotations
@@ -214,15 +216,17 @@ class RingContext:
         reduced = (self.normal_form_vector(vec) for vec in raw)
         return [vec for vec in reduced if not vec.is_zero()]
 
+    def is_nonzerodivisor(self, f: Polynomial) -> bool:
+        """True when (0 :_R f) = 0, by ``Ideal.contains_nonzerodivisor`` on
+        (f); zero in R is a zerodivisor."""
+        return Ideal(self, [f]).contains_nonzerodivisor()
+
     # -- declared minimal primes -----------------------------------------
 
     def prime_bases(self) -> Tuple[GroebnerBasis, ...]:
         """Groebner bases of the declared minimal primes, built once by
-        ``make_ring``; a polynomial ring defaults to the zero ideal.
-
-        ``make_ring`` checks that every declared prime contains the defining
-        ideal, so an element needs no reduction modulo the ideal before a
-        membership test.
+        ``make_ring``; a polynomial ring defaults to the zero ideal.  They
+        serve the generic ranks and the question2.12 probe's domain check.
         """
         if not self._prime_bases:
             raise UnsupportedError(
@@ -259,20 +263,6 @@ class RingContext:
             pos for pos, mono in state.lead_terms() if prime.reducer((0, mono)) < 0
         }
         return len(pivots)
-
-    def is_nonzerodivisor(self, f: Polynomial) -> bool:
-        """True when f avoids every declared minimal prime.
-
-        Valid for reduced rings, where the zerodivisors are the union of
-        the minimal primes.
-        """
-        if not self.reduced:
-            raise UnsupportedError("non-zerodivisor test needs a reduced ring")
-        r = self.normal_form_poly(f)
-        if r.is_zero():
-            return False
-        element = polynomial_to_element(r)
-        return not any(prime.contains(element) for prime in self.prime_bases())
 
     # -- invariants -------------------------------------------------------
 
@@ -498,16 +488,14 @@ class Ideal:
         return [element_to_polynomial(v) for v in picked]
 
     def contains_nonzerodivisor(self) -> bool:
-        """True iff the ideal is not inside any declared minimal prime."""
-        if not self.ring.reduced:
-            raise UnsupportedError(
-                "non-zerodivisor detection needs a declared-reduced ring"
-            )
-        elements = [polynomial_to_element(g) for g in self.generators]
-        return not any(
-            all(prime.contains(g) for g in elements)
-            for prime in self.ring.prime_bases()
-        )
+        """True iff the ideal J holds a non-zerodivisor, that is iff
+        (0 :_R J) = 0 (Kaplansky, Commutative Rings, Thm 82): iff the
+        R-syzygies of the column of J's generators, reduced mod I, are all
+        zero (Greuel-Pfister, 1.8).  No declared prime is read."""
+        if not self.generators:
+            return False
+        column = FreeElement.from_components(self.generators)
+        return not self.ring.syzygies([column], column.rank)
 
     def descriptor(self) -> str:
         if not self.generators:

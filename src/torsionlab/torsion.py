@@ -103,13 +103,13 @@ def torsion_split(
     over R_f, t(M) = (0 :_M f^inf) (see the module docstring), and its
     preimage is the saturation of the relations at f (``_saturated``).  The
     caller vouches that M_f is projective; the split refuses an f that is
-    zero, inhomogeneous or a zerodivisor with ``InputError`` before the
-    saturation starts, since f = 0 would make all of M torsion.  The
-    zerodivisor test is the Koszul test on f alone, which needs no
-    declared minimal primes.  Each torsion generator v is checked on
-    another path than the syzygies that found it: f^k v must be zero in M
-    by graded membership, where k is the number of quotients the
-    saturation took.
+    zero, inhomogeneous, a unit or a zerodivisor with ``InputError`` before
+    the saturation starts, since f = 0 would make all of M torsion.  The
+    zerodivisor test is the colon (0 :_R f) = 0 of
+    ``RingContext.is_nonzerodivisor``, which needs no declared minimal
+    primes.  Each torsion generator v is checked on another path than the
+    syzygies that found it: f^k v must be zero in M by graded membership,
+    where k is the number of quotients the saturation took.
 
     The split runs no kernel of its own inclusion: that would repeat the
     syzygy computation that presented t(M), so it could not catch a wrong
@@ -156,18 +156,17 @@ def torsion_split(
 
 def _checked_freeing(ring: RingContext, freeing: Polynomial) -> Polynomial:
     """The freeing element in normal form, refused unless it is nonzero,
-    homogeneous and a non-zerodivisor of the ring.
-
-    The last is the Koszul test on the one-term sequence f, H_1(f; R) =
-    (0 :_R f) = 0, so it is computed and needs no declared primes; like
-    every regularity test it also refuses a unit.
+    homogeneous, of positive degree (a unit makes (0 :_M f^inf) = 0 on the
+    caller's word alone) and a non-zerodivisor, (0 :_R f) = 0.
     """
     f = ring.normal_form_poly(freeing)
     if f.is_zero():
         raise InputError("the freeing element is zero in the ring")
     if not f.is_homogeneous(ring.grading):
         raise InputError("the freeing element is not homogeneous")
-    if not is_regular_sequence(ring, [f]):
+    if f.degree(ring.grading) == 0:
+        raise InputError("the freeing element is a unit")
+    if not ring.is_nonzerodivisor(f):
         raise InputError("the freeing element is a zerodivisor")
     return f
 
@@ -502,6 +501,10 @@ def verify_presentation_torsion_bound(
     minimal = module.minimal()
     nu = minimal.ngens
     if case == 1:
+        if not ring.reduced:  # the closing torsion split needs it
+            raise UnsupportedError(
+                "non-zerodivisor detection needs a declared-reduced ring"
+            )
         ideal = presentation_ideal(module)
         cert.info("presentation-ideal", ideal=ideal.descriptor())
         if not ideal.contains_nonzerodivisor():

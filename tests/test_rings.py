@@ -8,7 +8,7 @@ import pytest
 
 from torsionlab.errors import InputError, StructuralError
 from torsionlab.fields import GF, QQ
-from torsionlab.poly import FreeElement
+from torsionlab.poly import FreeElement, polynomial_to_element
 from torsionlab.rings import Ideal, is_regular_sequence, make_ring
 from torsionlab.syntax import parse_polynomial
 
@@ -272,7 +272,97 @@ class TestIdeal:
             node5, [node5.poly("x"), node5.poly("y")]
         ).contains_nonzerodivisor()
 
+    def test_an_incomplete_prime_list_does_not_decide_a_nonzerodivisor(self):
+        # U = GF(7)[x,y]/(xy) declares only the prime (x): y lies outside
+        # it, but x*y = 0, so y is a zerodivisor
+        ring = declared_ring(GF(7), "x,y", ["x*y"], [["x"]])
+        assert not ring.is_nonzerodivisor(ring.poly("y"))
+        assert ring.is_nonzerodivisor(ring.poly("x + y"))
+        assert not Ideal(ring, [ring.poly("y")]).contains_nonzerodivisor()
+
+    def test_nonzerodivisors_on_a_ring_not_declared_reduced(self):
+        # over GF(7)[x,y]/(x^2), (0 : x) = (x) and (0 : y) = 0
+        x_squared = parse_polynomial("x^2", ("x", "y"), GF(7))
+        ring = make_ring(GF(7), ("x", "y"), ideal=[x_squared])
+        assert not ring.is_nonzerodivisor(ring.poly("x"))
+        assert ring.is_nonzerodivisor(ring.poly("y"))
+        assert not Ideal(ring, [ring.poly("x")]).contains_nonzerodivisor()
+        assert Ideal(ring, [ring.poly("x"), ring.poly("y")]).contains_nonzerodivisor()
+
+    def test_the_zero_ideal_holds_no_nonzerodivisor(self, QQxy):
+        assert not Ideal(QQxy, []).contains_nonzerodivisor()
+        assert not QQxy.is_nonzerodivisor(QQxy.zero())
+
     def test_minimal_generators(self, QQxy):
         ideal = Ideal(QQxy, [QQxy.poly("x"), QQxy.poly("x^2"), QQxy.poly("y")])
         mins = ideal.minimal_generators()
         assert sorted(QQxy.format(g) for g in mins) == ["x", "y"]
+
+
+def declared_ring(field, names, ideal, primes):
+    """A reduced quotient of field[names] with the given prime list."""
+    names = tuple(names.split(","))
+    poly = lambda text: parse_polynomial(text, names, field)  # noqa: E731
+    return make_ring(
+        field,
+        names,
+        ideal=[poly(t) for t in ideal],
+        minimal_primes=[[poly(t) for t in prime] for prime in primes],
+        reduced=True,
+    )
+
+
+# reduced rings whose declared minimal primes are all of them, and primes
+ORACLE_RINGS = {
+    "GF(5) node": lambda: node_ring(5),
+    "GF(7) node": lambda: node_ring(7),
+    "GF(2) three lines": lambda: declared_ring(
+        GF(2), "x,y", ["x^2*y + x*y^2"], [["x"], ["y"], ["x + y"]]
+    ),
+    "GF(2) Fermat cubic": lambda: declared_ring(
+        GF(2), "x,y,z", ["x^3 + y^3 + z^3"], [["x^3 + y^3 + z^3"]]
+    ),
+    "QQ plane": lambda: make_ring(QQ, ("x", "y"), reduced=True),
+}
+
+ORACLE_ELEMENTS = (
+    "0", "1", "x", "y", "x + y", "x - y", "x*y", "x^2", "x^2 + y^2",
+    "x^2 + x*y + y^2", "x^3 + x*y^2 + y^3",
+)
+
+ORACLE_IDEALS = (
+    (), ("x",), ("y",), ("x*y",), ("x", "y"), ("x^2", "x*y"),
+    ("x + y", "x*y"), ("x^2 + x*y + y^2",), ("x^2 + x*y", "x*y + y^2"),
+)
+
+
+def avoids_every_prime(ring, polys):
+    """The prime-list answer: the ideal ``polys`` generate lies in no
+    declared minimal prime.  Over a reduced ring whose list is complete the
+    zerodivisors are the union of the minimal primes, so this says whether
+    the ideal holds a non-zerodivisor (by prime avoidance)."""
+    elements = [polynomial_to_element(ring.normal_form_poly(f)) for f in polys]
+    return all(
+        any(not prime.contains(g) for g in elements) for prime in ring.prime_bases()
+    )
+
+
+class TestNonzerodivisorOracle:
+    """The colon test (0 :_R J) = 0 against the prime list, on rings whose
+    list is complete and correct."""
+
+    @pytest.mark.parametrize("ring_name", sorted(ORACLE_RINGS))
+    def test_agrees_with_the_declared_primes(self, ring_name):
+        ring = ORACLE_RINGS[ring_name]()
+        answers = set()
+        for text in ORACLE_ELEMENTS:
+            f = ring.poly(text)
+            expected = avoids_every_prime(ring, [f])
+            assert ring.is_nonzerodivisor(f) == expected, text
+            answers.add(expected)
+        for texts in ORACLE_IDEALS:
+            gens = [ring.poly(t) for t in texts]
+            expected = avoids_every_prime(ring, gens)
+            assert Ideal(ring, gens).contains_nonzerodivisor() == expected, texts
+            answers.add(expected)
+        assert answers == {True, False}

@@ -297,11 +297,11 @@ def test_one_function_in_groebner_holds_the_cache_route_and_autoreduction():
     assert all(len(names) == 1 for names in callers.values()), callers
 
 
-def freeing_callers():
-    """``path:function`` of every call of ``torsion_split`` in the package
-    that passes ``freeing=`` or a ``**`` mapping, named by the innermost
-    function around it ("<module>" at the top level, where the script's
-    call tables hold their lambdas)."""
+def call_sites(matches):
+    """``path:function`` of every call in the package for which
+    ``matches`` holds, named by the innermost function around it
+    ("<module>" at the top level, where the script's call tables hold
+    their lambdas)."""
     found = []
 
     def visit(node, owner, path):
@@ -309,17 +309,22 @@ def freeing_callers():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name, path)
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and simple_name(child.func) == "torsion_split"
-                and any(kw.arg in ("freeing", None) for kw in child.keywords)
-            ):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append(f"{path.name}:{owner}")
             visit(child, owner, path)
 
     for path in sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", path)
     return found
+
+
+def freeing_callers():
+    """The call sites of ``torsion_split`` that pass ``freeing=`` or a
+    ``**`` mapping."""
+    return call_sites(
+        lambda call: simple_name(call.func) == "torsion_split"
+        and any(kw.arg in ("freeing", None) for kw in call.keywords)
+    )
 
 
 def test_only_thm28_frees_the_torsion_split():
@@ -330,6 +335,17 @@ def test_only_thm28_frees_the_torsion_split():
     assert freeing_callers() == [
         "torsion.py:verify_koszul_tensor_powers",
         "torsion.py:verify_koszul_tensor_powers",
+    ]
+
+
+def test_only_the_generic_ranks_and_the_domain_check_read_the_primes():
+    # a non-zerodivisor is decided by the colon (0 :_R J) = 0, which holds
+    # on every ring; the declared list may be incomplete, so it serves only
+    # the ranks at each prime and question2.12's one-prime domain check
+    assert call_sites(lambda call: simple_name(call.func) == "prime_bases") == [
+        "modules.py:rank_info",
+        "torsion.py:_matrix_spans_generically",
+        "torsion.py:explore_torsion_onset",
     ]
 
 

@@ -288,11 +288,11 @@ class TestSaturationRoute:
 
 
 class TestFreeingGuard:
-    """A freeing element that is zero, inhomogeneous or a zerodivisor is
-    refused before the saturation starts.  Zero and an inhomogeneous
-    element are refused before any syzygy is computed; the zerodivisor
-    test is the Koszul test (0 :_R f) = 0, so it computes one over R and
-    none of the module."""
+    """A freeing element that is zero, inhomogeneous, a unit or a
+    zerodivisor is refused before the saturation starts.  Zero and an
+    inhomogeneous element are refused before any syzygy is computed; the
+    zerodivisor test is the colon (0 :_R f) = 0, so it computes one syzygy
+    over R and none of the module."""
 
     @staticmethod
     def refuse_syzygies(monkeypatch):
@@ -321,6 +321,14 @@ class TestFreeingGuard:
         with pytest.raises(InputError, match="not homogeneous"):
             torsion_split(power, freeing=QQxy.poly("x + y^2"))
 
+    def test_a_unit_is_refused(self, QQxy, monkeypatch):
+        # (0 :_R 2) = 0, so only the degree test stands between a unit and
+        # a saturation that finds no torsion in R/(x)
+        module = FPModule.cyclic(QQxy, [QQxy.poly("x")])
+        self.refuse_saturation(monkeypatch)
+        with pytest.raises(InputError, match="is a unit"):
+            torsion_split(module, freeing=QQxy.poly("2"))
+
     def test_a_zerodivisor_is_refused(self, node5, monkeypatch):
         module = FPModule.cyclic(node5, [node5.poly("x")])
         self.refuse_saturation(monkeypatch)
@@ -343,6 +351,12 @@ def undeclared_node_ring():
     field = GF(5)
     xy = parse_polynomial("x*y", ("x", "y"), field)
     return make_ring(field, ("x", "y"), ideal=[xy], reduced=True)
+
+
+def test_nonzerodivisors_need_no_declared_primes():
+    ring = undeclared_node_ring()
+    assert not Ideal(ring, [ring.poly("x")]).contains_nonzerodivisor()
+    assert Ideal(ring, [ring.poly("x + y")]).contains_nonzerodivisor()
 
 
 def test_thm28_runs_on_a_reduced_ring_without_declared_primes():
@@ -567,8 +581,8 @@ class TestTheorem210:
 
     def test_case1_inapplicable_when_the_search_finds_no_nonzerodivisor(self):
         # (x, y) holds the non-zerodivisor x^2 + xy + y^2, but x, y and x + y
-        # each lie in a declared minimal prime: a search that stops short is
-        # no failure of the theorem
+        # each lie in a minimal prime: a search that stops short is no
+        # failure of the theorem
         report = run_source(
             "ring R = GF(2)[x,y] / (x^2*y + x*y^2)"
             " with minimal_primes [(x),(y),(x + y)] reduced;\n"
@@ -584,6 +598,49 @@ class TestTheorem210:
             "the presentation ideal"
         )
         assert report.exit_code == 2
+
+    def test_case1_witness_is_a_computed_nonzerodivisor(self):
+        # the list leaves out the prime (y), which would pass y as a
+        # witness although x*y = 0
+        report = run_source(
+            "ring U = GF(7)[x,y] / (x*y) with minimal_primes [(x)] reduced;\n"
+            "module S = coker [[x, y]] over U;\n"
+            "verify thm2.10 S S;\n"
+        )
+        assert report.results[-1].status == "pass"
+        (cert,) = report.certificates
+        witnesses = {sub.name: sub.witnesses for sub in cert.subclaims}
+        for name in (
+            "non-zerodivisor-annihilator-found",
+            "tensor-witness-killed-by-non-zerodivisor",
+        ):
+            assert witnesses[name] == {"witness": "x + y"}, name
+
+    def test_case1_needs_no_declared_primes(self):
+        report = run_source(
+            "ring B = GF(5)[x,y] / (x*y) with reduced;\n"
+            "module M = coker [[x]] over B;\n"
+            "verify thm2.10 M M case=1;\n"
+        )
+        assert report.results[-1].status == "inapplicable"
+        (cert,) = report.certificates
+        assert cert.inapplicable_reason == (
+            "the presentation ideal consists of zerodivisors"
+        )
+
+    def test_case1_refuses_a_ring_not_declared_reduced(self):
+        # the colon test would run here, but the torsion split would not
+        report = run_source(
+            "ring V = GF(7)[x,y] / (x^2);\n"
+            "module S = coker [[x, y]] over V;\n"
+            "module T = coker [[x]] over V;\n"
+            "verify thm2.10 S S;\n"
+            "verify thm2.10 T T;\n"
+        )
+        assert [r.summary for r in report.results[-2:]] == [
+            "UnsupportedError: non-zerodivisor detection needs a "
+            "declared-reduced ring"
+        ] * 2
 
     def test_free_module_inapplicable(self, QQxy):
         cert = verify_presentation_torsion_bound(
